@@ -1,9 +1,11 @@
 """Polynomial-time encoding versus brute-force summation.
 
-The layered wavefront never enumerates walks: each depth keeps one series
-per vertex (the sum of e^{iWt} over walks ending there) and advances it
-with one neighbor-sum and one oscillation product. At desk scale the
-result is bit-identical to summing e^{iWt} over every enumerated walk.
+The layered wavefront never enumerates walks: each depth keeps one vector
+per vertex, the exact integer moments sum W^k over walks ending there
+(the coefficients of the sum of e^{iWt}), and advances it with one
+neighbor-sum and one binomial shift by the vertex-number. Each output
+coefficient is rounded once, so the result is bit-identical to summing
+e^{iWt} over every enumerated walk.
 """
 
 from hamspec.graph import Graph

@@ -129,7 +129,6 @@ def run_experiment(
     graph_path: str,
     profile: PipelineProfile,
     oracle_limit: int = walk_oracle.DEFAULT_ORACLE_LIMIT,
-    threads: int = 1,
     dump_dir: str | None = None,
 ) -> RunReport:
     """encode -> schedule -> filter -> pseudo-steps -> extract -> verdict."""
@@ -160,7 +159,7 @@ def run_experiment(
 
         oracle_block = staged("oracle", oracle_stage)
 
-    f_series = staged("encode", lambda: grid.grid_series(g, profile, threads=threads))
+    f_series = staged("encode", lambda: grid.grid_series(g, profile))
     sched = staged("schedule", lambda: schedule.build_schedule(profile))
 
     dump = None
@@ -262,7 +261,7 @@ def scaling_benchmark(n_values, oracle_limit: int = walk_oracle.DEFAULT_ORACLE_L
 def _cmd_encode(args) -> int:
     g = load_graph(args.graph)
     profile = _resolve_profile(args, g.n)
-    series = grid.grid_series(g, profile, threads=args.threads)
+    series = grid.grid_series(g, profile)
     text = series_to_text(series)
     if args.out:
         with open(args.out, "w") as fh:
@@ -371,7 +370,6 @@ def _cmd_run(args) -> int:
         args.graph,
         profile,
         oracle_limit=args.oracle_limit,
-        threads=args.threads,
         dump_dir=args.dump_steps,
     )
     timings = not args.no_timings
@@ -399,15 +397,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(sub, profile=True, threads=False, out=True):
-    if profile:
-        sub.add_argument("--profile", help="profile file (key=value lines)")
+def _add_common(sub, out=True):
+    sub.add_argument("--profile", help="profile file (key=value lines)")
     if out:
         sub.add_argument("--out", help="write output to this file")
-    if threads:
-        sub.add_argument(
-            "--threads", type=int, default=1, help="worker threads (never changes results)"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="graph file -> encoded series file")
     p.add_argument("graph")
-    _add_common(p, threads=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_encode)
 
     p = sub.add_parser("filter", help="series file -> filtered series file")
@@ -459,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-timings", action="store_true", help="omit the timings block")
     p.add_argument("--dump-steps", help="directory for per-step series dumps")
     p.add_argument("--oracle-limit", type=int, default=walk_oracle.DEFAULT_ORACLE_LIMIT)
-    _add_common(p, threads=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("bench", help="stage timings over a range of n (complete graphs)")

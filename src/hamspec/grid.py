@@ -1,82 +1,81 @@
 """Layered wavefront construction of the encoded series in polynomial time.
 
-Depth 1 starts each vertex at its own oscillation e^{i v t}; every further
-depth sums the incoming neighbor series and multiplies by the vertex's
-oscillation, so after depth d wire l holds the sum of e^{iWt} over all
-d-walks ending at l. The final sum over wires is shifted so the shared
-path frequency sits at zero, then the time axis is scaled.
+Before rounding, every coefficient the wavefront builds is an integer
+moment. Wire l at depth d holds M_k = sum of W^k over all d-walks ending
+at l (k = 0..n_d1), so its series sum e^{iWt} has coefficients i^k M_k.
+Depth 1 starts wire l at the powers of its vertex-number n^l; every
+further depth sums the neighbor wires and shifts by n^l, which on moments
+is the binomial convolution out_k = sum_j C(k,j) in_j (n^l)^(k-j). The
+final sum over wires is shifted by -a_h the same way, so the shared path
+frequency sits at zero, and coefficient k becomes i^k c^k S_k, scaling
+the time axis by c.
+
+All of this runs in exact Python integers; each output coefficient is
+rounded once, to p_1 bits, so the encoded series is the correctly rounded
+value of sum_W mult(W) (i c (W - a_h))^k at every size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .graph import Graph, hamiltonian_frequency, vertex_numbers
-from .numerics import (
-    NormalizedSeries,
-    cfrom_int,
-    exp_series,
-    series_add,
-    series_mul,
-    series_scale_time,
-    zero_series,
-)
+from .numerics import R_ZERO, NormalizedSeries, PrecisionComplex, from_int
 from .schedule import PipelineProfile
 
 
-def _vertex_oscillations(g: Graph, m: int, p: int) -> list:
+def _shift(moments: list, v: int) -> list:
+    """Moments of the walk-numbers after adding v to each:
+    out_k = sum_j C(k,j) moments_j v^(k-j), by the Taylor-shift triangle
+    x_j <- v x_j + x_{j+1} (row k's first entry is out_k)."""
+    x = moments
+    out = [x[0]]
+    for _ in range(len(moments) - 1):
+        x = [v * a + b for a, b in zip(x, x[1:])]
+        out.append(x[0])
+    return out
+
+
+def _propagate(g: Graph, m: int, depth: int) -> list:
+    """Exact moment vectors M_0..M_m of each wire after `depth` layers."""
     numbers = vertex_numbers(g.n)
-    return [exp_series(cfrom_int(0, numbers[l - 1], p), m, p) for l in range(1, g.n + 1)]
-
-
-def _advance_wire(g, wires, osc, l, m):
-    incoming = None
-    for j in g.neighbors(l):
-        s = wires[j - 1]
-        incoming = s if incoming is None else series_add(incoming, s)
-    if incoming is None:
-        return zero_series(m, wires[0].precision)
-    return series_mul(incoming, osc[l - 1], m)
-
-
-def _propagate(g: Graph, m: int, p: int, depth: int, threads: int = 1) -> list:
-    """Wire series after `depth` layers (depth >= 1)."""
-    osc = _vertex_oscillations(g, m, p)
-    wires = list(osc)
+    wires = [[v**k for k in range(m + 1)] for v in numbers]
     for _ in range(2, depth + 1):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                wires = list(
-                    pool.map(
-                        lambda l: _advance_wire(g, wires, osc, l, m),
-                        range(1, g.n + 1),
-                    )
-                )
-        else:
-            wires = [_advance_wire(g, wires, osc, l, m) for l in range(1, g.n + 1)]
+        nxt = []
+        for l in range(1, g.n + 1):
+            incoming = [0] * (m + 1)
+            for j in g.neighbors(l):
+                incoming = [a + b for a, b in zip(incoming, wires[j - 1])]
+            nxt.append(_shift(incoming, numbers[l - 1]))
+        wires = nxt
     return wires
 
 
-def grid_intermediate(
-    g: Graph, profile: PipelineProfile, depth: int, threads: int = 1
-) -> list:
-    """The n wire series at a given depth, for cross-checks and debugging."""
+def _round_moments(moments: list, c: int, p: int) -> NormalizedSeries:
+    """Series with coefficient k = i^k c^k moments_k, each rounded once to p bits."""
+    coeffs = []
+    ck = 1
+    for k, s in enumerate(moments):
+        x = from_int(ck * s if k % 4 < 2 else -ck * s, p)
+        coeffs.append(PrecisionComplex(x, R_ZERO) if k % 2 == 0 else PrecisionComplex(R_ZERO, x))
+        ck *= c
+    return NormalizedSeries(coeffs, p)
+
+
+def grid_intermediate(g: Graph, profile: PipelineProfile, depth: int) -> list:
+    """The n wire series (unshifted, time unscaled) at a given depth, for
+    cross-checks and debugging."""
     if not 1 <= depth <= g.n:
         raise ValueError(f"depth {depth} outside 1..{g.n}")
-    return _propagate(g, profile.n_d1, profile.p_1, depth, threads)
+    return [
+        _round_moments(w, 1, profile.p_1) for w in _propagate(g, profile.n_d1, depth)
+    ]
 
 
-def grid_series(g: Graph, profile: PipelineProfile, threads: int = 1) -> NormalizedSeries:
+def grid_series(g: Graph, profile: PipelineProfile) -> NormalizedSeries:
     """Encoded series at degree n_d1, precision p_1: propagate to depth n,
     sum the wires, shift by the shared path frequency, scale time by c."""
     if profile.n != g.n:
         raise ValueError(f"profile n={profile.n} does not match graph n={g.n}")
     c = profile.require_c()
-    m, p = profile.n_d1, profile.p_1
-    wires = _propagate(g, m, p, g.n, threads)
-    total = wires[0]
-    for w in wires[1:]:
-        total = series_add(total, w)
-    a_h = hamiltonian_frequency(g)
-    shifted = series_mul(total, exp_series(cfrom_int(0, -a_h, p), m, p), m)
-    return series_scale_time(shifted, c)
+    wires = _propagate(g, profile.n_d1, g.n)
+    total = [sum(col) for col in zip(*wires)]
+    return _round_moments(_shift(total, -hamiltonian_frequency(g)), c, profile.p_1)

@@ -45,19 +45,6 @@ class TestEncode:
         assert code == 0
         assert stdout.startswith("series m=64 p=512")
 
-    def test_threads_do_not_change_bits(self, files, capsys):
-        tmp, _, g4, prof = files
-        outs = []
-        for threads, name in ((1, "a"), (4, "b")):
-            out = tmp / f"{name}.series"
-            code, _, _ = run_cli(
-                capsys, "encode", str(g4), "--profile", str(prof),
-                "--out", str(out), "--threads", str(threads),
-            )
-            assert code == 0
-            outs.append(out.read_text())
-        assert outs[0] == outs[1]
-
 
 class TestFilterPseudoExtract:
     def test_pipeline_through_files(self, files, capsys):
