@@ -18,6 +18,7 @@ channel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,9 +86,12 @@ def nearest_integer(x: PrecisionReal):
     return n, abs(frac - n)
 
 
+@functools.lru_cache(maxsize=8)
 def constant_column(sched: StepSchedule, p: int):
     """Constant and linear coefficients of the response of steps 2..n_d+3
-    to step 1's output for a unit constant, 1 - alpha*e^{-t}."""
+    to step 1's output for a unit constant, 1 - alpha*e^{-t}. Solved once
+    per process per (schedule, p); a DegenerateScheduleError is raised,
+    not cached."""
     n_d = len(sched.times) - 4  # times holds entries for steps 1..n_d+3
     alpha = round_to(sched.alpha, p)
     neg_alpha = rneg(alpha)

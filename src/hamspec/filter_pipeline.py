@@ -9,6 +9,8 @@ added term is a homogeneous solution, so the output still solves the ODE.
 
 from __future__ import annotations
 
+import functools
+
 from .numerics import (
     C_ZERO,
     NormalizedSeries,
@@ -32,17 +34,22 @@ class DegenerateScheduleError(ArithmeticError):
 
 def integrator_cascade(series: NormalizedSeries, m: int) -> NormalizedSeries:
     """Zero-state response of y' + y = u truncated to degree m:
-    out_k = sum_{d=0..k-1} (-1)^(k-1-d) u_d, accumulated in ascending d."""
+    out_k = sum_{d=0..k-1} (-1)^(k-1-d) u_d, accumulated in ascending d.
+
+    Computed as out_k = u_{k-1} - out_{k-1} (u_d = 0 beyond the series),
+    which is bit-identical to the ascending sum: out_k's partial sums are
+    exactly the negations of out_{k-1}'s, because negation is exact and
+    round-to-nearest-even is symmetric in sign, so only the last addition
+    differs. Zero inputs are skipped, as in the sum, so a zero u_{k-1}
+    gives -out_{k-1} exactly.
+    """
     p = series.precision
     coeffs = series.coeffs
-    out = [C_ZERO]
+    acc = C_ZERO
+    out = [acc]
     for k in range(1, m + 1):
-        acc = C_ZERO
-        for d in range(min(k - 1, len(coeffs) - 1) + 1):
-            u = coeffs[d]
-            if u.is_zero():
-                continue
-            acc = cadd(acc, u if (k - 1 - d) % 2 == 0 else cneg(u), p)
+        u = coeffs[k - 1] if k - 1 < len(coeffs) else C_ZERO
+        acc = cneg(acc) if u.is_zero() else cadd(cneg(acc), u, p)
         out.append(acc)
     return NormalizedSeries(out, p)
 
@@ -112,9 +119,16 @@ def decay_series(m: int, p: int) -> NormalizedSeries:
     )
 
 
-def run_pseudo_steps(sched: StepSchedule, profile: PipelineProfile, dump=None):
+def run_pseudo_steps(sched: StepSchedule, profile: PipelineProfile):
     """Run e^{-t} through steps 2..n_d+3 at degree n_d; return the final
-    constant and linear coefficients (the decay-channel system column)."""
-    n_d, p = profile.n_d, profile.p_2
-    j = run_tail_steps(decay_series(n_d, p), sched, n_d, p, dump=dump)
+    constant and linear coefficients (the decay-channel system column).
+    Solved once per process per (schedule, n_d, p_2)."""
+    return pseudo_column(sched, profile.n_d, profile.p_2)
+
+
+@functools.lru_cache(maxsize=8)
+def pseudo_column(sched: StepSchedule, n_d: int, p: int):
+    """run_pseudo_steps' cached solve; a DegenerateScheduleError is raised,
+    not cached."""
+    j = run_tail_steps(decay_series(n_d, p), sched, n_d, p)
     return j.coeffs[0], j.coeffs[1]

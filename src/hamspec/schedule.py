@@ -13,6 +13,7 @@ steps use the configured r_mu and the root of tr(e^r)/r = tr(e^{r_mu}).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -386,26 +387,35 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
 
 
 def build_schedule(profile: PipelineProfile, validate: bool = True) -> StepSchedule:
-    """Solve the full schedule at precision p_2.
+    """Validate the profile, then return its schedule at precision p_2.
 
-    times[1] = r_1; times[2..n_d+1] from the step-time equation with
-    alpha = 1/tr_{n_d1}(e^{-r_1}) (the gain step 1 actually realizes);
-    times[n_d+2] = r_mu; times[n_d+3] from the closing equation.
-    beta = tr_{n_d}(e^{r_mu}).
+    Validation runs on every call, since it depends on n and c; the solve
+    depends only on (p_2, n_d, n_d1, r_1, r_mu) and is shared through
+    solve_schedule's cache.
     """
     if validate:
         constraints = validate_profile(profile)
         if not profile_ok(constraints):
             failed = ", ".join(c.name for c in constraints if not c.passed)
             raise ProfileError(f"profile fails validation: {failed}")
-    p = profile.p_2
-    n_d = profile.n_d
-    r_1 = from_int(profile.r_1, p)
-    alpha = rdiv(from_int(1, p), truncated_exp(rneg(r_1), profile.n_d1, p), p)
+    return solve_schedule(profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu)
+
+
+@functools.lru_cache(maxsize=8)
+def solve_schedule(p: int, n_d: int, n_d1: int, r_1: int, r_mu: int) -> StepSchedule:
+    """Solve the full schedule at precision p, once per process per key.
+
+    times[1] = r_1; times[2..n_d+1] from the step-time equation with
+    alpha = 1/tr_{n_d1}(e^{-r_1}) (the gain step 1 actually realizes);
+    times[n_d+2] = r_mu; times[n_d+3] from the closing equation.
+    beta = tr_{n_d}(e^{r_mu}). A NoRootError is raised, not cached.
+    """
+    r_1 = from_int(r_1, p)
+    alpha = rdiv(from_int(1, p), truncated_exp(rneg(r_1), n_d1, p), p)
     times = [None, r_1]
     for sp in range(2, n_d + 2):
         times.append(solve_r_sp(alpha, sp, n_d, p))
-    r_mu = from_int(profile.r_mu, p)
+    r_mu = from_int(r_mu, p)
     times.append(r_mu)
     times.append(solve_r_mu_plus_1(r_mu, n_d, p))
     beta = truncated_exp(r_mu, n_d, p)

@@ -13,11 +13,15 @@ from hamspec.filter_pipeline import (
     run_pipeline,
     run_pseudo_steps,
 )
+from hamspec.grid import grid_series
 from hamspec.numerics import (
+    C_ZERO,
     NormalizedSeries,
     PrecisionComplex,
+    cadd,
     cfrom_int,
     cmul_int,
+    cneg,
     const_series,
     from_fraction,
     from_int,
@@ -25,7 +29,7 @@ from hamspec.numerics import (
     zero_series,
 )
 from hamspec.schedule import build_schedule, desk_profile
-from conftest import trunc_exp_fraction
+from conftest import cycle_graph, trunc_exp_fraction
 
 
 def random_series(rng, m, p, mag=20):
@@ -37,6 +41,23 @@ def random_series(rng, m, p, mag=20):
     return NormalizedSeries(
         [PrecisionComplex(coeff(), coeff()) for _ in range(m + 1)], p
     )
+
+
+def ascending_cascade(series, m):
+    """Reference cascade: out_k = sum_{d<k} (-1)^(k-1-d) u_d, each sum
+    accumulated in ascending d with a rounding after every addition."""
+    p = series.precision
+    coeffs = series.coeffs
+    out = [C_ZERO]
+    for k in range(1, m + 1):
+        acc = C_ZERO
+        for d in range(min(k - 1, len(coeffs) - 1) + 1):
+            u = coeffs[d]
+            if u.is_zero():
+                continue
+            acc = cadd(acc, u if (k - 1 - d) % 2 == 0 else cneg(u), p)
+        out.append(acc)
+    return NormalizedSeries(out, p)
 
 
 def sup_fractions(series):
@@ -187,6 +208,22 @@ class TestCascade:
         for k in range(m + 1):
             want = sum((-1) ** (k - 1 - d) * ints[d] for d in range(k))
             assert out.coeffs[k].re.to_fraction() == want
+
+    def test_bit_identical_to_ascending_sum(self):
+        # real 256-bit inputs round at nearly every addition, so only they can
+        # tell the recurrence's rounding order from the ascending sum's: C5's
+        # encoded series at step 1's degree, the input to step 6 at n_d, and
+        # that input cut to degree 4 (zero inputs beyond the series)
+        prof = desk_profile(5)
+        p, n_d = prof.p_2, prof.n_d
+        f = grid_series(cycle_graph(5), prof).reround(p)
+        steps = {}
+        run_pipeline(f, build_schedule(prof), prof, dump=steps.__setitem__)
+        cases = [(f, prof.n_d1), (steps[5], n_d), (steps[5].truncate(4), n_d)]
+        for series, m in cases:
+            assert any(c.re.mantissa.bit_length() == p for c in series.coeffs)
+            want = ascending_cascade(series, m)
+            assert integrator_cascade(series, m).bits() == want.bits()
 
     def test_telescoping_identity(self):
         # out_{k+1} + out_k = u_k exactly for integer inputs

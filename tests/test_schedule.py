@@ -17,6 +17,7 @@ from hamspec.schedule import (
     profile_ok,
     profile_to_text,
     ruleu_lhs,
+    solve_schedule,
     solve_r_mu_plus_1,
     solve_r_sp,
     validate_profile,
@@ -179,6 +180,31 @@ class TestBuildSchedule:
             build_schedule(bad)
         sched = build_schedule(bad, validate=False)
         assert sched.times[10].to_fraction() == 8
+
+    def test_profiles_share_one_solve(self):
+        # the times depend only on (p_2, n_d, n_d1, r_1, r_mu), not on n or c
+        assert build_schedule(desk_profile(2)) is build_schedule(desk_profile(5))
+
+    def test_fresh_solve_equals_cached(self):
+        cached = build_schedule(desk_profile(4))
+        solve_schedule.cache_clear()
+        fresh = build_schedule(desk_profile(4))
+        assert fresh is not cached
+        assert [t.bits() for t in fresh.times[1:]] == [t.bits() for t in cached.times[1:]]
+        assert fresh.alpha.bits() == cached.alpha.bits()
+        assert fresh.beta.bits() == cached.beta.bits()
+
+    def test_validation_runs_on_a_cache_hit(self):
+        build_schedule(desk_profile(4))
+        # same solve key, but c is too small: highfreq_transient_small fails
+        with pytest.raises(ProfileError, match="highfreq_transient_small"):
+            build_schedule(desk_profile(4, c=16))
+
+    def test_key_fields_change_the_times(self):
+        base = build_schedule(desk_profile(4))
+        for override in (dict(p_2=192), dict(r_1=20)):
+            other = build_schedule(desk_profile(4, **override))
+            assert other.times[2] != base.times[2]
 
 
 class TestValidator:
