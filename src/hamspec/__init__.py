@@ -20,7 +20,6 @@ from .numerics import (
     series_eval,
     series_from_text,
     series_mul,
-    series_scale_time,
     series_to_text,
 )
 from .schedule import (

@@ -1,7 +1,7 @@
 """Experiment harness and command-line interface.
 
-Subcommands: encode, filter, pseudo, extract, oracle, check-profile, run,
-bench. The `run` verdict is data, not a test result: MATCH / MISMATCH /
+Subcommands: encode, filter, pseudo, extract, oracle, check-profile, run.
+The `run` verdict is data, not a test result: MATCH / MISMATCH /
 INCONCLUSIVE all exit 0; only operational failures exit nonzero.
 """
 
@@ -12,23 +12,19 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import extraction, filter_pipeline, grid, schedule, walk_oracle
 from .graph import Graph, GraphParseError, load_graph
-from .numerics import (
-    NormalizedSeries,
-    PrecisionComplex,
-    series_from_text,
-    series_to_text,
-    to_decimal,
-)
+from .numerics import NormalizedSeries, series_from_text, series_to_text, to_decimal
 from .schedule import PipelineProfile, ProfileError, desk_profile
 
 VERDICT_MATCH = "MATCH"
 VERDICT_MISMATCH = "MISMATCH"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 VERDICT_UNVERIFIED = "UNVERIFIED"
+
+PROFILE_HELP = "profile file (key=value lines)"
 
 
 class StageError(RuntimeError):
@@ -51,18 +47,11 @@ class RunReport:
     timings_ms: dict = field(default_factory=dict)
 
     def to_json_dict(self, timings: bool = True) -> dict:
+        profile = asdict(self.profile)
+        del profile["log2_c"]
         d = {
             "graph": {"file": self.graph_file, "n": self.n, "edges": self.edge_count},
-            "profile": {
-                "n": self.profile.n,
-                "n_d": self.profile.n_d,
-                "n_d1": self.profile.n_d1,
-                "r_1": self.profile.r_1,
-                "r_mu": self.profile.r_mu,
-                "c": self.profile.c,
-                "p_1": self.profile.p_1,
-                "p_2": self.profile.p_2,
-            },
+            "profile": profile,
             "schedule": self.schedule_digest,
             "oracle": self.oracle,
             "extraction": self.extraction,
@@ -73,31 +62,14 @@ class RunReport:
         return d
 
     def to_text(self, timings: bool = True) -> str:
-        lines = [
-            f"[graph] file={self.graph_file} n={self.n} edges={self.edge_count}",
-            "[profile] "
-            + " ".join(
-                f"{k}={v}"
-                for k, v in (
-                    ("n", self.profile.n),
-                    ("n_d", self.profile.n_d),
-                    ("n_d1", self.profile.n_d1),
-                    ("r_1", self.profile.r_1),
-                    ("r_mu", self.profile.r_mu),
-                    ("c", self.profile.c),
-                    ("p_1", self.profile.p_1),
-                    ("p_2", self.profile.p_2),
-                )
-            ),
-            "[schedule] " + " ".join(f"{k}={v}" for k, v in self.schedule_digest.items()),
-        ]
-        if self.oracle is None:
-            lines.append("[oracle] omitted (n above oracle limit)")
-        else:
-            lines.append("[oracle] " + " ".join(f"{k}={v}" for k, v in self.oracle.items()))
-        lines.append(
-            "[extraction] " + " ".join(f"{k}={v}" for k, v in self.extraction.items())
-        )
+        """One `[block] key=value ...` line per block of to_json_dict."""
+        d = self.to_json_dict(timings=False)
+        lines = []
+        for name in ("graph", "profile", "schedule", "oracle", "extraction"):
+            if d[name] is None:
+                lines.append(f"[{name}] omitted (n above oracle limit)")
+            else:
+                lines.append(f"[{name}] " + " ".join(f"{k}={v}" for k, v in d[name].items()))
         lines.append(f"[verdict] {self.verdict}")
         if timings:
             lines.append(
@@ -106,8 +78,30 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _cplx_digest(z: PrecisionComplex, digits: int = 25) -> dict:
-    return {"re": to_decimal(z.re, digits), "im": to_decimal(z.im, digits)}
+def _oracle_block(g: Graph, limit: int) -> dict:
+    """Exact walk and Hamiltonian path counts by enumeration."""
+    n_p = walk_oracle.total_walks(g, limit)
+    directed = walk_oracle.count_hamiltonian_paths(g, limit)
+    return {
+        "n_p": n_p,
+        "n_h_directed": directed,
+        "n_h_undirected": directed // 2 if g.n > 1 else 1,
+    }
+
+
+def _extraction_block(result: extraction.ExtractionResult) -> dict:
+    return {
+        "k0_re": to_decimal(result.k0.re, 25),
+        "k0_im": to_decimal(result.k0.im, 25),
+        "z1_re": to_decimal(result.z1.re, 25),
+        "z1_im": to_decimal(result.z1.im, 25),
+        "n_h_rounded": result.n_h_rounded,
+        "round_distance": to_decimal(result.round_distance),
+        "imag_magnitude": to_decimal(result.imag_magnitude),
+        "residual0": to_decimal(result.residual0),
+        "residual1": to_decimal(result.residual1),
+        "flags": ",".join(result.flags) or "none",
+    }
 
 
 def _schedule_digest(sched: schedule.StepSchedule) -> dict:
@@ -170,17 +164,7 @@ def run_experiment(
 
     oracle_block = None
     if g.n <= oracle_limit:
-
-        def oracle_stage():
-            n_p = walk_oracle.total_walks(g, oracle_limit)
-            directed = walk_oracle.count_hamiltonian_paths(g, oracle_limit)
-            return {
-                "n_p": n_p,
-                "n_h_directed": directed,
-                "n_h_undirected": directed // 2 if g.n > 1 else 1,
-            }
-
-        oracle_block = staged("oracle", oracle_stage)
+        oracle_block = staged("oracle", lambda: _oracle_block(g, oracle_limit))
 
     f_series = staged("encode", lambda: grid.grid_series(g, profile))
     sched = staged("schedule", lambda: schedule.build_schedule(profile))
@@ -193,40 +177,19 @@ def run_experiment(
         "pseudo", lambda: filter_pipeline.run_pseudo_steps(sched, profile)
     )
 
-    singular = False
     try:
         result = staged(
             "extract",
             lambda: extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2),
         )
     except StageError as exc:
-        if isinstance(exc.cause, extraction.SingularSystemError):
-            singular = True
-            result = None
-        else:
+        if not isinstance(exc.cause, extraction.SingularSystemError):
             raise
-
-    if result is None:
-        ext_block = {"error": "singular-system"}
-        flags = ("singular",)
-    else:
-        ext_block = {
-            "k0_re": to_decimal(result.k0.re, 25),
-            "k0_im": to_decimal(result.k0.im, 25),
-            "z1_re": to_decimal(result.z1.re, 25),
-            "z1_im": to_decimal(result.z1.im, 25),
-            "n_h_rounded": result.n_h_rounded,
-            "round_distance": to_decimal(result.round_distance),
-            "imag_magnitude": to_decimal(result.imag_magnitude),
-            "residual0": to_decimal(result.residual0),
-            "residual1": to_decimal(result.residual1),
-            "flags": ",".join(result.flags) or "none",
-        }
-        flags = result.flags
+        result = None
 
     if oracle_block is None:
         verdict = VERDICT_UNVERIFIED
-    elif singular or flags:
+    elif result is None or result.flags:
         verdict = VERDICT_INCONCLUSIVE
     elif result.n_h_rounded == oracle_block["n_h_directed"]:
         verdict = VERDICT_MATCH
@@ -240,34 +203,10 @@ def run_experiment(
         profile=profile,
         schedule_digest=_schedule_digest(sched),
         oracle=oracle_block,
-        extraction=ext_block,
+        extraction={"error": "singular-system"} if result is None else _extraction_block(result),
         verdict=verdict,
         timings_ms=timings,
     )
-
-
-def scaling_benchmark(n_values, oracle_limit: int = walk_oracle.DEFAULT_ORACLE_LIMIT):
-    """Wall-clock per stage on complete graphs K_n with the desk profile."""
-    rows = []
-    for n in n_values:
-        g = Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-        profile = desk_profile(n)
-        row = {"n": n}
-        t0 = time.perf_counter()
-        walk_oracle.walk_spectrum(g, max(oracle_limit, n))
-        row["oracle_ms"] = (time.perf_counter() - t0) * 1000.0
-        t0 = time.perf_counter()
-        f_series = grid.grid_series(g, profile)
-        row["encode_ms"] = (time.perf_counter() - t0) * 1000.0
-        schedule.solve_schedule.cache_clear()  # time a real solve, not a cache hit
-        t0 = time.perf_counter()
-        sched = schedule.build_schedule(profile)
-        row["schedule_ms"] = (time.perf_counter() - t0) * 1000.0
-        t0 = time.perf_counter()
-        filter_pipeline.run_pipeline(f_series, sched, profile)
-        row["filter_ms"] = (time.perf_counter() - t0) * 1000.0
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -310,35 +249,19 @@ def _cmd_extract(args) -> int:
     with open(args.pseudo) as fh:
         pair = series_from_text(fh.read())
     if pair.degree_bound != 1:
-        print("error: pseudo file must hold exactly two coefficients", file=sys.stderr)
-        return 1
+        raise ValueError("pseudo file must hold exactly two coefficients")
     profile = _resolve_profile(args, args.n)
     sched = schedule.build_schedule(profile)
-    try:
-        result = extraction.extract_nh(
-            o_series, pair.coeffs[0], pair.coeffs[1], sched, profile.p_2
-        )
-    except extraction.SingularSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"k0_re={to_decimal(result.k0.re, 25)}")
-    print(f"k0_im={to_decimal(result.k0.im, 25)}")
-    print(f"z1_re={to_decimal(result.z1.re, 25)}")
-    print(f"z1_im={to_decimal(result.z1.im, 25)}")
-    print(f"n_h_rounded={result.n_h_rounded}")
-    print(f"round_distance={to_decimal(result.round_distance)}")
-    print(f"flags={','.join(result.flags) or 'none'}")
+    result = extraction.extract_nh(o_series, pair.coeffs[0], pair.coeffs[1], sched, profile.p_2)
+    for k, v in _extraction_block(result).items():
+        print(f"{k}={v}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
     g = load_graph(args.graph)
-    n_p = walk_oracle.total_walks(g, args.oracle_limit)
-    directed = walk_oracle.count_hamiltonian_paths(g, args.oracle_limit)
-    undirected = directed // 2 if g.n > 1 else 1
-    print(f"n_p={n_p}")
-    print(f"n_h_directed={directed}")
-    print(f"n_h_undirected={undirected}")
+    for k, v in _oracle_block(g, args.oracle_limit).items():
+        print(f"{k}={v}")
     if args.spectrum:
         spectrum = walk_oracle.walk_spectrum(g, args.oracle_limit)
         for wn in sorted(spectrum):
@@ -380,23 +303,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    lo, _, hi = args.n_range.partition(":")
-    n_values = list(range(int(lo), int(hi) + 1)) if hi else [int(lo)] if lo else []
-    rows = scaling_benchmark(n_values, oracle_limit=args.oracle_limit)
-    print(f"{'n':>3} {'oracle_ms':>12} {'encode_ms':>12} {'schedule_ms':>12} {'filter_ms':>12}")
-    for row in rows:
-        print(
-            f"{row['n']:>3} {row['oracle_ms']:>12.1f} {row['encode_ms']:>12.1f} "
-            f"{row['schedule_ms']:>12.1f} {row['filter_ms']:>12.1f}"
-        )
-    return 0
-
-
-def _add_common(sub, out=True):
-    sub.add_argument("--profile", help="profile file (key=value lines)")
-    if out:
-        sub.add_argument("--out", help="write output to this file")
+def _add_common(sub):
+    sub.add_argument("--profile", help=PROFILE_HELP)
+    sub.add_argument("--out", help="write output to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("series", help="filtered output series file")
     p.add_argument("pseudo", help="pseudo pair series file")
     p.add_argument("--n", type=int, help="vertex count for the default profile")
-    _add_common(p, out=False)
+    p.add_argument("--profile", help=PROFILE_HELP)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("oracle", help="exact walk counts by enumeration")
@@ -450,11 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-limit", type=int, default=walk_oracle.DEFAULT_ORACLE_LIMIT)
     _add_common(p)
     p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("bench", help="stage timings over a range of n (complete graphs)")
-    p.add_argument("--n-range", default="3:5", help="inclusive range lo:hi")
-    p.add_argument("--oracle-limit", type=int, default=walk_oracle.DEFAULT_ORACLE_LIMIT)
-    p.set_defaults(fn=_cmd_bench)
     return ap
 
 
@@ -462,16 +366,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GraphParseError, ProfileError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
+        StageError,
+        ValueError,  # GraphParseError and ProfileError among them
+        OSError,
         walk_oracle.OracleLimitError,
         filter_pipeline.DegenerateScheduleError,
         schedule.NoRootError,
+        extraction.SingularSystemError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,12 @@ class PrecisionReal:
         return rcmp(self, other) == 0
 
     def __hash__(self):
-        return hash(self.to_fraction())
+        # Consistent with the value-based __eq__: the same value rounded to
+        # two precisions differs only in trailing zero bits of the mantissa.
+        if self.sign == 0:
+            return 0
+        tz = (self.mantissa & -self.mantissa).bit_length() - 1
+        return hash((self.sign, self.mantissa >> tz, self.exponent + tz))
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -549,25 +554,6 @@ def exp_series(lam: PrecisionComplex, m: int, p: int) -> NormalizedSeries:
     for _ in range(m):
         coeffs.append(cmul(coeffs[-1], lam, p))
     return NormalizedSeries(coeffs, p)
-
-
-def series_scale_time(a: NormalizedSeries, c: int) -> NormalizedSeries:
-    """t -> c*t on normalized coefficients: a_k * c^k, one rounding each."""
-    if c < 1:
-        raise ValueError(f"time scale must be >= 1, got {c}")
-    p = a.precision
-    out = []
-    ck = 1
-    for k, coeff in enumerate(a.coeffs):
-        if k:
-            ck *= c
-        out.append(cmul_int(coeff, ck, p))
-    return NormalizedSeries(out, p)
-
-
-def series_derivative_shift(a: NormalizedSeries) -> NormalizedSeries:
-    """Normalized-coefficient derivative: left index shift, zero-padded."""
-    return NormalizedSeries(list(a.coeffs[1:]) + [C_ZERO], a.precision)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from .numerics import (
 )
 
 LOG2_E = math.log2(math.e)
-DEFAULT_MARGIN_BITS = 8.0
-DEFAULT_BETA_THRESHOLD_LOG2 = 2.0  # beta must exceed 4
+MARGIN_BITS = 8.0
+BETA_THRESHOLD_LOG2 = 2.0  # beta must exceed 4
 
 
 class ProfileError(ValueError):
@@ -185,11 +185,7 @@ def load_profile(path, n: int | None = None) -> PipelineProfile:
 # ---------------------------------------------------------------------------
 
 
-def validate_profile(
-    profile: PipelineProfile,
-    margin: float = DEFAULT_MARGIN_BITS,
-    beta_threshold_log2: float = DEFAULT_BETA_THRESHOLD_LOG2,
-) -> list:
+def validate_profile(profile: PipelineProfile) -> list:
     """Evaluate every requirement symbolically; returns Constraint records.
 
     The tail estimate uses the design relation r_{n_d+1} ~ (1/alpha)^{n_d}
@@ -228,14 +224,14 @@ def validate_profile(
     tail = n_d + n * log2_n + log2_r_tail
     add(
         "transient_tail_small",
-        tail < -margin,
-        -margin - tail,
-        f"log2(2^n_d n^n r_tail) = {tail:.6g} < {-margin:.6g}",
+        tail < -MARGIN_BITS,
+        -MARGIN_BITS - tail,
+        f"log2(2^n_d n^n r_tail) = {tail:.6g} < {-MARGIN_BITS:.6g}",
     )
 
     log2_omega = profile.log2_scale()
     lhs = r_mu * LOG2_E + n_d + n * log2_n - 2 * log2_omega
-    rhs = -2 * n * log2_n - margin
+    rhs = -2 * n * log2_n - MARGIN_BITS
     add(
         "highfreq_transient_small",
         lhs < rhs,
@@ -246,9 +242,9 @@ def validate_profile(
     log2_beta = r_mu * LOG2_E
     add(
         "beta_large",
-        log2_beta > beta_threshold_log2,
-        log2_beta - beta_threshold_log2,
-        f"log2(beta) = {log2_beta:.6g} > {beta_threshold_log2:.6g}",
+        log2_beta > BETA_THRESHOLD_LOG2,
+        log2_beta - BETA_THRESHOLD_LOG2,
+        f"log2(beta) = {log2_beta:.6g} > {BETA_THRESHOLD_LOG2:.6g}",
     )
     return out
 
@@ -300,7 +296,7 @@ def _bisect_newton(g, dg, lo, hi, p: int) -> PrecisionReal:
         if rcmp(width, rmul(rabs(hi), half, p)) <= 0:
             break
         mid = rdiv_int(radd(lo, hi, p), 2, p)
-        if _sign(g(mid)) < 0:
+        if g(mid).sign < 0:
             lo = mid
         else:
             hi = mid
@@ -312,10 +308,6 @@ def _bisect_newton(g, dg, lo, hi, p: int) -> PrecisionReal:
             break
         x = rsub(x, rdiv(gx, dgx, p), p)
     return x
-
-
-def _sign(a: PrecisionReal) -> int:
-    return a.sign
 
 
 def solve_r_sp(alpha: PrecisionReal, sp: int, n_d: int, p: int) -> PrecisionReal:
@@ -338,7 +330,7 @@ def solve_r_sp(alpha: PrecisionReal, sp: int, n_d: int, p: int) -> PrecisionReal
     log2_fact = math.log2(math.factorial(sp - 1)) if sp > 1 else 0.0
     j_start = max(0, math.ceil((log2_alpha - log2_fact) / (sp - 1)) + 2)
     guard = 0
-    while _sign(g(pow2(-j_start, p))) >= 0:
+    while g(pow2(-j_start, p)).sign >= 0:
         j_start += 4
         guard += 1
         if guard > p:
@@ -347,7 +339,7 @@ def solve_r_sp(alpha: PrecisionReal, sp: int, n_d: int, p: int) -> PrecisionReal
     bracket = None
     for j in range(j_start - 1, -1, -1):
         r = pow2(-j, p)
-        if _sign(g(r)) >= 0:
+        if g(r).sign >= 0:
             bracket = (prev, r)
             break
         prev = r
@@ -370,13 +362,13 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
     def dg(r):
         return rsub(beta, truncated_exp(r, n_d - 1, p), p)
 
-    if _sign(g(from_int(1, p))) < 0:
+    if g(from_int(1, p)).sign < 0:
         raise NoRootError("closing equation has no root in (0, 1] (r_mu < 1?)")
     hi = from_int(1, p)
     lo = None
     for j in range(1, p):
         r = pow2(-j, p)
-        if _sign(g(r)) >= 0:
+        if g(r).sign >= 0:
             hi = r  # still at or above the smallest root
         else:
             lo = r
@@ -386,18 +378,17 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
     return _bisect_newton(g, dg, lo, hi, p)
 
 
-def build_schedule(profile: PipelineProfile, validate: bool = True) -> StepSchedule:
+def build_schedule(profile: PipelineProfile) -> StepSchedule:
     """Validate the profile, then return its schedule at precision p_2.
 
     Validation runs on every call, since it depends on n and c; the solve
     depends only on (p_2, n_d, n_d1, r_1, r_mu) and is shared through
     solve_schedule's cache.
     """
-    if validate:
-        constraints = validate_profile(profile)
-        if not profile_ok(constraints):
-            failed = ", ".join(c.name for c in constraints if not c.passed)
-            raise ProfileError(f"profile fails validation: {failed}")
+    constraints = validate_profile(profile)
+    if not profile_ok(constraints):
+        failed = ", ".join(c.name for c in constraints if not c.passed)
+        raise ProfileError(f"profile fails validation: {failed}")
     return solve_schedule(profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu)
 
 

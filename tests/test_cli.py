@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hamspec.cli import main, run_experiment, scaling_benchmark
+from hamspec.cli import main, run_experiment
 from hamspec.numerics import series_from_text
 from hamspec.schedule import desk_profile, profile_to_text
 
@@ -62,6 +62,21 @@ class TestFilterPseudoExtract:
         fields = dict(line.split("=", 1) for line in stdout.strip().splitlines())
         assert fields["n_h_rounded"] == "2"
         assert fields["flags"] == "none"
+
+    def test_extract_prints_the_run_extraction_block(self, files, capsys):
+        tmp, g2, _, prof = files
+        enc, flt, ps = tmp / "f.series", tmp / "o.series", tmp / "phi.series"
+        run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
+        run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2", "--out", str(flt))
+        run_cli(capsys, "pseudo", "--profile", str(prof), "--n", "2", "--out", str(ps))
+        code, stdout, _ = run_cli(
+            capsys, "extract", str(flt), str(ps), "--profile", str(prof), "--n", "2"
+        )
+        assert code == 0
+        report = json.loads(
+            run_cli(capsys, "run", str(g2), "--profile", str(prof), "--json", "--no-timings")[1]
+        )
+        assert stdout.splitlines() == [f"{k}={v}" for k, v in report["extraction"].items()]
 
     def test_dump_steps(self, files, capsys):
         tmp, g2, _, prof = files
@@ -146,6 +161,23 @@ class TestRun:
         assert report["extraction"]["flags"] == "imaginary"
         assert "timings_ms" not in report
 
+    @pytest.mark.parametrize("limit", [[], ["--oracle-limit", "3"]])
+    def test_text_blocks_match_json(self, files, capsys, limit):
+        _, _, g4, prof = files
+        argv = ["run", str(g4), "--profile", str(prof), "--no-timings", *limit]
+        text = run_cli(capsys, *argv)[1]
+        report = json.loads(run_cli(capsys, *argv, "--json")[1])
+        lines = text.splitlines()
+        assert [line[1:].split("]")[0] for line in lines] == list(report)
+        for line, (name, block) in zip(lines, report.items()):
+            if name == "verdict":
+                body = block
+            elif block is None:
+                body = "omitted (n above oracle limit)"
+            else:
+                body = " ".join(f"{k}={v}" for k, v in block.items())
+            assert line == f"[{name}] {body}"
+
     def test_malformed_graph_nonzero_exit(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text("n 2\ne 1 1\n")
@@ -188,21 +220,3 @@ class TestRun:
         report = run_experiment(str(g4), desk_profile(4))
         for stage in ("parse", "oracle", "encode", "schedule", "filter", "pseudo", "extract"):
             assert f"{stage}_ms" in report.timings_ms
-
-
-class TestBench:
-    def test_table(self, capsys):
-        code, stdout, _ = run_cli(capsys, "bench", "--n-range", "3:4")
-        assert code == 0
-        lines = stdout.strip().splitlines()
-        assert len(lines) == 3  # header + two rows
-        assert lines[1].lstrip().startswith("3")
-
-    def test_empty_range(self, capsys):
-        code, stdout, _ = run_cli(capsys, "bench", "--n-range", "")
-        assert code == 0
-        assert len(stdout.strip().splitlines()) == 1
-
-    def test_rows_monotone_n(self):
-        rows = scaling_benchmark([3, 4])
-        assert [r["n"] for r in rows] == [3, 4]

@@ -28,7 +28,7 @@ from hamspec.numerics import (
     series_eval,
     zero_series,
 )
-from hamspec.schedule import build_schedule, desk_profile
+from hamspec.schedule import build_schedule, desk_profile, solve_schedule
 from conftest import cycle_graph, trunc_exp_fraction
 
 
@@ -325,6 +325,6 @@ class TestPseudoSteps:
 
     def test_degenerate_profile_surfaces_error(self):
         prof = desk_profile(4, n_d=1, r_mu=1)
-        sched = build_schedule(prof, validate=False)
+        sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
         with pytest.raises(DegenerateScheduleError):
             run_pseudo_steps(sched, prof)

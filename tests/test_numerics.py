@@ -29,7 +29,6 @@ from hamspec.numerics import (
     series_eval,
     series_from_text,
     series_mul,
-    series_scale_time,
     series_to_text,
     to_decimal,
     to_hex,
@@ -135,6 +134,15 @@ class TestRounding:
         assert rcmp(a, from_fraction(Fraction(1, 2), p)) < 0
         assert rcmp(a, rneg(b)) > 0
         assert rcmp(R_ZERO, a) < 0
+
+    def test_hash_follows_value(self):
+        # the same value rounded to two precisions: equal, different bits, one hash
+        for x in (Fraction(3), Fraction(-5, 8), Fraction(1, 1 << 70), Fraction(6 << 90)):
+            a, b = from_fraction(x, 16), from_fraction(x, 512)
+            assert a == b and a.bits() != b.bits()
+            assert hash(a) == hash(b)
+        assert hash(from_int(0, 64)) == hash(R_ZERO)
+        assert hash(from_int(3, 64)) != hash(from_int(-3, 64))
 
 
 class TestSerialization:
@@ -366,27 +374,6 @@ class TestExpSeries:
         s = exp_series(cfrom_int(0, 2, p), 3, p)
         vals = [c.to_fractions() for c in s.coeffs]
         assert vals == [(1, 0), (0, 2), (-4, 0), (0, -8)]
-
-
-class TestScaleTime:
-    def test_identity_scale(self):
-        p = 64
-        a = exp_series(cfrom_int(0, 3, p), 6, p)
-        assert series_scale_time(a, 1) == a
-
-    def test_constant_unchanged(self):
-        p = 64
-        a = NormalizedSeries([cfrom_int(9, 0, p)] + [cfrom_int(0, 0, p)] * 4, p)
-        assert series_scale_time(a, 1000) == a
-
-    def test_exponential_rescaling(self):
-        p = 128
-        a = exp_series(cfrom_int(0, 1, p), 8, p)
-        assert series_scale_time(a, 4) == exp_series(cfrom_int(0, 4, p), 8, p)
-
-    def test_rejects_zero_scale(self):
-        with pytest.raises(ValueError):
-            series_scale_time(zero_series(2, 64), 0)
 
 
 class TestTruncatedExp:

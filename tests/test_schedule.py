@@ -174,11 +174,11 @@ class TestBuildSchedule:
     def test_invalid_profile_refused(self):
         with pytest.raises(ProfileError):
             build_schedule(desk_profile(4, r_1=8))  # r_1 == n_d
-        # the validation escape hatch still solves when roots exist
+        # the solve itself still succeeds when roots exist
         bad = desk_profile(4, r_mu=8)  # r_mu == n_d
         with pytest.raises(ProfileError):
             build_schedule(bad)
-        sched = build_schedule(bad, validate=False)
+        sched = solve_schedule(bad.p_2, bad.n_d, bad.n_d1, bad.r_1, bad.r_mu)
         assert sched.times[10].to_fraction() == 8
 
     def test_profiles_share_one_solve(self):
