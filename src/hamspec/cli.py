@@ -1,6 +1,6 @@
 """Experiment harness and command-line interface.
 
-Subcommands: encode, filter, pseudo, extract, oracle, check-profile, run.
+Subcommands: encode, filter, extract, oracle, check-profile, run.
 The `run` verdict is data, not a test result: MATCH / MISMATCH /
 INCONCLUSIVE all exit 0; only operational failures exit nonzero.
 """
@@ -8,6 +8,7 @@ INCONCLUSIVE all exit 0; only operational failures exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import extraction, filter_pipeline, grid, schedule, walk_oracle
 from .graph import Graph, GraphParseError, load_graph
-from .numerics import NormalizedSeries, series_from_text, series_to_text, to_decimal
+from .numerics import series_from_text, series_to_text, to_decimal
 from .schedule import PipelineProfile, ProfileError, desk_profile
 
 VERDICT_MATCH = "MATCH"
@@ -234,25 +235,19 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _cmd_pseudo(args) -> int:
-    profile = _resolve_profile(args, args.n)
-    sched = schedule.build_schedule(profile)
-    phi01, phi11 = filter_pipeline.run_pseudo_steps(sched, profile)
-    pair = NormalizedSeries([phi01, phi11], profile.p_2)
-    _write_out(args, series_to_text(pair))
-    return 0
-
-
 def _cmd_extract(args) -> int:
     with open(args.series) as fh:
         o_series = series_from_text(fh.read())
-    with open(args.pseudo) as fh:
-        pair = series_from_text(fh.read())
-    if pair.degree_bound != 1:
-        raise ValueError("pseudo file must hold exactly two coefficients")
     profile = _resolve_profile(args, args.n)
+    expected = (profile.n_d, profile.p_2)
+    if (o_series.degree_bound, o_series.precision) != expected:
+        raise ValueError(
+            f"series has (m, p) = ({o_series.degree_bound}, {o_series.precision}); "
+            f"a filtered series has (n_d, p_2) = {expected}"
+        )
     sched = schedule.build_schedule(profile)
-    result = extraction.extract_nh(o_series, pair.coeffs[0], pair.coeffs[1], sched, profile.p_2)
+    phi01, phi11 = filter_pipeline.run_pseudo_steps(sched, profile)
+    result = extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2)
     for k, v in _extraction_block(result).items():
         print(f"{k}={v}")
     return 0
@@ -308,7 +303,9 @@ def _add_common(sub):
     sub.add_argument("--out", help="write output to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="hamspec",
         description="Count Hamiltonian paths by frequency encoding plus filter cascade, "
@@ -328,14 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_filter)
 
-    p = sub.add_parser("pseudo", help="emit the decay-channel pair as a 2-line series file")
-    p.add_argument("--n", type=int, help="vertex count for the default profile")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_pseudo)
-
-    p = sub.add_parser("extract", help="solve the two-channel system from files")
+    p = sub.add_parser("extract", help="filtered series file -> two-channel solve")
     p.add_argument("series", help="filtered output series file")
-    p.add_argument("pseudo", help="pseudo pair series file")
     p.add_argument("--n", type=int, help="vertex count for the default profile")
     p.add_argument("--profile", help=PROFILE_HELP)
     p.set_defaults(fn=_cmd_extract)

@@ -2,10 +2,11 @@
 
 The model: the filtered output's constant and linear coefficients (c0, c1)
 are written as k0 * (phi00, phi10) + z1 * (phi01, phi11). Both columns are
-measured responses of steps 2..n_d+3: (phi00, phi10) to 1 - alpha*e^{-t},
-which is what step 1 makes of a unit constant, and (phi01, phi11) to a
-unit e^{-t}. k0 is the zero-frequency amplitude claim; z1 the decay
-amplitude entering step 2 beyond the constant's own companion.
+responses of steps 2..n_d+3, solved by filter_pipeline.system_columns:
+(phi00, phi10) to 1 - alpha*e^{-t}, which is what step 1 makes of a unit
+constant, and (phi01, phi11) to a unit e^{-t}. k0 is the zero-frequency
+amplitude claim; z1 the decay amplitude entering step 2 beyond the
+constant's own companion.
 
 The two columns are nearly parallel (sine of the angle between them ~1e-11
 at the desk profile), so the constant column has to be what the cascade
@@ -18,11 +19,10 @@ channel.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .filter_pipeline import run_tail_steps
+from .filter_pipeline import system_columns
 from .numerics import (
     NormalizedSeries,
     PrecisionComplex,
@@ -34,15 +34,11 @@ from .numerics import (
     csub,
     csup,
     from_fraction,
-    from_int,
     pow2,
     rabs,
     rcmp,
     rmax,
     rmul,
-    rneg,
-    round_to,
-    rsub,
 )
 from .schedule import StepSchedule
 
@@ -86,24 +82,6 @@ def nearest_integer(x: PrecisionReal):
     return n, abs(frac - n)
 
 
-@functools.lru_cache(maxsize=8)
-def constant_column(sched: StepSchedule, p: int):
-    """Constant and linear coefficients of the response of steps 2..n_d+3
-    to step 1's output for a unit constant, 1 - alpha*e^{-t}. Solved once
-    per process per (schedule, p); a DegenerateScheduleError is raised,
-    not cached."""
-    n_d = len(sched.times) - 4  # times holds entries for steps 1..n_d+3
-    alpha = round_to(sched.alpha, p)
-    neg_alpha = rneg(alpha)
-    coeffs = [PrecisionComplex(rsub(from_int(1, p), alpha, p), R_ZERO)]
-    coeffs += [
-        PrecisionComplex(alpha if k % 2 else neg_alpha, R_ZERO)
-        for k in range(1, n_d + 1)
-    ]
-    j = run_tail_steps(NormalizedSeries(coeffs, p), sched, n_d, p)
-    return j.coeffs[0], j.coeffs[1]
-
-
 def extract_nh(
     o: NormalizedSeries,
     phi01: PrecisionComplex,
@@ -113,13 +91,13 @@ def extract_nh(
 ) -> ExtractionResult:
     """Closed-form 2x2 solve; rounds Re(k0) to the nearest integer.
 
-    The constant column (phi00, phi10) is measured here by running
-    1 - alpha*e^{-t} through steps 2..n_d+3 at precision p. Raises
+    The constant column (phi00, phi10) is system_columns(sched, p)'s
+    constant half, measured on 1 - alpha*e^{-t}. Raises
     SingularSystemError when |det| falls below 2^(-p/2) times the largest
     system coefficient (run should be marked inconclusive).
     """
     c0, c1 = o.coeffs[0], o.coeffs[1]
-    phi00, phi10 = constant_column(sched, p)
+    (phi00, phi10), _ = system_columns(sched, p)
     det = csub(cmul(phi00, phi11, p), cmul(phi10, phi01, p), p)
     scale = rmax(rmax(csup(phi00), csup(phi10)), rmax(csup(phi01), csup(phi11)))
     threshold = rmul(pow2(-(p // 2), p), scale, p)

@@ -22,6 +22,8 @@ from .numerics import (
     cneg,
     from_int,
     rneg,
+    round_to,
+    rsub,
     series_eval,
     truncated_exp,
 )
@@ -120,15 +122,27 @@ def decay_series(m: int, p: int) -> NormalizedSeries:
 
 
 def run_pseudo_steps(sched: StepSchedule, profile: PipelineProfile):
-    """Run e^{-t} through steps 2..n_d+3 at degree n_d; return the final
-    constant and linear coefficients (the decay-channel system column).
-    Solved once per process per (schedule, n_d, p_2)."""
-    return pseudo_column(sched, profile.n_d, profile.p_2)
+    """The decay half of system_columns(sched, profile.p_2)."""
+    return system_columns(sched, profile.p_2)[1]
 
 
 @functools.lru_cache(maxsize=8)
-def pseudo_column(sched: StepSchedule, n_d: int, p: int):
-    """run_pseudo_steps' cached solve; a DegenerateScheduleError is raised,
-    not cached."""
-    j = run_tail_steps(decay_series(n_d, p), sched, n_d, p)
-    return j.coeffs[0], j.coeffs[1]
+def system_columns(sched: StepSchedule, p: int):
+    """Both columns of the extraction's two-channel system,
+    ((phi00, phi10), (phi01, phi11)): the constant and linear coefficients
+    of what steps 2..n_d+3 at degree n_d make of 1 - alpha*e^{-t} (step 1's
+    output for a unit constant) and of e^{-t}. n_d = step_count - 3.
+    Solved once per process per (schedule, p); a DegenerateScheduleError
+    is raised, not cached."""
+    n_d = sched.step_count - 3
+    alpha = round_to(sched.alpha, p)
+    neg_alpha = rneg(alpha)
+    constant = [PrecisionComplex(rsub(from_int(1, p), alpha, p), R_ZERO)]
+    constant += [
+        PrecisionComplex(alpha if k % 2 else neg_alpha, R_ZERO) for k in range(1, n_d + 1)
+    ]
+    columns = []
+    for series in (NormalizedSeries(constant, p), decay_series(n_d, p)):
+        j = run_tail_steps(series, sched, n_d, p)
+        columns.append((j.coeffs[0], j.coeffs[1]))
+    return tuple(columns)

@@ -366,9 +366,6 @@ class PrecisionComplex:
     def to_fractions(self) -> tuple:
         return (self.re.to_fraction(), self.im.to_fraction())
 
-    def to_complex(self) -> complex:
-        return complex(self.re.to_float(), self.im.to_float())
-
 
 C_ZERO = PrecisionComplex(R_ZERO, R_ZERO)
 

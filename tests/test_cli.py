@@ -1,15 +1,19 @@
 """Command surface: every subcommand, file flows, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from hamspec.cli import main, run_experiment
+from hamspec.cli import build_parser, main, run_experiment
 from hamspec.numerics import series_from_text
 from hamspec.schedule import desk_profile, profile_to_text
 
 P2 = "n 2\ne 1 2\n"
 FOUR_CLUSTER = "n 4\ne 1 2\ne 1 3\ne 2 3\ne 1 4\ne 4 3\n"
+C4 = "n 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -51,32 +55,30 @@ class TestFilterPseudoExtract:
         tmp, g2, _, prof = files
         enc = tmp / "f.series"
         flt = tmp / "o.series"
-        ps = tmp / "phi.series"
         assert run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))[0] == 0
         assert run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2", "--out", str(flt))[0] == 0
-        assert run_cli(capsys, "pseudo", "--profile", str(prof), "--n", "2", "--out", str(ps))[0] == 0
-        code, stdout, _ = run_cli(
-            capsys, "extract", str(flt), str(ps), "--profile", str(prof), "--n", "2"
-        )
+        code, stdout, _ = run_cli(capsys, "extract", str(flt), "--profile", str(prof), "--n", "2")
         assert code == 0
         fields = dict(line.split("=", 1) for line in stdout.strip().splitlines())
         assert fields["n_h_rounded"] == "2"
         assert fields["flags"] == "none"
 
     def test_extract_prints_the_run_extraction_block(self, files, capsys):
+        # c4 has non-path walks, so z1 != 0 and a wrong decay column shows;
+        # on the 2-path z1 = 0
         tmp, g2, _, prof = files
-        enc, flt, ps = tmp / "f.series", tmp / "o.series", tmp / "phi.series"
-        run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
-        run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2", "--out", str(flt))
-        run_cli(capsys, "pseudo", "--profile", str(prof), "--n", "2", "--out", str(ps))
-        code, stdout, _ = run_cli(
-            capsys, "extract", str(flt), str(ps), "--profile", str(prof), "--n", "2"
-        )
-        assert code == 0
-        report = json.loads(
-            run_cli(capsys, "run", str(g2), "--profile", str(prof), "--json", "--no-timings")[1]
-        )
-        assert stdout.splitlines() == [f"{k}={v}" for k, v in report["extraction"].items()]
+        c4 = tmp / "c4.graph"
+        c4.write_text(C4)
+        for graph, n in ((g2, "2"), (c4, "4")):
+            enc, flt = tmp / f"{n}.series", tmp / f"{n}.out.series"
+            run_cli(capsys, "encode", str(graph), "--profile", str(prof), "--out", str(enc))
+            run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", n, "--out", str(flt))
+            code, stdout, _ = run_cli(capsys, "extract", str(flt), "--profile", str(prof), "--n", n)
+            assert code == 0
+            report = json.loads(
+                run_cli(capsys, "run", str(graph), "--profile", str(prof), "--json", "--no-timings")[1]
+            )
+            assert stdout.splitlines() == [f"{k}={v}" for k, v in report["extraction"].items()]
 
     def test_dump_steps(self, files, capsys):
         tmp, g2, _, prof = files
@@ -91,16 +93,13 @@ class TestFilterPseudoExtract:
         names = sorted(f.name for f in dump.iterdir())
         assert names[0] == "step_001.series" and len(names) == 11
 
-    def test_extract_rejects_bad_pseudo_file(self, files, capsys):
+    def test_extract_rejects_unfiltered_series(self, files, capsys):
         tmp, g2, _, prof = files
         enc = tmp / "f.series"
         run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
-        flt = tmp / "o.series"
-        run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2", "--out", str(flt))
-        code, _, err = run_cli(
-            capsys, "extract", str(flt), str(enc), "--profile", str(prof), "--n", "2"
-        )
-        assert code == 1 and "two coefficients" in err
+        code, stdout, err = run_cli(capsys, "extract", str(enc), "--profile", str(prof), "--n", "2")
+        assert code == 1 and stdout == ""
+        assert "(64, 512)" in err and "(8, 256)" in err
 
 
 class TestOracle:
@@ -117,6 +116,13 @@ class TestOracle:
         code, stdout, _ = run_cli(capsys, "oracle", str(g2), "--spectrum")
         assert code == 0
         assert "6 2" in stdout.splitlines()
+
+    def test_consecutive_calls_keep_no_state(self, files, capsys):
+        _, g2, _, _ = files
+        run_cli(capsys, "oracle", str(g2), "--spectrum")
+        code, stdout, _ = run_cli(capsys, "oracle", str(g2))
+        assert code == 0
+        assert stdout.splitlines() == ["n_p=2", "n_h_directed=2", "n_h_undirected=1"]
 
     def test_limit(self, files, capsys):
         _, _, g4, _ = files
@@ -220,3 +226,12 @@ class TestRun:
         report = run_experiment(str(g4), desk_profile(4))
         for stage in ("parse", "oracle", "encode", "schedule", "filter", "pseudo", "extract"):
             assert f"{stage}_ms" in report.timings_ms
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines() if line.strip()]
+        assert lines and all(line.startswith("hamspec ") for line in lines)
+        for line in lines:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
