@@ -14,9 +14,10 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from . import extraction, filter_pipeline, grid, schedule, walk_oracle
-from .graph import Graph, GraphParseError, load_graph
+from .graph import Graph, load_graph
 from .numerics import series_from_text, series_to_text, to_decimal
 from .schedule import PipelineProfile, ProfileError, desk_profile
 
@@ -80,11 +81,11 @@ class RunReport:
 
 
 def _oracle_block(g: Graph, limit: int) -> dict:
-    """Exact walk and Hamiltonian path counts by enumeration."""
-    n_p = walk_oracle.total_walks(g, limit)
-    directed = walk_oracle.count_hamiltonian_paths(g, limit)
+    """Exact walk and Hamiltonian path counts, without enumerating either:
+    n_p from an adjacency power, the directed count from the bitmask DP."""
+    directed = walk_oracle.count_hamiltonian_paths_dp(g, limit)  # refuses n > limit
     return {
-        "n_p": n_p,
+        "n_p": walk_oracle.matrix_walk_count(g),
         "n_h_directed": directed,
         "n_h_undirected": directed // 2 if g.n > 1 else 1,
     }
@@ -145,11 +146,16 @@ def _write_out(args, text: str) -> None:
 
 def run_experiment(
     graph_path: str,
-    profile: PipelineProfile,
+    profile: PipelineProfile | Callable[[int], PipelineProfile],
     oracle_limit: int = walk_oracle.DEFAULT_ORACLE_LIMIT,
     dump_dir: str | None = None,
 ) -> RunReport:
-    """encode -> schedule -> filter -> pseudo-steps -> extract -> verdict."""
+    """encode -> schedule -> filter -> pseudo-steps -> extract -> verdict.
+
+    `profile` is a profile, or a function from the parsed graph's vertex
+    count to one, so that a caller who needs n to choose the profile does
+    not parse the file a second time.
+    """
     timings = {}
 
     def staged(stage, fn):
@@ -162,6 +168,8 @@ def run_experiment(
         return out
 
     g = staged("parse", lambda: load_graph(graph_path))
+    if callable(profile):
+        profile = profile(g.n)
 
     oracle_block = None
     if g.n <= oracle_limit:
@@ -275,14 +283,9 @@ def _cmd_check_profile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        n = load_graph(args.graph).n
-    except (GraphParseError, OSError) as exc:
-        raise StageError("parse", exc) from exc
-    profile = _resolve_profile(args, n)
     report = run_experiment(
         args.graph,
-        profile,
+        lambda n: _resolve_profile(args, n),
         oracle_limit=args.oracle_limit,
         dump_dir=args.dump_steps,
     )
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help=PROFILE_HELP)
     p.set_defaults(fn=_cmd_extract)
 
-    p = sub.add_parser("oracle", help="exact walk counts by enumeration")
+    p = sub.add_parser("oracle", help="exact walk and Hamiltonian path counts")
     p.add_argument("graph")
     p.add_argument("--spectrum", action="store_true", help="print the full spectrum")
     p.add_argument("--oracle-limit", type=int, default=walk_oracle.DEFAULT_ORACLE_LIMIT)

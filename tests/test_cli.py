@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from hamspec import cli, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
+from hamspec.graph import load_graph
 from hamspec.numerics import series_from_text
 from hamspec.schedule import desk_profile, profile_to_text
+from conftest import complete_graph
 
 P2 = "n 2\ne 1 2\n"
 FOUR_CLUSTER = "n 4\ne 1 2\ne 1 3\ne 2 3\ne 1 4\ne 4 3\n"
@@ -129,6 +132,18 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", str(g4), "--oracle-limit", "3")
         assert code == 1 and "oracle limit" in err
 
+    def test_report_counts_enumerate_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report's oracle block enumerated")
+
+        monkeypatch.setattr(walk_oracle, "enumerate_n_walks", refuse)
+        monkeypatch.setattr(walk_oracle, "count_hamiltonian_paths", refuse)
+        assert cli._oracle_block(complete_graph(7), 7) == {
+            "n_p": 326592,
+            "n_h_directed": 5040,
+            "n_h_undirected": 2520,
+        }
+
 
 class TestCheckProfile:
     def test_valid(self, files, capsys):
@@ -220,6 +235,18 @@ class TestRun:
         run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
         code, _, err = run_cli(capsys, "filter", str(enc))
         assert code == 1 and "profile" in err
+
+    def test_run_parses_graph_once(self, files, capsys, monkeypatch):
+        _, _, g4, _ = files
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_graph(path)
+
+        monkeypatch.setattr(cli, "load_graph", counting_load)
+        code, _, _ = run_cli(capsys, "run", str(g4), "--no-timings")
+        assert code == 0 and calls == [str(g4)]
 
     def test_run_experiment_stage_timings(self, files):
         _, _, g4, _ = files

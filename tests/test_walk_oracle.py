@@ -1,5 +1,6 @@
 """Enumeration ground truth: counts, spectra, uniqueness, direct series."""
 
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from hamspec.walk_oracle import (
     OracleLimitError,
     check_visit_pair_uniqueness,
     count_hamiltonian_paths,
+    count_hamiltonian_paths_dp,
     enumerate_n_walks,
     matrix_walk_count,
     oracle_series,
@@ -59,6 +61,42 @@ class TestHamiltonianCount:
         assert count_hamiltonian_paths(complete_graph(5)) == 120
 
 
+def near_complete(n, seed):
+    """K_n minus two seeded edges."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    dropped = random.Random(seed).sample(pairs, 2)
+    return Graph(n, [e for e in pairs if e not in dropped])
+
+
+LARGE = [complete_graph(6), complete_graph(7), near_complete(6, 1), near_complete(7, 2)]
+
+
+class TestHamiltonianDP:
+    """The Held-Karp DP against the permutation scan."""
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            assert count_hamiltonian_paths_dp(g) == count_hamiltonian_paths(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(1, []),
+            Graph(3, []),
+            Graph(5, [(1, 2), (3, 4), (4, 5)]),  # disconnected
+            *LARGE,
+            near_complete(6, 3),
+            near_complete(7, 4),
+        ],
+    )
+    def test_small_and_large(self, g):
+        assert count_hamiltonian_paths_dp(g) == count_hamiltonian_paths(g)
+
+    def test_limit_refusal(self):
+        with pytest.raises(OracleLimitError, match="oracle limit"):
+            count_hamiltonian_paths_dp(path_graph(5), limit=4)
+
+
 class TestSpectrum:
     def test_p2(self):
         assert walk_spectrum(path_graph(2)) == {6: 2}
@@ -91,6 +129,10 @@ class TestCorpusInvariants:
     def test_matrix_count_matches_enumeration(self, corpus):
         for g in corpus:
             assert total_walks(g) == matrix_walk_count(g)
+
+    @pytest.mark.parametrize("g", LARGE)
+    def test_matrix_count_matches_enumeration_n6_7(self, g):
+        assert total_walks(g) == matrix_walk_count(g)
 
 
 class TestOracleSeries:
