@@ -577,7 +577,7 @@ def series_from_text(text: str) -> NormalizedSeries:
         p = int(head[2].removeprefix("p="))
     except ValueError as exc:
         raise ValueError(f"bad series header: {lines[0]!r}") from exc
-    coeffs = [C_ZERO] * (m + 1)
+    coeffs = [None] * (m + 1)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -585,5 +585,9 @@ def series_from_text(text: str) -> NormalizedSeries:
         k = int(parts[0])
         if not 0 <= k <= m:
             raise ValueError(f"coefficient index {k} out of range 0..{m}")
+        if coeffs[k] is not None:
+            raise ValueError(f"coefficient index {k} appears twice")
         coeffs[k] = PrecisionComplex(from_hex(parts[1], p), from_hex(parts[2], p))
+    if None in coeffs:
+        raise ValueError(f"coefficient index {coeffs.index(None)} missing (need 0..{m})")
     return NormalizedSeries(coeffs, p)

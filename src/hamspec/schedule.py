@@ -9,6 +9,8 @@ times are the smallest positive roots of
 which makes a constant input propagate with no leftover decay term, given
 that step 1 turned the constant k0 into k0 - k0*alpha*e^{-t}. The last two
 steps use the configured r_mu and the root of tr(e^r)/r = tr(e^{r_mu}).
+Every root is the correctly rounded root of its equation, taken with the
+schedule's own p-bit alpha and beta, from one exact-integer root finder.
 """
 
 from __future__ import annotations
@@ -16,20 +18,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .numerics import (
     PrecisionReal,
     from_int,
-    pow2,
-    rabs,
-    radd,
-    rcmp,
+    from_ratio,
     rdiv,
     rdiv_int,
     rmul,
-    rmul_int,
     rneg,
-    rsub,
+    to_decimal,
     truncated_exp,
 )
 
@@ -43,14 +42,15 @@ class ProfileError(ValueError):
 
 
 class NoRootError(ArithmeticError):
-    """The step-time equation has no root in (0, 1]."""
+    """A schedule equation has no sign change in (0, 1]."""
 
 
 @dataclass(frozen=True)
 class PipelineProfile:
     """Run parameters. r_1, r_mu and c are exact integers; full-scale
     profiles that cannot materialize c carry log2_c instead (validation
-    only)."""
+    only). The precisions p_1 and p_2 are refused here, at construction,
+    when below one bit; validate_profile checks the design parameters."""
 
     n: int
     n_d: int
@@ -61,6 +61,12 @@ class PipelineProfile:
     log2_c: float = 0.0
     p_1: int = 512
     p_2: int = 256
+
+    def __post_init__(self):
+        for key in ("p_1", "p_2"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ProfileError(f"{key}={value}: a precision must be at least 1 bit")
 
     def log2_scale(self) -> float:
         if self.c:
@@ -269,113 +275,91 @@ def ruleu_lhs(
     return rmul(lead, truncated_exp(rneg(r), n_d - sp + 1, p), p)
 
 
-def _ruleu_g(alpha, r, sp, n_d, p):
-    return rsub(ruleu_lhs(alpha, r, sp, n_d, p), from_int(1, p), p)
+def _smallest_root(coeffs, p: int, what: str) -> PrecisionReal:
+    """Smallest positive root of P(r) = sum_i coeffs[i] r^i in (0, 1],
+    correctly rounded to p bits (nearest-even).
 
+    coeffs are exact Fractions with P(0) < 0; they are scaled to integers,
+    so every sign is exact. Below 2^-j with |c_0| > sum_{i>=1} |c_i| 2^-ij,
+    P is provably negative; an ascending ladder 2^-j, 2^-(j-1), .., 1 then
+    stops at the first point 2^-k with P >= 0, so a sign change lies in
+    (2^-(k+1), 2^-k]. Bisection on a growing dyadic grid narrows it to one
+    unit of 2^-(k+1+p), i.e. p+1 bits, before the single rounding. Raises
+    NoRootError, stating `what`, when no ladder point up to 1 has P >= 0.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    c = [int(x * den) for x in coeffs]
+    d = len(c) - 1
 
-def _ruleu_dg(alpha, r, sp, n_d, p):
-    """Derivative of the step-time equation residual in r."""
-    # d/dr [alpha r^{s-1}/(s-1)! * S(r)] with S(r) = sum (-1)^i r^i/i!
-    L = n_d - sp + 1
-    S = truncated_exp(rneg(r), L, p)
-    dS = rneg(truncated_exp(rneg(r), L - 1, p)) if L >= 1 else from_int(0, p)
-    power = from_int(1, p)  # r^{sp-2}
-    for _ in range(sp - 2):
-        power = rmul(power, r, p)
-    lead = rdiv_int(rmul(alpha, power, p), math.factorial(sp - 1), p)
-    term1 = rmul(rmul_int(lead, sp - 1, p), S, p)
-    term2 = rmul(rmul(lead, r, p), dS, p)
-    return radd(term1, term2, p)
+    def sign(m: int, e: int) -> int:
+        """Sign of P(m / 2^e), by Horner's rule scaled by 2^(e d)."""
+        acc = 0
+        for i in range(d, -1, -1):
+            acc = acc * m + (c[i] << (e * (d - i)))
+        return (acc > 0) - (acc < 0)
 
-
-def _bisect_newton(g, dg, lo, hi, p: int) -> PrecisionReal:
-    """Bisection to ~p/2 bits on a bracketed sign change, then Newton polish."""
-    half = pow2(-(p // 2) - 8, p)
-    for _ in range(p // 2 + 16):
-        width = rsub(hi, lo, p)
-        if rcmp(width, rmul(rabs(hi), half, p)) <= 0:
-            break
-        mid = rdiv_int(radd(lo, hi, p), 2, p)
-        if g(mid).sign < 0:
+    j = 0
+    while abs(c[0]) << (j * d) <= sum(abs(c[i]) << (j * (d - i)) for i in range(1, d + 1)):
+        j += 1
+    k = next((k for k in range(j - 1, -1, -1) if sign(1, k) >= 0), None)
+    if k is None:
+        raise NoRootError(f"{what} has no sign change in (0, 1]")
+    # the root lies in (lo, hi] / 2^e; P(lo / 2^e) < 0 <= P(hi / 2^e)
+    lo, hi, e = 1, 2, k + 1
+    for _ in range(p):
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = lo + 1
+        s = sign(mid, e)
+        if s == 0:
+            return from_ratio(mid, 1 << e, p)
+        if s < 0:
             lo = mid
         else:
             hi = mid
-    x = rdiv_int(radd(lo, hi, p), 2, p)
-    for _ in range(6):
-        gx = g(x)
-        dgx = dg(x)
-        if dgx.is_zero():
-            break
-        x = rsub(x, rdiv(gx, dgx, p), p)
-    return x
+    # the root is strictly inside (lo, hi), or it is the ladder point hi
+    # itself, where lo = 2^(p+1) - 1 is odd; either way 2 lo + 1 at p+2
+    # bits rounds to p bits as the root does
+    return from_ratio(2 * lo + 1, 1 << (e + 1), p)
 
 
 def solve_r_sp(alpha: PrecisionReal, sp: int, n_d: int, p: int) -> PrecisionReal:
-    """Smallest positive root of the step-time equation for step sp.
+    """Smallest positive root of the step-time equation for step sp,
 
-    Brackets the first sign change on an ascending dyadic ladder (the
-    residual is -1 at r=0+), bisects, then Newton-polishes.
+        P(r) = alpha * sum_{i=0..n_d-sp+1} (-1)^i r^(sp-1+i)/((sp-1)! i!) - 1,
+
+    with alpha taken exactly as the p-bit value given; the root is
+    correctly rounded to p bits. Raises NoRootError when P has no sign
+    change in (0, 1].
     """
     if not 2 <= sp <= n_d + 1:
         raise ValueError(f"step index {sp} outside 2..{n_d + 1}")
-
-    def g(r):
-        return _ruleu_g(alpha, r, sp, n_d, p)
-
-    def dg(r):
-        return _ruleu_dg(alpha, r, sp, n_d, p)
-
-    # start below the smallest root: near r0 ~ ((sp-1)!/alpha)^(1/(sp-1))
-    log2_alpha = alpha.log2_magnitude()
-    log2_fact = math.log2(math.factorial(sp - 1)) if sp > 1 else 0.0
-    j_start = max(0, math.ceil((log2_alpha - log2_fact) / (sp - 1)) + 2)
-    guard = 0
-    while g(pow2(-j_start, p)).sign >= 0:
-        j_start += 4
-        guard += 1
-        if guard > p:
-            raise NoRootError(f"cannot find negative residual near 0 for step {sp}")
-    prev = pow2(-j_start, p)
-    bracket = None
-    for j in range(j_start - 1, -1, -1):
-        r = pow2(-j, p)
-        if g(r).sign >= 0:
-            bracket = (prev, r)
-            break
-        prev = r
-    if bracket is None:
-        raise NoRootError(
-            f"step-time equation has no root in (0,1] for step {sp} "
-            f"(alpha too small for truncation degree {n_d - sp + 1})"
-        )
-    return _bisect_newton(g, dg, bracket[0], bracket[1], p)
+    lead = alpha.to_fraction() / math.factorial(sp - 1)
+    coeffs = [Fraction(-1)] + [Fraction(0)] * (sp - 2)
+    coeffs += [lead * (-1) ** i / math.factorial(i) for i in range(n_d - sp + 2)]
+    what = (
+        f"step {sp}: P(r) = alpha*r^{sp - 1}/{sp - 1}!*tr_{n_d - sp + 1}(e^-r) - 1 "
+        f"with alpha = {to_decimal(alpha)}"
+    )
+    return _smallest_root(coeffs, p, what)
 
 
 def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
-    """Smallest positive root of tr_{n_d}(e^r)/r = tr_{n_d}(e^{r_mu})."""
+    """Smallest positive root of tr_{n_d}(e^r)/r = beta, i.e. of
+
+        P(r) = beta * r - sum_{i=0..n_d} r^i/i!,
+
+    with beta = tr_{n_d}(e^{r_mu}) rounded to p bits and then taken
+    exactly; the root is correctly rounded to p bits. Raises NoRootError
+    when P has no sign change in (0, 1].
+    """
     beta = truncated_exp(r_mu, n_d, p)
-
-    def g(r):
-        # sign convention: negative left of the root
-        return rsub(rmul(beta, r, p), truncated_exp(r, n_d, p), p)
-
-    def dg(r):
-        return rsub(beta, truncated_exp(r, n_d - 1, p), p)
-
-    if g(from_int(1, p)).sign < 0:
-        raise NoRootError("closing equation has no root in (0, 1] (r_mu < 1?)")
-    hi = from_int(1, p)
-    lo = None
-    for j in range(1, p):
-        r = pow2(-j, p)
-        if g(r).sign >= 0:
-            hi = r  # still at or above the smallest root
-        else:
-            lo = r
-            break
-    if lo is None:
-        lo = pow2(-p, p)
-    return _bisect_newton(g, dg, lo, hi, p)
+    coeffs = [Fraction(-1), beta.to_fraction() - 1]
+    coeffs += [Fraction(-1, math.factorial(i)) for i in range(2, n_d + 1)]
+    what = (
+        f"step {n_d + 3} (closing): P(r) = beta*r - tr_{n_d}(e^r) "
+        f"with beta = {to_decimal(beta)}"
+    )
+    return _smallest_root(coeffs, p, what)
 
 
 def build_schedule(profile: PipelineProfile) -> StepSchedule:

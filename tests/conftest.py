@@ -128,6 +128,17 @@ def round_nearest_even_fraction(x: Fraction, p: int):
     return (sign, m, e)
 
 
+def rounding_midpoints(x: Fraction, p: int):
+    """(below, above): the midpoints between a positive p-bit x and its two
+    p-bit neighbours, so x is the correctly rounded value of exactly the
+    reals strictly between them."""
+    sign, m, e = round_nearest_even_fraction(x, p)
+    assert sign == 1 and m * Fraction(2) ** e == x, "x is not a p-bit value"
+    ulp = Fraction(2) ** e
+    below = ulp / 4 if m == 1 << (p - 1) else ulp / 2  # a power of two has a finer grid below
+    return x - below, x + ulp / 2
+
+
 def trunc_exp_fraction(x: Fraction, m: int) -> Fraction:
     total = Fraction(1)
     term = Fraction(1)

@@ -1,12 +1,13 @@
 """Command surface: every subcommand, file flows, exit codes, determinism."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from hamspec import cli, walk_oracle
+from hamspec import cli, grid, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
 from hamspec.graph import load_graph
 from hamspec.numerics import series_from_text
@@ -103,6 +104,41 @@ class TestFilterPseudoExtract:
         code, stdout, err = run_cli(capsys, "extract", str(enc), "--profile", str(prof), "--n", "2")
         assert code == 1 and stdout == ""
         assert "(64, 512)" in err and "(8, 256)" in err
+
+    def test_filter_rejects_truncated_series(self, files, capsys):
+        tmp, g2, _, prof = files
+        enc = tmp / "f.series"
+        run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
+        enc.write_text("".join(enc.read_text().splitlines(keepends=True)[:20]))
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2")
+        assert code == 1 and stdout == ""
+        assert "index 19 missing" in err
+
+
+class TestProfileRefusals:
+    def test_run_names_the_step_without_a_root(self, files, capsys):
+        # r_1 = 24 passes the validator, but step 5's equation has no root
+        tmp, g2, _, prof = files
+        bad = tmp / "r24.profile"
+        bad.write_text(prof.read_text().replace("r_1=16", "r_1=24"))
+        assert run_cli(capsys, "check-profile", str(bad), "--n", "2")[1].endswith("profile OK\n")
+        code, stdout, err = run_cli(capsys, "run", str(g2), "--profile", str(bad))
+        assert code == 1 and stdout == ""
+        assert "[schedule]" in err and "step 5" in err
+
+    @pytest.mark.parametrize("key", ["p_1", "p_2"])
+    @pytest.mark.parametrize("command", ["encode", "run"])
+    def test_zero_precision_refused_before_series_work(self, files, capsys, monkeypatch, command, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work started")
+
+        monkeypatch.setattr(grid, "grid_series", refuse)
+        tmp, g2, _, prof = files
+        bad = tmp / "zero.profile"
+        bad.write_text(re.sub(rf"^{key}=\d+$", f"{key}=0", prof.read_text(), flags=re.M))
+        code, stdout, err = run_cli(capsys, command, str(g2), "--profile", str(bad))
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {key}=0: ")
 
 
 class TestOracle:

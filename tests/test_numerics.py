@@ -185,6 +185,11 @@ class TestSerialization:
             series_from_text("series m=1 p=64\n0 0x1p+0\n")
         with pytest.raises(ValueError, match="empty"):
             series_from_text("\n\n")
+        # every index 0..m exactly once: a truncated file and a repeated line
+        with pytest.raises(ValueError, match="index 1 missing"):
+            series_from_text("series m=2 p=64\n0 0x1p+0 0x0p+0\n2 0x1p+0 0x0p+0\n")
+        with pytest.raises(ValueError, match="index 0 appears twice"):
+            series_from_text("series m=1 p=64\n0 0x1p+0 0x0p+0\n0 0x1p+1 0x0p+0\n1 0x0p+0 0x0p+0\n")
 
     def test_hex_parse_errors(self):
         with pytest.raises(ValueError):

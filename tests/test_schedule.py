@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hamspec.numerics import from_fraction, from_int, to_decimal, truncated_exp
+from hamspec.numerics import from_fraction, from_int, pow2, to_decimal, to_hex, truncated_exp
 from hamspec.schedule import (
     NoRootError,
     PipelineProfile,
     ProfileError,
+    _smallest_root,
     build_schedule,
     desk_profile,
     full_scale_profile,
@@ -22,7 +23,12 @@ from hamspec.schedule import (
     solve_r_sp,
     validate_profile,
 )
-from conftest import bisect_fraction, trunc_exp_fraction
+from conftest import (
+    bisect_fraction,
+    round_nearest_even_fraction,
+    rounding_midpoints,
+    trunc_exp_fraction,
+)
 
 
 def ruleu_fraction(alpha: Fraction, sp: int, n_d: int):
@@ -31,6 +37,13 @@ def ruleu_fraction(alpha: Fraction, sp: int, n_d: int):
 
     def g(r: Fraction) -> Fraction:
         return alpha * r ** (sp - 1) / fact * trunc_exp_fraction(-r, L) - 1
+
+    return g
+
+
+def closing_fraction(beta: Fraction, n_d: int):
+    def g(r: Fraction) -> Fraction:
+        return beta * r - trunc_exp_fraction(r, n_d)
 
     return g
 
@@ -72,15 +85,30 @@ class TestSolveRsp:
             lhs = ruleu_lhs(alpha, r, sp, 8, p).to_fraction()
             assert abs(lhs - 1) <= Fraction(2) ** -128
 
+    def test_root_below_two_to_the_minus_p(self):
+        # alpha = 2^300 puts the root near 2^-300, far below 2^-p
+        p = 128
+        got = solve_r_sp(pow2(300, p), 2, 8, p)
+        g = ruleu_fraction(Fraction(2) ** 300, 2, 8)
+        want = bisect_fraction(g, Fraction(2) ** -301, Fraction(2) ** -299, 200)
+        assert got.bits() == round_nearest_even_fraction(want, p)
+        below, above = rounding_midpoints(got.to_fraction(), p)
+        assert g(below) < 0 < g(above)
+
     def test_no_root_when_alpha_small(self):
-        with pytest.raises(NoRootError):
+        with pytest.raises(NoRootError, match=r"^step 2: .*alpha = 2\.0+e\+0 "):
             solve_r_sp(from_int(2, 128), 2, 8, 128)
 
     def test_no_root_when_degree_outgrows_alpha(self):
         # (n_d!/alpha)^(1/n_d) > 1 pushes the root past the unit interval
         alpha = from_fraction(1 / trunc_exp_fraction(Fraction(-16), 64), 256)
-        with pytest.raises(NoRootError):
+        with pytest.raises(NoRootError) as info:
             solve_r_sp(alpha, 13, 12, 256)
+        msg = str(info.value)
+        assert msg.startswith("step 13: ")
+        assert "no sign change in (0, 1]" in msg
+        assert f"alpha = {to_decimal(alpha)}" in msg
+        assert "too small" not in msg
 
     def test_bad_step_index(self):
         with pytest.raises(ValueError):
@@ -89,12 +117,7 @@ class TestSolveRsp:
 
 class TestSolveClosing:
     def closing_fraction(self, r_mu: int, n_d: int):
-        beta = trunc_exp_fraction(Fraction(r_mu), n_d)
-
-        def g(r: Fraction) -> Fraction:
-            return beta * r - trunc_exp_fraction(r, n_d)
-
-        return g
+        return closing_fraction(trunc_exp_fraction(Fraction(r_mu), n_d), n_d)
 
     def test_r_mu_two(self):
         p = 256
@@ -126,6 +149,71 @@ class TestSolveClosing:
         beta = truncated_exp(r_mu, n_d, p).to_fraction()
         got = trunc_exp_fraction(r.to_fraction(), n_d) / r.to_fraction()
         assert abs(got - beta) <= Fraction(2) ** -128 * beta
+
+    def test_no_root_when_beta_is_one(self):
+        # r_mu = 0: beta = 1 and beta*r < tr(e^r) on all of (0, 1]
+        with pytest.raises(NoRootError, match=r"^step 11 \(closing\): .*no sign change in \(0, 1\]"):
+            solve_r_mu_plus_1(from_int(0, 128), 8, 128)
+
+
+# (p_2, n_d, n_d1, r_1, r_mu): the desk key at four precisions, plus r_mu = 3
+# and n_d = 6, where rounded-arithmetic solvers missed by up to ~1.5 ulp
+ROUNDING_KEYS = [
+    (128, 8, 64, 16, 2),
+    (192, 8, 64, 16, 2),
+    (256, 8, 64, 16, 2),
+    (512, 8, 64, 16, 2),
+    (256, 8, 64, 16, 3),
+    (256, 6, 48, 12, 2),
+]
+
+DESK_TIMES_HEX = [
+    "0x1p+4",
+    "0x1.e355f21c01224a68eb5ef6b6efa015cc744feddcafb78fd19a03a76a1b031b9cp-24",
+    "0x1.f19457b1da58b9dde6ca610b554c0ef2e5b1f3ebb6722c5d54ad19e8b6891a6ep-12",
+    "0x1.20512eacc43e8bd55a2e03a8e1334aff57a3f50751203069dd16d7d2b9eb3e54p-7",
+    "0x1.4f83cf2f96ea37a03bbd0497c689141dafca451dc8f95f5cf8dc0c859019278cp-5",
+    "0x1.bc8257d507d5d7aebef25cee44022d1fb3397a0d1bb5999f256b77fc98d3e4cp-4",
+    "0x1.b9767afc4dfef41759f71aa1ce198136f7b6ef8b306711ac83ccaad69bef35cap-3",
+    "0x1.77c2e3710d07af818c7a3f9f53edb9dcd8dc256f3065795375ada5dc8685ee2ap-2",
+    "0x1.04d6928328be0bce0f73528d04ece38bdb6da1457d6b5267b03e61c8e333cdfp-1",
+    "0x1p+1",
+    "0x1.44e494acf60055b3fc7871d1c2afe1ba04b74d49c4150c3739f8a76d074c63dep-3",
+]
+
+
+class TestCorrectRounding:
+    @pytest.mark.parametrize("key", ROUNDING_KEYS, ids=lambda k: "-".join(map(str, k)))
+    def test_every_root_is_correctly_rounded(self, key):
+        # each solved time lies within half an ulp of a sign change of the
+        # exact equation built from the schedule's own p-bit alpha and beta
+        p, n_d = key[0], key[1]
+        sched = solve_schedule(*key)
+        alpha = sched.alpha.to_fraction()
+        for sp in range(2, n_d + 2):
+            g = ruleu_fraction(alpha, sp, n_d)
+            below, above = rounding_midpoints(sched.times[sp].to_fraction(), p)
+            assert g(below) < 0 < g(above), sp
+        g = closing_fraction(sched.beta.to_fraction(), n_d)
+        below, above = rounding_midpoints(sched.times[n_d + 3].to_fraction(), p)
+        assert g(below) < 0 < g(above)
+
+    def test_exact_midpoint_root_ties_to_even(self):
+        # roots 7/16 and 5/16 are exact midpoints between 2-bit neighbours:
+        # 7/16 ties up to 1/2 (mantissa 0b10), 5/16 down to 1/4 (0b10)
+        for root, want in ((Fraction(7, 16), Fraction(1, 2)), (Fraction(5, 16), Fraction(1, 4))):
+            got = _smallest_root([-root, Fraction(1)], 2, "test")
+            assert got.to_fraction() == want
+
+    def test_desk_schedule_hex_golden(self):
+        sched = solve_schedule(256, 8, 64, 16, 2)
+        assert [to_hex(t) for t in sched.times[1:]] == DESK_TIMES_HEX
+        assert to_hex(sched.alpha) == (
+            "0x1.0f2ea08121ec109d59dc565e3435fc0f43ffdcc2f52cd3faedeaa52b6c5f057cp+23"
+        )
+        assert to_hex(sched.beta) == (
+            "0x1.d8c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98cap+2"
+        )
 
 
 class TestBuildSchedule:
