@@ -59,11 +59,13 @@ def integrator_cascade(series: NormalizedSeries, m: int) -> NormalizedSeries:
 def filter_step(
     series: NormalizedSeries, r_sp: PrecisionReal, m: int, p: int
 ) -> NormalizedSeries:
-    """One step at degree m: cascade, then pin the output to zero at r_sp."""
+    """One step at degree m: cascade, then pin the output to zero at r_sp.
+    The evaluation factors at r_sp and tr_m(e^{-r_sp}) depend only on
+    (r_sp, m, p) and are solved once per process (eval_factors, decay_at)."""
     work = series if series.precision == p else series.reround(p)
     shifted = integrator_cascade(work, m)
     w = series_eval(shifted, r_sp)
-    q = truncated_exp(rneg(r_sp), m, p)
+    q = decay_at(r_sp, m, p)
     if q.is_zero():
         raise DegenerateScheduleError(
             f"truncated decay vanished at r={r_sp.to_float()} with degree {m}"
@@ -74,6 +76,12 @@ def filter_step(
     for i, c in enumerate(shifted.coeffs):
         out.append(cadd(c, adj if i % 2 == 0 else neg_adj, p))
     return NormalizedSeries(out, p)
+
+
+@functools.lru_cache(maxsize=64)
+def decay_at(r_sp: PrecisionReal, m: int, p: int) -> PrecisionReal:
+    """tr_m(e^{-r_sp}) at p bits, keyed by r_sp's value like eval_factors."""
+    return truncated_exp(rneg(r_sp), m, p)
 
 
 def run_pipeline(

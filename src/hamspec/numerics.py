@@ -10,6 +10,7 @@ before rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -533,16 +534,27 @@ def series_mul(a: NormalizedSeries, b: NormalizedSeries, m: int) -> NormalizedSe
 
 
 def series_eval(a: NormalizedSeries, t0: PrecisionReal) -> PrecisionComplex:
-    """sum a_k t0^k/k!, ascending k, factor by recurrence f_k = f_{k-1} t0/k."""
+    """sum a_k t0^k/k!, ascending k, factor by recurrence f_k = f_{k-1} t0/k.
+    The factors are solved once per (t0, degree, precision) by eval_factors."""
     p = a.precision
     acc = C_ZERO
-    factor = from_int(1, p)
-    for k, coeff in enumerate(a.coeffs):
-        if k:
-            factor = rdiv_int(rmul(factor, t0, p), k, p)
+    for coeff, factor in zip(a.coeffs, eval_factors(t0, len(a.coeffs) - 1, p)):
         if not coeff.is_zero():
             acc = cadd(acc, cmul_real(coeff, factor, p), p)
     return acc
+
+
+@functools.lru_cache(maxsize=64)
+def eval_factors(t0: PrecisionReal, m: int, p: int) -> tuple:
+    """(f_0, ..., f_m) with f_0 = 1 and f_k = f_{k-1} t0/k, each step rounded
+    to p bits. The key is t0's value: every operation is correctly rounded,
+    so t0 rounded at another precision gives the same bits."""
+    factor = from_int(1, p)
+    out = [factor]
+    for k in range(1, m + 1):
+        factor = rdiv_int(rmul(factor, t0, p), k, p)
+        out.append(factor)
+    return tuple(out)
 
 
 def exp_series(lam: PrecisionComplex, m: int, p: int) -> NormalizedSeries:

@@ -7,6 +7,7 @@ import pytest
 
 from hamspec.filter_pipeline import (
     DegenerateScheduleError,
+    decay_at,
     decay_series,
     filter_step,
     integrator_cascade,
@@ -23,8 +24,10 @@ from hamspec.numerics import (
     cmul_int,
     cneg,
     const_series,
+    eval_factors,
     from_fraction,
     from_int,
+    round_to,
     series_eval,
     zero_series,
 )
@@ -193,6 +196,41 @@ class TestFilterStep:
                 1,
                 p,
             )
+
+
+class TestStepCaches:
+    """eval_factors and decay_at are keyed by (value of r, m, p) and change
+    no bits of series_eval or filter_step."""
+
+    def setup_method(self):
+        eval_factors.cache_clear()
+        decay_at.cache_clear()
+
+    def test_same_value_at_another_precision(self):
+        p, m = 256, 16
+        u = random_series(random.Random(5), m, p)
+        narrow = from_fraction(Fraction(5, 11), 64)
+        wide = round_to(narrow, 1024)
+        assert wide.mantissa != narrow.mantissa and wide == narrow
+        cold = (series_eval(u, narrow).bits(), filter_step(u, narrow, m, p).bits())
+        warm = (series_eval(u, wide).bits(), filter_step(u, wide, m, p).bits())
+        self.setup_method()
+        cold_wide = (series_eval(u, wide).bits(), filter_step(u, wide, m, p).bits())
+        assert cold == warm == cold_wide
+
+    def test_key_includes_precision(self):
+        m = 12
+        r = from_fraction(Fraction(3, 8), 512)
+        u = random_series(random.Random(6), m, 512)
+        lo = u.reround(128)
+        series_eval(u, r)
+        filter_step(u, r, m, 512)
+        after_512 = series_eval(lo, r).bits(), filter_step(lo, r, m, 128).bits()
+        self.setup_method()
+        cold = series_eval(lo, r).bits(), filter_step(lo, r, m, 128).bits()
+        assert after_512 == cold
+        assert {f.mantissa.bit_length() for f in eval_factors(r, m, 128)} == {128}
+        assert decay_at(r, m, 128).mantissa.bit_length() == 128
 
 
 class TestCascade:

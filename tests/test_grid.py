@@ -1,11 +1,16 @@
 """Wavefront construction versus the enumeration oracle."""
 
+import random
+from math import comb
+
 import pytest
 
-from hamspec.graph import Graph, vertex_numbers
+from hamspec import grid
+from hamspec.filter_pipeline import decay_at, run_pipeline
+from hamspec.graph import Graph, hamiltonian_frequency, vertex_numbers
 from hamspec.grid import grid_intermediate, grid_series
-from hamspec.numerics import cfrom_int, exp_series, series_add
-from hamspec.schedule import desk_profile
+from hamspec.numerics import cfrom_int, eval_factors, exp_series, series_add
+from hamspec.schedule import build_schedule, desk_profile
 from hamspec.walk_oracle import oracle_series
 from conftest import FOUR_CLUSTER, complete_graph, cycle_graph, path_graph
 
@@ -55,6 +60,19 @@ class TestOracleEquivalence:
             got = grid_series(g, prof)
             want = oracle_series(g, c=prof.c, m=prof.n_d1, p=prof.p_1)
             assert got.bits() == want.bits(), (g, prof.c)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(6),
+            Graph(6, complete_graph(6).edges - {(1, 2), (3, 5)}),
+        ],
+        ids=["K6", "K6-minus-2-edges"],
+    )
+    def test_dense_n6_at_desk_profile(self, g):
+        prof = desk_profile(6)
+        want = oracle_series(g, c=prof.c, m=prof.n_d1, p=prof.p_1)
+        assert grid_series(g, prof).bits() == want.bits()
 
 
 class TestIntermediates:
@@ -145,11 +163,45 @@ class TestInvariance:
             grid_series(path_graph(3), encode_profile(4))
 
 
+class TestShift:
+    """grid._shift against its definition out_k = sum_j C(k,j) v^(k-j) x_j."""
+
+    @staticmethod
+    def reference(x, v):
+        return [sum(comb(k, j) * v ** (k - j) * x[j] for j in range(k + 1)) for k in range(len(x))]
+
+    @pytest.mark.parametrize("m", [0, 1, 8, 64])
+    def test_matches_definition(self, m):
+        rng = random.Random(m)
+        shifts = [1, -1]
+        for n in range(2, 8):
+            shifts += vertex_numbers(n) + [-hamiltonian_frequency(Graph(n, []))]
+        for v in shifts:
+            unsigned = [rng.randrange(1 << 200) for _ in range(m + 1)]
+            signed = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(m + 1)]
+            for x in (unsigned, signed):
+                assert grid._shift(x, v) == self.reference(x, v), (v, m)
+
+
+def clear_step_caches():
+    grid._powers.cache_clear()
+    eval_factors.cache_clear()
+    decay_at.cache_clear()
+
+
 class TestDeterminism:
     def test_bit_identical_across_runs_and_threads(self):
         prof = encode_profile(5, c=64)
         g = cycle_graph(5)
+        clear_step_caches()
         one = grid_series(g, prof)
         again = grid_series(g, prof)
+        clear_step_caches()
         third = grid_series(g, prof)
         assert one.bits() == again.bits() == third.bits()
+        # the filter's per-step caches: a cold and a warm pass agree
+        desk = desk_profile(5)
+        sched = build_schedule(desk)
+        clear_step_caches()
+        cold = run_pipeline(grid_series(g, desk), sched, desk).bits()
+        assert run_pipeline(grid_series(g, desk), sched, desk).bits() == cold
