@@ -1,11 +1,14 @@
 """Arbitrary-precision binary floating point and truncated power-series arithmetic.
 
-Values are immutable. Every arithmetic primitive rounds its result to an
-explicit mantissa width ``p`` (round-to-nearest, ties-to-even), so results
-are bit-reproducible on any platform. Series are stored with normalized
-coefficients: ``coeffs[k]`` holds ``a_k`` in ``sum a_k t^k / k!``, which
-turns integration into an index shift and keeps exponential series exact
-before rounding.
+Values are immutable. A real is a signed integer mantissa and a binary
+exponent. Every arithmetic primitive rounds its exact result to an explicit
+mantissa width ``p`` (round-to-nearest, ties-to-even) through one of two
+kernels: ``_round`` for an exact signed integer times a power of two, and
+``_round_quotient`` for an exact ratio of two integers. Results are
+correctly rounded, hence bit-reproducible on any platform. Series are
+stored with normalized coefficients: ``coeffs[k]`` holds ``a_k`` in
+``sum a_k t^k / k!``, which turns integration into an index shift and
+keeps exponential series exact before rounding.
 """
 
 from __future__ import annotations
@@ -25,22 +28,23 @@ class SeriesConfigError(ValueError):
 
 
 class PrecisionReal:
-    """sign/mantissa/exponent triple: value = sign * mantissa * 2**exponent.
+    """Signed mantissa and exponent: value = mantissa * 2**exponent.
 
-    Nonzero values keep the mantissa top bit set (bit_length == p for the
-    precision they were rounded to); zero is (0, 0, 0). The class carries no
-    precision field: the target width is an argument of every operation.
+    The mantissa carries the sign. A nonzero value's ``|mantissa|`` is
+    exactly the width it was rounded to (top bit set); zero is (0, 0). The
+    class carries no precision field: the target width is an argument of
+    every operation. ``bits()`` gives the (sign, |mantissa|, exponent)
+    triple that series files and bit comparisons key on.
     """
 
-    __slots__ = ("sign", "mantissa", "exponent")
+    __slots__ = ("mantissa", "exponent")
 
-    def __init__(self, sign: int, mantissa: int, exponent: int):
-        self.sign = sign
+    def __init__(self, mantissa: int, exponent: int):
         self.mantissa = mantissa
         self.exponent = exponent
 
     def __repr__(self):
-        return f"PrecisionReal({self.sign}, {self.mantissa:#x}, {self.exponent})"
+        return f"PrecisionReal({self.mantissa:#x}, {self.exponent})"
 
     def __eq__(self, other):
         if not isinstance(other, PrecisionReal):
@@ -50,90 +54,83 @@ class PrecisionReal:
     def __hash__(self):
         # Consistent with the value-based __eq__: the same value rounded to
         # two precisions differs only in trailing zero bits of the mantissa.
-        if self.sign == 0:
+        m = self.mantissa
+        if not m:
             return 0
-        tz = (self.mantissa & -self.mantissa).bit_length() - 1
-        return hash((self.sign, self.mantissa >> tz, self.exponent + tz))
+        tz = (m & -m).bit_length() - 1
+        return hash((m >> tz, self.exponent + tz))
 
     def is_zero(self) -> bool:
-        return self.sign == 0
+        return not self.mantissa
 
     def bits(self) -> tuple:
-        """Structural identity (serialization key)."""
-        return (self.sign, self.mantissa, self.exponent)
+        """Structural identity (serialization key): (sign, |mantissa|, exponent)."""
+        m = self.mantissa
+        return ((m > 0) - (m < 0), abs(m), self.exponent)
 
     def to_fraction(self) -> Fraction:
-        if self.sign == 0:
-            return Fraction(0)
         if self.exponent >= 0:
-            return Fraction(self.sign * self.mantissa * (1 << self.exponent))
-        return Fraction(self.sign * self.mantissa, 1 << -self.exponent)
+            return Fraction(self.mantissa << self.exponent)
+        return Fraction(self.mantissa, 1 << -self.exponent)
 
     def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
         top = self.exponent + self.mantissa.bit_length()
         if top > 1024:
-            return math.inf if self.sign > 0 else -math.inf
+            return math.inf if self.mantissa > 0 else -math.inf
         if top < -1100:
             return 0.0
         return float(self.to_fraction())
 
     def log2_magnitude(self) -> float:
         """log2 |x| for magnitude reports; -inf for zero."""
-        if self.sign == 0:
+        m = abs(self.mantissa)
+        if not m:
             return -math.inf
-        L = self.mantissa.bit_length()
-        return self.exponent + L - 1 + math.log2(self.mantissa / (1 << (L - 1)))
+        L = m.bit_length()
+        return self.exponent + L - 1 + math.log2(m / (1 << (L - 1)))
 
 
-R_ZERO = PrecisionReal(0, 0, 0)
+R_ZERO = PrecisionReal(0, 0)
 
 
-def _round_mag(sign: int, mag: int, exp: int, p: int) -> PrecisionReal:
-    """Round sign*mag*2^exp to p mantissa bits, nearest-even."""
-    if mag == 0:
-        return R_ZERO
-    L = mag.bit_length()
-    if L <= p:
-        return PrecisionReal(sign, mag << (p - L), exp - (p - L))
-    shift = L - p
-    keep = mag >> shift
-    rem = mag - (keep << shift)
+def _round(v: int, exp: int, p: int) -> PrecisionReal:
+    """Round the exact v*2^exp (v a signed integer) to p bits, nearest-even."""
+    shift = v.bit_length() - p
+    if shift <= 0:
+        return PrecisionReal(v << -shift, exp + shift) if v else R_ZERO
+    keep = v >> shift  # floor, so rem is in [0, 2^shift) for either sign
+    rem = v - (keep << shift)
     half = 1 << (shift - 1)
     if rem > half or (rem == half and keep & 1):
         keep += 1
-        if keep >> p:
-            keep >>= 1
-            exp += 1
-    return PrecisionReal(sign, keep, exp + shift)
+    if keep.bit_length() > p:  # carried up to 2^p, or floored to -2^p
+        keep >>= 1
+        shift += 1
+    return PrecisionReal(keep, exp + shift)
+
+
+def _round_quotient(num: int, den: int, exp: int, p: int) -> PrecisionReal:
+    """Round the exact (num/den)*2^exp to p bits, nearest-even; a zero den
+    raises ZeroDivisionError.
+
+    The quotient is taken to at least p+3 bits; a nonzero remainder sets its
+    last bit (sticky), which no rounding boundary at p bits can sit on."""
+    shift = max(0, p + 3 + den.bit_length() - num.bit_length())
+    q, rem = divmod(num << shift, den)
+    return _round(q | 1 if rem else q, exp - shift, p)
 
 
 def round_to(a: PrecisionReal, p: int) -> PrecisionReal:
-    if a.sign == 0:
-        return R_ZERO
-    return _round_mag(a.sign, a.mantissa, a.exponent, p)
+    return _round(a.mantissa, a.exponent, p)
 
 
 def from_int(v: int, p: int) -> PrecisionReal:
-    if v == 0:
-        return R_ZERO
-    return _round_mag(1 if v > 0 else -1, abs(v), 0, p)
+    return _round(v, 0, p)
 
 
 def from_ratio(num: int, den: int, p: int) -> PrecisionReal:
     """Correctly rounded num/den."""
-    if den == 0:
-        raise ZeroDivisionError("from_ratio with zero denominator")
-    if num == 0:
-        return R_ZERO
-    sign = 1 if (num > 0) == (den > 0) else -1
-    num, den = abs(num), abs(den)
-    shift = max(0, p + 3 + den.bit_length() - num.bit_length())
-    q, rem = divmod(num << shift, den)
-    if rem:
-        q |= 1
-    return _round_mag(sign, q, -shift, p)
+    return _round_quotient(num, den, 0, p)
 
 
 def from_fraction(x: Fraction, p: int) -> PrecisionReal:
@@ -141,41 +138,34 @@ def from_fraction(x: Fraction, p: int) -> PrecisionReal:
 
 
 def rneg(a: PrecisionReal) -> PrecisionReal:
-    if a.sign == 0:
-        return a
-    return PrecisionReal(-a.sign, a.mantissa, a.exponent)
+    return PrecisionReal(-a.mantissa, a.exponent)
 
 
 def rabs(a: PrecisionReal) -> PrecisionReal:
-    if a.sign >= 0:
-        return a
-    return PrecisionReal(1, a.mantissa, a.exponent)
+    return PrecisionReal(abs(a.mantissa), a.exponent)
 
 
 def radd(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    if a.sign == 0:
+    # The zero checks come first: a zero's top bit says nothing about scale.
+    if not a.mantissa:
         return round_to(b, p)
-    if b.sign == 0:
+    if not b.mantissa:
         return round_to(a, p)
     ta = a.exponent + a.mantissa.bit_length()
     tb = b.exponent + b.mantissa.bit_length()
-    if ta < tb or (ta == tb and a.mantissa.bit_length() < b.mantissa.bit_length()):
+    if ta < tb:
         a, b, ta, tb = b, a, tb, ta
-    # b is now no larger in magnitude scale; clamp the alignment shift and
-    # fold the out-shifted operand into a sticky bit.
-    gap = ta - tb
-    guard = p + 4
-    if gap > guard:
-        mag = a.mantissa << guard
-        mag = mag + 1 if a.sign == b.sign else mag - 1
-        return _round_mag(a.sign, mag, a.exponent - guard, p)
+    # Widen a to an even integer of at least p+3 bits. A b wholly below its
+    # last bit only decides which side of a the sum falls: fold it into an
+    # odd last bit (sticky), which no rounding boundary at p bits can sit on.
+    low = min(a.exponent - 1, ta - p - 3)
+    if tb <= low:
+        sticky = 1 if b.mantissa > 0 else -1
+        return _round((a.mantissa << (a.exponent - low)) + sticky, low, p)
     e0 = min(a.exponent, b.exponent)
-    va = (a.mantissa << (a.exponent - e0)) * a.sign
-    vb = (b.mantissa << (b.exponent - e0)) * b.sign
-    v = va + vb
-    if v == 0:
-        return R_ZERO
-    return _round_mag(1 if v > 0 else -1, abs(v), e0, p)
+    return _round(
+        (a.mantissa << (a.exponent - e0)) + (b.mantissa << (b.exponent - e0)), e0, p
+    )
 
 
 def rsub(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
@@ -183,93 +173,76 @@ def rsub(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
 
 
 def rmul(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    if a.sign == 0 or b.sign == 0:
-        return R_ZERO
-    return _round_mag(a.sign * b.sign, a.mantissa * b.mantissa, a.exponent + b.exponent, p)
+    return _round(a.mantissa * b.mantissa, a.exponent + b.exponent, p)
 
 
 def rmul_int(a: PrecisionReal, k: int, p: int) -> PrecisionReal:
     """a*k for exact integer k, with a single rounding."""
-    if a.sign == 0 or k == 0:
-        return R_ZERO
-    sign = a.sign if k > 0 else -a.sign
-    return _round_mag(sign, a.mantissa * abs(k), a.exponent, p)
+    return _round(a.mantissa * k, a.exponent, p)
 
 
 def rdiv(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    if b.sign == 0:
-        raise ZeroDivisionError("division by zero PrecisionReal")
-    if a.sign == 0:
-        return R_ZERO
-    shift = p + 3
-    q, rem = divmod(a.mantissa << shift, b.mantissa)
-    if rem:
-        q |= 1
-    return _round_mag(a.sign * b.sign, q, a.exponent - b.exponent - shift, p)
+    return _round_quotient(a.mantissa, b.mantissa, a.exponent - b.exponent, p)
 
 
 def rdiv_int(a: PrecisionReal, k: int, p: int) -> PrecisionReal:
     """a/k for exact integer k, with a single rounding."""
-    if k == 0:
-        raise ZeroDivisionError("division by zero integer")
-    if a.sign == 0:
-        return R_ZERO
-    sign = a.sign if k > 0 else -a.sign
-    k = abs(k)
-    shift = p + 3 + k.bit_length()
-    q, rem = divmod(a.mantissa << shift, k)
-    if rem:
-        q |= 1
-    return _round_mag(sign, q, a.exponent - shift, p)
+    return _round_quotient(a.mantissa, k, a.exponent, p)
 
 
 def rcmp(a: PrecisionReal, b: PrecisionReal) -> int:
     """Exact value comparison: -1, 0, +1."""
-    if a.sign != b.sign:
-        return 1 if a.sign > b.sign else -1
-    if a.sign == 0:
-        return 0
-    ta = a.exponent + a.mantissa.bit_length()
-    tb = b.exponent + b.mantissa.bit_length()
+    ma, mb = a.mantissa, b.mantissa
+    if (ma > 0) != (mb > 0) or not ma or not mb:
+        return (ma > mb) - (ma < mb)  # the signs alone decide
+    ta = a.exponent + ma.bit_length()
+    tb = b.exponent + mb.bit_length()
     if ta != tb:
-        return a.sign if ta > tb else -a.sign
+        return 1 if (ta > tb) == (ma > 0) else -1
     e0 = min(a.exponent, b.exponent)
-    va = a.mantissa << (a.exponent - e0)
-    vb = b.mantissa << (b.exponent - e0)
-    if va == vb:
-        return 0
-    return a.sign if va > vb else -a.sign
+    va = ma << (a.exponent - e0)
+    vb = mb << (b.exponent - e0)
+    return (va > vb) - (va < vb)
 
 
 def rmax(a: PrecisionReal, b: PrecisionReal) -> PrecisionReal:
     return a if rcmp(a, b) >= 0 else b
 
 
+def _taylor_terms(x: PrecisionReal, m: int, p: int):
+    """Yield x^k/k! for k = 0..m by t_k = t_{k-1} x/k, each step rounded to p bits."""
+    term = from_int(1, p)
+    yield term
+    for k in range(1, m + 1):
+        term = rdiv_int(rmul(term, x, p), k, p)
+        yield term
+
+
 def truncated_exp(x: PrecisionReal, m: int, p: int) -> PrecisionReal:
     """sum_{i=0..m} x^i/i!, term recurrence, ascending accumulation."""
-    acc = from_int(1, p)
-    term = from_int(1, p)
-    for i in range(1, m + 1):
-        term = rdiv_int(rmul(term, x, p), i, p)
+    terms = _taylor_terms(x, m, p)
+    acc = next(terms)
+    for term in terms:
         acc = radd(acc, term, p)
     return acc
 
 
 def pow2(k: int, p: int) -> PrecisionReal:
     """Exact 2^k at precision p."""
-    return PrecisionReal(1, 1 << (p - 1), k - (p - 1))
+    return PrecisionReal(1 << (p - 1), k - (p - 1))
 
 
 def to_decimal(a: PrecisionReal, digits: int = 20) -> str:
     """Exact-integer-math decimal rendering, deterministic."""
-    if a.sign == 0:
+    if not a.mantissa:
         return "0"
-    top = a.exponent + a.mantissa.bit_length() - 1
+    mag = abs(a.mantissa)
+    top = a.exponent + mag.bit_length() - 1
     dec = math.floor(top * 0.3010299956639812)
     # scaled = round(|a| * 10^(digits-1-dec)) with exact integer arithmetic
     while True:
         g = digits - 1 - dec
-        num = a.mantissa * (10 ** g if g >= 0 else 1) * (1 << a.exponent if a.exponent >= 0 else 1)
+        num = mag * (10 ** g if g >= 0 else 1) * (1 << a.exponent if a.exponent >= 0 else 1)
         den = (10 ** -g if g < 0 else 1) * (1 << -a.exponent if a.exponent < 0 else 1)
         q, rem = divmod(num, den)
         if 2 * rem >= den:
@@ -283,22 +256,23 @@ def to_decimal(a: PrecisionReal, digits: int = 20) -> str:
         break
     s = str(q)
     body = s[0] + "." + s[1:] if digits > 1 else s
-    sign = "-" if a.sign < 0 else ""
+    sign = "-" if a.mantissa < 0 else ""
     return f"{sign}{body}e{dec:+d}"
 
 
 def to_hex(a: PrecisionReal) -> str:
     """Lowercase hex float literal with binary exponent, e.g. 0x1.8p+1."""
-    if a.sign == 0:
+    if not a.mantissa:
         return "0x0p+0"
-    L = a.mantissa.bit_length()
+    mag = abs(a.mantissa)
+    L = mag.bit_length()
     top = a.exponent + L - 1
     frac_bits = L - 1
-    frac = a.mantissa - (1 << frac_bits)
+    frac = mag - (1 << frac_bits)
     pad = (-frac_bits) % 4
     nibbles = (frac_bits + pad) // 4
     body = format(frac << pad, f"0{nibbles}x").rstrip("0") if frac_bits else ""
-    sign = "-" if a.sign < 0 else ""
+    sign = "-" if a.mantissa < 0 else ""
     if body:
         return f"{sign}0x1.{body}p{top:+d}"
     return f"{sign}0x1p{top:+d}"
@@ -328,12 +302,10 @@ def from_hex(text: str, p: int) -> PrecisionReal:
     else:
         raise ValueError(f"bad hex float literal: {text!r}")
     mag = (1 << frac_bits) | frac
-    val = _round_mag(sign, mag, top - frac_bits, p)
-    if frac_bits >= p and (mag & ((1 << (frac_bits + 1 - p)) - 1)):
-        # more significant bits than the target width can hold exactly
-        if val.to_fraction() != Fraction(sign * mag, 1) * Fraction(2) ** (top - frac_bits):
-            raise ValueError(f"hex literal does not fit in {p} bits: {text!r}")
-    return val
+    if (mag // (mag & -mag)).bit_length() > p:
+        # the odd part holds more significant bits than the target width
+        raise ValueError(f"hex literal does not fit in {p} bits: {text!r}")
+    return _round(sign * mag, top - frac_bits, p)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +331,7 @@ class PrecisionComplex:
         return rcmp(self.re, other.re) == 0 and rcmp(self.im, other.im) == 0
 
     def is_zero(self) -> bool:
-        return self.re.sign == 0 and self.im.sign == 0
+        return not self.re.mantissa and not self.im.mantissa
 
     def bits(self) -> tuple:
         return self.re.bits() + self.im.bits()
@@ -549,12 +521,7 @@ def eval_factors(t0: PrecisionReal, m: int, p: int) -> tuple:
     """(f_0, ..., f_m) with f_0 = 1 and f_k = f_{k-1} t0/k, each step rounded
     to p bits. The key is t0's value: every operation is correctly rounded,
     so t0 rounded at another precision gives the same bits."""
-    factor = from_int(1, p)
-    out = [factor]
-    for k in range(1, m + 1):
-        factor = rdiv_int(rmul(factor, t0, p), k, p)
-        out.append(factor)
-    return tuple(out)
+    return tuple(_taylor_terms(t0, m, p))
 
 
 def exp_series(lam: PrecisionComplex, m: int, p: int) -> NormalizedSeries:

@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import permutations
 
 from .graph import Graph, hamiltonian_frequency, vertex_numbers
-from .numerics import NormalizedSeries, cadd, cfrom_int, cmul, cmul_int
+from .numerics import R_ZERO, NormalizedSeries, PrecisionComplex, from_int
 
 DEFAULT_ORACLE_LIMIT = 7
 
@@ -149,19 +149,20 @@ def oracle_series(
     """Direct-sum ground truth for the encoded series:
     a_k = sum over walk-numbers W of mult(W) * (i*c*(W - a_h))^k.
 
-    Accumulated at doubled precision, then rounded to p; spectrum keys in
-    ascending order for a fixed reduction order.
+    The real sum S_k = sum mult(W) (c (W - a_h))^k is exact in Python
+    integers and rounded once to p bits; i^k = 1, i, -1, -i places it, with
+    its sign, in the real or the imaginary part.
     """
-    spectrum = walk_spectrum(g, limit)
     a_h = hamiltonian_frequency(g)
-    p2 = 2 * p
-    coeffs = [cfrom_int(0, 0, p2) for _ in range(m + 1)]
-    for wn in sorted(spectrum):
-        mult = spectrum[wn]
-        lam = cfrom_int(0, c * (wn - a_h), p2)
-        power = cfrom_int(1, 0, p2)
+    sums = [0] * (m + 1)
+    for wn, mult in walk_spectrum(g, limit).items():
+        lam = c * (wn - a_h)
+        term = mult
         for k in range(m + 1):
-            if k:
-                power = cmul(power, lam, p2)
-            coeffs[k] = cadd(coeffs[k], cmul_int(power, mult, p2), p2)
-    return NormalizedSeries(coeffs, p2).reround(p)
+            sums[k] += term
+            term *= lam
+    coeffs = []
+    for k, s in enumerate(sums):
+        x = from_int(s if k % 4 < 2 else -s, p)
+        coeffs.append(PrecisionComplex(x, R_ZERO) if k % 2 == 0 else PrecisionComplex(R_ZERO, x))
+    return NormalizedSeries(coeffs, p)

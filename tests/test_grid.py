@@ -66,11 +66,12 @@ class TestOracleEquivalence:
         [
             complete_graph(6),
             Graph(6, complete_graph(6).edges - {(1, 2), (3, 5)}),
+            complete_graph(7),
         ],
-        ids=["K6", "K6-minus-2-edges"],
+        ids=["K6", "K6-minus-2-edges", "K7"],
     )
     def test_dense_n6_at_desk_profile(self, g):
-        prof = desk_profile(6)
+        prof = desk_profile(g.n)
         want = oracle_series(g, c=prof.c, m=prof.n_d1, p=prof.p_1)
         assert grid_series(g, prof).bits() == want.bits()
 

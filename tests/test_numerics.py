@@ -17,6 +17,7 @@ from hamspec.numerics import (
     from_hex,
     from_int,
     from_ratio,
+    rabs,
     radd,
     rcmp,
     rdiv,
@@ -66,25 +67,43 @@ class TestRounding:
         assert v.mantissa == 0b1010 and v.to_fraction() == 20
 
     def test_randomized_against_fraction_reference(self):
+        # each operand has its own width, and the result a third one
+        widths = (8, 16, 53, 256, 512)
         rng = random.Random(101)
         for _ in range(400):
-            p = rng.choice((24, 53, 64, 256))
+            wa, wb = rng.choice(widths), rng.choice(widths)
+            p = rng.choice((24, 53, 256))
             x, y = rand_fraction(rng), rand_fraction(rng)
-            a, b = from_fraction(x, p), from_fraction(y, p)
+            a, b = from_fraction(x, wa), from_fraction(y, wb)
             xa, yb = a.to_fraction(), b.to_fraction()
-            assert_correctly_rounded(x, a, p)
+            assert_correctly_rounded(x, a, wa)
             assert_correctly_rounded(xa + yb, radd(a, b, p), p)
             assert_correctly_rounded(xa * yb, rmul(a, b, p), p)
             assert_correctly_rounded(xa / yb, rdiv(a, b, p), p)
+            k = rng.choice((1, -1)) * rng.randrange(1, 1 << wb)
+            assert_correctly_rounded(xa / k, rdiv_int(a, k, p), p)
+            num = rng.randrange(-(1 << wa), 1 << wa) or 1
+            den = rng.randrange(1, 1 << wb)
+            assert_correctly_rounded(Fraction(num, -den), from_ratio(num, -den, p), p)
 
     def test_huge_exponent_gap_addition_sticky(self):
         p = 32
         big = from_int(1, p)
-        tiny = PrecisionReal(1, 1 << (p - 1), -4000 - (p - 1))  # 2^-4000
+        tiny = PrecisionReal(1 << (p - 1), -4000 - (p - 1))  # 2^-4000
         s = radd(big, tiny, p)
         assert s == big  # rounds back to 1
         d = radd(big, rneg(tiny), p)
         assert d == big  # nearest to 1 - 2^-4000 at 32 bits is 1
+        x = from_fraction(Fraction(1, 1 << 1000), p)
+        assert radd(R_ZERO, x, p).bits() == radd(x, R_ZERO, p).bits() == x.bits()
+        # a 45-bit operand just above the 24-bit midpoint 2^24 + 1: a tiny
+        # negative addend moves the sum below it, so it rounds down
+        p = 24
+        wide = from_fraction(Fraction((1 << 24) + 1) + Fraction(1, 1 << 20), 45)
+        tiny = from_fraction(Fraction(-1, 1 << 10), p)
+        x = wide.to_fraction() + tiny.to_fraction()
+        assert radd(wide, tiny, p).bits() == round_nearest_even_fraction(x, p)
+        assert radd(tiny, wide, p).bits() == round_nearest_even_fraction(x, p)
 
     def test_exact_int_scaling(self):
         p = 64
@@ -100,7 +119,7 @@ class TestRounding:
             p = rng.choice((8, 24, 53, 256))
             m = rng.randrange(1 << (p - 1), 1 << p)
             e = rng.randrange(-50, 50)
-            a = PrecisionReal(1, m, e)
+            a = PrecisionReal(m, e)
             pos = rng.randrange(-p - 8, p)
             eps = Fraction(rng.choice((1, -1)) * rng.randrange(1, 8)) * Fraction(2) ** (e + pos)
             b = from_fraction(a.to_fraction() + eps, p)
@@ -112,17 +131,17 @@ class TestRounding:
                 assert got.bits() == want
         for _ in range(600):
             p = rng.choice((8, 24, 53, 256))
-            a = PrecisionReal(1, rng.randrange(1 << (p - 1), 1 << p), 0)
+            a = PrecisionReal(rng.randrange(1 << (p - 1), 1 << p), 0)
             gap = rng.randrange(p - 1, p + 9)
             b = PrecisionReal(
-                rng.choice((1, -1)), rng.randrange(1 << (p - 1), 1 << p), -gap - p
+                rng.choice((1, -1)) * rng.randrange(1 << (p - 1), 1 << p), -gap - p
             )
             x = a.to_fraction() + b.to_fraction()
             assert radd(a, b, p).bits() == round_nearest_even_fraction(x, p)
         for _ in range(300):
             p = rng.choice((8, 24, 53))
-            a = PrecisionReal(1, rng.randrange(1 << (p - 1), 1 << p), 0)
-            b = PrecisionReal(rng.choice((1, -1)), 1 << (p - 1), -(2 * p - 1))
+            a = PrecisionReal(rng.randrange(1 << (p - 1), 1 << p), 0)
+            b = PrecisionReal(rng.choice((1, -1)) * (1 << (p - 1)), -(2 * p - 1))
             x = a.to_fraction() + b.to_fraction()
             assert radd(a, b, p).bits() == round_nearest_even_fraction(x, p)
 
@@ -134,6 +153,11 @@ class TestRounding:
         assert rcmp(a, from_fraction(Fraction(1, 2), p)) < 0
         assert rcmp(a, rneg(b)) > 0
         assert rcmp(R_ZERO, a) < 0
+        assert rcmp(R_ZERO, rneg(a)) > 0
+        # negation and absolute value, of zero and of negatives
+        assert rneg(R_ZERO).bits() == rabs(R_ZERO).bits() == (0, 0, 0)
+        assert rneg(rneg(a)).bits() == rabs(rneg(a)).bits() == a.bits()
+        assert rabs(a).bits() == a.bits()
 
     def test_hash_follows_value(self):
         # the same value rounded to two precisions: equal, different bits, one hash
@@ -143,6 +167,8 @@ class TestRounding:
             assert hash(a) == hash(b)
         assert hash(from_int(0, 64)) == hash(R_ZERO)
         assert hash(from_int(3, 64)) != hash(from_int(-3, 64))
+        neg64, neg256 = from_int(-7 << 50, 64), from_int(-7 << 50, 256)
+        assert neg64 == neg256 and hash(neg64) == hash(neg256) != hash(rneg(neg64))
 
 
 class TestSerialization:
@@ -150,6 +176,8 @@ class TestSerialization:
         assert to_hex(from_int(3, 8)) == "0x1.8p+1"
         assert to_hex(R_ZERO) == "0x0p+0"
         assert to_hex(from_int(-1, 8)) == "-0x1p+0"
+        # trailing zero digits beyond the target width still fit
+        assert from_hex("0x1.8000p+0", 2).bits() == from_fraction(Fraction(3, 2), 2).bits()
 
     def test_round_trip_bit_identical(self):
         rng = random.Random(77)
