@@ -150,7 +150,12 @@ def run_experiment(
     oracle_limit: int = walk_oracle.DEFAULT_ORACLE_LIMIT,
     dump_dir: str | None = None,
 ) -> RunReport:
-    """encode -> schedule -> filter -> pseudo-steps -> extract -> verdict.
+    """validate -> oracle -> encode -> schedule -> filter -> pseudo-steps
+    -> extract -> verdict.
+
+    The profile is validated before any series work, so a profile that
+    fails a constraint costs neither the oracle nor the encode; the
+    schedule stage then only solves.
 
     `profile` is a profile, or a function from the parsed graph's vertex
     count to one, so that a caller who needs n to choose the profile does
@@ -170,13 +175,19 @@ def run_experiment(
     g = staged("parse", lambda: load_graph(graph_path))
     if callable(profile):
         profile = profile(g.n)
+    staged("validate", lambda: schedule.require_valid(profile))
 
     oracle_block = None
     if g.n <= oracle_limit:
         oracle_block = staged("oracle", lambda: _oracle_block(g, oracle_limit))
 
     f_series = staged("encode", lambda: grid.grid_series(g, profile))
-    sched = staged("schedule", lambda: schedule.build_schedule(profile))
+    sched = staged(
+        "schedule",
+        lambda: schedule.solve_schedule(
+            profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu
+        ),
+    )
 
     dump = _step_dumper(dump_dir)
     o_series = staged(

@@ -362,6 +362,14 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
     return _smallest_root(coeffs, p, what)
 
 
+def require_valid(profile: PipelineProfile) -> None:
+    """Raise ProfileError naming every constraint the profile fails."""
+    constraints = validate_profile(profile)
+    if not profile_ok(constraints):
+        failed = ", ".join(c.name for c in constraints if not c.passed)
+        raise ProfileError(f"profile fails validation: {failed}")
+
+
 def build_schedule(profile: PipelineProfile) -> StepSchedule:
     """Validate the profile, then return its schedule at precision p_2.
 
@@ -369,10 +377,7 @@ def build_schedule(profile: PipelineProfile) -> StepSchedule:
     depends only on (p_2, n_d, n_d1, r_1, r_mu) and is shared through
     solve_schedule's cache.
     """
-    constraints = validate_profile(profile)
-    if not profile_ok(constraints):
-        failed = ", ".join(c.name for c in constraints if not c.passed)
-        raise ProfileError(f"profile fails validation: {failed}")
+    require_valid(profile)
     return solve_schedule(profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu)
 
 

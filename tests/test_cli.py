@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from hamspec import cli, grid, walk_oracle
+from hamspec import cli, grid, schedule, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
 from hamspec.graph import load_graph
 from hamspec.numerics import series_from_text
-from hamspec.schedule import desk_profile, profile_to_text
+from hamspec.schedule import desk_profile, full_scale_profile, profile_to_text
 from conftest import complete_graph
 
 P2 = "n 2\ne 1 2\n"
@@ -139,6 +139,36 @@ class TestProfileRefusals:
         code, stdout, err = run_cli(capsys, command, str(g2), "--profile", str(bad))
         assert code == 1 and stdout == ""
         assert err.startswith(f"error: {key}=0: ")
+
+    def test_invalid_profile_refused_before_series_work(self, files, capsys, monkeypatch):
+        # desk_profile(8) fails highfreq_transient_small; the run must say
+        # so before the oracle or the encoder starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work started")
+
+        monkeypatch.setattr(grid, "grid_series", refuse)
+        monkeypatch.setattr(cli, "_oracle_block", refuse)
+        tmp = files[0]
+        k8 = tmp / "k8.graph"
+        k8.write_text(
+            "n 8\n" + "".join(f"e {a} {b}\n" for a, b in sorted(complete_graph(8).edges))
+        )
+        code, stdout, err = run_cli(capsys, "run", str(k8), "--oracle-limit", "8")
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: [validate] profile fails validation: ")
+        assert "highfreq_transient_small" in err
+
+    def test_log2_c_only_profile_fails_in_encode_without_solving(self, files, monkeypatch):
+        # full_scale_profile passes validation but has no integer c: the
+        # encoder's require_c refuses it before any schedule solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("schedule solve started")
+
+        monkeypatch.setattr(schedule, "solve_schedule", refuse)
+        _, _, g4, _ = files
+        with pytest.raises(cli.StageError, match="log2_c") as info:
+            run_experiment(str(g4), full_scale_profile(4))
+        assert info.value.stage == "encode"
 
 
 class TestOracle:
@@ -287,7 +317,8 @@ class TestRun:
     def test_run_experiment_stage_timings(self, files):
         _, _, g4, _ = files
         report = run_experiment(str(g4), desk_profile(4))
-        for stage in ("parse", "oracle", "encode", "schedule", "filter", "pseudo", "extract"):
+        stages = ("parse", "validate", "oracle", "encode", "schedule", "filter", "pseudo", "extract")
+        for stage in stages:
             assert f"{stage}_ms" in report.timings_ms
 
 

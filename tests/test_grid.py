@@ -1,4 +1,4 @@
-"""Wavefront construction versus the enumeration oracle."""
+"""Both exact encoder routes versus each other and the enumeration oracle."""
 
 import random
 from math import comb
@@ -11,8 +11,8 @@ from hamspec.graph import Graph, hamiltonian_frequency, vertex_numbers
 from hamspec.grid import grid_intermediate, grid_series
 from hamspec.numerics import cfrom_int, eval_factors, exp_series, series_add
 from hamspec.schedule import build_schedule, desk_profile
-from hamspec.walk_oracle import oracle_series
-from conftest import FOUR_CLUSTER, complete_graph, cycle_graph, path_graph
+from hamspec.walk_oracle import oracle_series, walk_spectrum
+from conftest import FOUR_CLUSTER, _connected, complete_graph, cycle_graph, path_graph
 
 
 def encode_profile(n, **kw):
@@ -74,6 +74,60 @@ class TestOracleEquivalence:
         prof = desk_profile(g.n)
         want = oracle_series(g, c=prof.c, m=prof.n_d1, p=prof.p_1)
         assert grid_series(g, prof).bits() == want.bits()
+
+
+def seeded_connected(n, count, seed):
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    graphs = []
+    while len(graphs) < count:
+        edges = [e for e in pairs if rng.random() < 0.5]
+        if _connected(n, edges):
+            graphs.append(Graph(n, edges))
+    return graphs
+
+
+ROUTE_GRAPHS = {
+    f"n{n}-{i}": g for n in range(2, 8) for i, g in enumerate(seeded_connected(n, 3, 1000 + n))
+}
+ROUTE_GRAPHS.update(
+    n1=Graph(1, []),
+    edgeless4=Graph(4, []),
+    disconnected5=Graph(5, [(1, 2), (3, 4), (4, 5)]),
+    K6=complete_graph(6),
+    K7=complete_graph(7),
+)
+
+
+class TestRoutes:
+    """The moment wavefront and the spectrum power sums give the same
+    exact integers S_k = sum_W mult(W) (W - a_h)^k."""
+
+    @pytest.mark.parametrize("g", ROUTE_GRAPHS.values(), ids=ROUTE_GRAPHS.keys())
+    def test_routes_agree_exactly(self, g):
+        for m in (8, 32, 64):
+            got = grid._spectrum_moments(g, m)
+            assert got == grid._wavefront_moments(g, m), m
+            if g.n <= 6:
+                a_h = hamiltonian_frequency(g)
+                spectrum = walk_spectrum(g)
+                want = [sum(c * (w - a_h) ** k for w, c in spectrum.items()) for k in range(m + 1)]
+                assert got == want, m
+
+    @pytest.mark.parametrize(
+        "n, m, route",
+        [(n, 64, "spectrum") for n in range(2, 7)]
+        + [(7, 64, "wavefront"), (8, 64, "wavefront"), (6, 32, "wavefront")],
+    )
+    def test_dispatch(self, monkeypatch, n, m, route):
+        # 4 C(2n-1, n) <= n(n-1) m picks the spectrum; the other route's
+        # builder must never run
+        def refuse(*args):
+            raise AssertionError(f"{route} expected")
+
+        skipped = "_propagate" if route == "spectrum" else "_spectrum"
+        monkeypatch.setattr(grid, skipped, refuse)
+        grid_series(complete_graph(n), desk_profile(n, n_d1=m))
 
 
 class TestIntermediates:
