@@ -5,6 +5,16 @@ One step: (1) the zero-state response of y' + y = u via the index-shift
 cascade out[d+1+i] += u[d] * (-1)^i; (2) evaluate the response at the
 step's time r, and add the multiple of e^{-t} that zeroes it there. The
 added term is a homogeneous solution, so the output still solves the ODE.
+
+Every step runs in one kernel, _step, on raw coefficients: a list of
+(re_m, re_e, im_m, im_e) integer tuples, each part a p-bit mantissa and
+exponent as in PrecisionReal. Every addition, product and quotient rounds
+through numerics' _add, _round and _round_quotient, in the order the
+object-level primitives would take, so the bits are theirs. _step pins
+only coefficients 0..keep, since the pin changes each coefficient on its
+own: run_pipeline keeps step 1's coefficients 0..n_d (all n_d1 + 1 when a
+dump callback asks for step 1's full output), and later steps keep all.
+A series is converted to raw coefficients once per pipeline and back once.
 """
 
 from __future__ import annotations
@@ -12,26 +22,69 @@ from __future__ import annotations
 import functools
 
 from .numerics import (
-    C_ZERO,
     NormalizedSeries,
     PrecisionComplex,
     PrecisionReal,
     R_ZERO,
-    cadd,
-    cdiv_real,
-    cneg,
+    _add,
+    _complex,
+    _eval,
+    _quads,
+    _round_quotient,
+    _series,
     from_int,
     rneg,
     round_to,
     rsub,
-    series_eval,
     truncated_exp,
 )
 from .schedule import PipelineProfile, StepSchedule
 
+ZERO = (0, 0, 0, 0)  # a raw zero coefficient
+
 
 class DegenerateScheduleError(ArithmeticError):
     """The truncated decay tr_m(e^{-r}) vanished; the adjustment divides by it."""
+
+
+def _cascade(coeffs: list, m: int, p: int) -> list:
+    """integrator_cascade on raw coefficients: acc = u - acc, rounded as the
+    sum (-acc) + u; a zero u negates acc without rounding."""
+    acc = ZERO
+    out = [acc]
+    for um, ue, vm, ve in coeffs[:m]:
+        am, ae, bm, be = acc
+        if um or vm:
+            acc = _add(-am, ae, um, ue, p) + _add(-bm, be, vm, ve, p)
+        else:
+            acc = (-am, ae, -bm, be)
+        out.append(acc)
+    while len(out) <= m:  # u_d = 0 beyond the series
+        am, ae, bm, be = out[-1]
+        out.append((-am, ae, -bm, be))
+    return out
+
+
+def _step(coeffs: list, r: PrecisionReal, m: int, p: int, keep: int) -> list:
+    """One step at degree m on raw coefficients; returns the pinned
+    coefficients 0..keep. The pin adj = -(w / tr_m(e^{-r})) is added to
+    even and subtracted from odd coefficients."""
+    shifted = _cascade(coeffs, m, p)
+    wm, we, zm, ze = _eval(shifted, r, p)
+    q = decay_at(r, m, p)
+    if not q.mantissa:
+        raise DegenerateScheduleError(
+            f"truncated decay vanished at r={r.to_float()} with degree {m}"
+        )
+    wm, we = _round_quotient(wm, q.mantissa, we - q.exponent, p)
+    zm, ze = _round_quotient(zm, q.mantissa, ze - q.exponent, p)
+    out = []
+    for i, (cm, ce, dm, de) in enumerate(shifted[: keep + 1]):
+        if i & 1:
+            out.append(_add(cm, ce, wm, we, p) + _add(dm, de, zm, ze, p))
+        else:
+            out.append(_add(cm, ce, -wm, we, p) + _add(dm, de, -zm, ze, p))
+    return out
 
 
 def integrator_cascade(series: NormalizedSeries, m: int) -> NormalizedSeries:
@@ -46,14 +99,7 @@ def integrator_cascade(series: NormalizedSeries, m: int) -> NormalizedSeries:
     gives -out_{k-1} exactly.
     """
     p = series.precision
-    coeffs = series.coeffs
-    acc = C_ZERO
-    out = [acc]
-    for k in range(1, m + 1):
-        u = coeffs[k - 1] if k - 1 < len(coeffs) else C_ZERO
-        acc = cneg(acc) if u.is_zero() else cadd(cneg(acc), u, p)
-        out.append(acc)
-    return NormalizedSeries(out, p)
+    return _series(_cascade(_quads(series, p), m, p), p)
 
 
 def filter_step(
@@ -62,20 +108,7 @@ def filter_step(
     """One step at degree m: cascade, then pin the output to zero at r_sp.
     The evaluation factors at r_sp and tr_m(e^{-r_sp}) depend only on
     (r_sp, m, p) and are solved once per process (eval_factors, decay_at)."""
-    work = series if series.precision == p else series.reround(p)
-    shifted = integrator_cascade(work, m)
-    w = series_eval(shifted, r_sp)
-    q = decay_at(r_sp, m, p)
-    if q.is_zero():
-        raise DegenerateScheduleError(
-            f"truncated decay vanished at r={r_sp.to_float()} with degree {m}"
-        )
-    adj = cneg(cdiv_real(w, q, p))
-    neg_adj = cneg(adj)
-    out = []
-    for i, c in enumerate(shifted.coeffs):
-        out.append(cadd(c, adj if i % 2 == 0 else neg_adj, p))
-    return NormalizedSeries(out, p)
+    return _series(_step(_quads(series, p), r_sp, m, p, m), p)
 
 
 @functools.lru_cache(maxsize=64)
@@ -93,30 +126,28 @@ def run_pipeline(
     """All steps 1..n_d+3. Step 1 runs at degree n_d1; its output is then
     truncated (coefficients above n_d dropped, no re-rounding) and the
     remaining steps run at degree n_d. `dump`, if given, is called with
-    (step_index, series) after every step."""
+    (step_index, series) after every step; step 1's series has all n_d1 + 1
+    coefficients."""
     n_d, n_d1, p = profile.n_d, profile.n_d1, profile.p_2
     if f_series.degree_bound != n_d1:
         raise ValueError(
             f"input series degree {f_series.degree_bound} != n_d1 {n_d1}"
         )
-    j = f_series.reround(p)
-    j = filter_step(j, sched.times[1], n_d1, p)
+    j = _step(_quads(f_series, p), sched.times[1], n_d1, p, n_d1 if dump else n_d)
     if dump:
-        dump(1, j)
-    return run_tail_steps(j.truncate(n_d), sched, n_d, p, dump=dump)
+        dump(1, _series(j, p))
+    j = j[: n_d + 1] + [ZERO] * (n_d + 1 - len(j))
+    return _series(_tail_steps(j, sched, n_d, p, dump), p)
 
 
-def run_tail_steps(
-    series: NormalizedSeries, sched: StepSchedule, n_d: int, p: int, dump=None
-) -> NormalizedSeries:
-    """Steps 2..n_d+3 at degree n_d on a series that stands for step 1's
-    output; `dump` as in run_pipeline."""
-    j = series
+def _tail_steps(coeffs: list, sched: StepSchedule, n_d: int, p: int, dump) -> list:
+    """Steps 2..n_d+3 at degree n_d on raw coefficients that stand for step
+    1's output; `dump` as in run_pipeline."""
     for sp in range(2, n_d + 4):
-        j = filter_step(j, sched.times[sp], n_d, p)
+        coeffs = _step(coeffs, sched.times[sp], n_d, p, n_d)
         if dump:
-            dump(sp, j)
-    return j
+            dump(sp, _series(coeffs, p))
+    return coeffs
 
 
 def decay_series(m: int, p: int) -> NormalizedSeries:
@@ -151,6 +182,6 @@ def system_columns(sched: StepSchedule, p: int):
     ]
     columns = []
     for series in (NormalizedSeries(constant, p), decay_series(n_d, p)):
-        j = run_tail_steps(series, sched, n_d, p)
-        columns.append((j.coeffs[0], j.coeffs[1]))
+        j = _tail_steps(_quads(series, p), sched, n_d, p, None)
+        columns.append((_complex(j[0]), _complex(j[1])))
     return tuple(columns)

@@ -5,10 +5,19 @@ exponent. Every arithmetic primitive rounds its exact result to an explicit
 mantissa width ``p`` (round-to-nearest, ties-to-even) through one of two
 kernels: ``_round`` for an exact signed integer times a power of two, and
 ``_round_quotient`` for an exact ratio of two integers. Results are
-correctly rounded, hence bit-reproducible on any platform. Series are
-stored with normalized coefficients: ``coeffs[k]`` holds ``a_k`` in
-``sum a_k t^k / k!``, which turns integration into an index shift and
-keeps exponential series exact before rounding.
+correctly rounded, hence bit-reproducible on any platform.
+
+The kernels work on bare integers and return a (mantissa, exponent) pair;
+``_add`` rounds the exact sum of two pairs through ``_round``. Each
+primitive (``radd``, ``rmul``, ``rdiv``, ``from_int``, ``round_to``, ...)
+is a one-line wrapper that builds a PrecisionReal from the pair. Hot loops
+(the filter step, ``series_eval``) call the pair kernels directly on raw
+coefficients, (re_m, re_e, im_m, im_e) tuples, so they build no object per
+operation and round exactly as the primitives would.
+
+Series are stored with normalized coefficients: ``coeffs[k]`` holds
+``a_k`` in ``sum a_k t^k / k!``, which turns integration into an index
+shift and keeps exponential series exact before rounding.
 """
 
 from __future__ import annotations
@@ -93,11 +102,12 @@ class PrecisionReal:
 R_ZERO = PrecisionReal(0, 0)
 
 
-def _round(v: int, exp: int, p: int) -> PrecisionReal:
-    """Round the exact v*2^exp (v a signed integer) to p bits, nearest-even."""
+def _round(v: int, exp: int, p: int) -> tuple:
+    """Round the exact v*2^exp (v a signed integer) to p bits, nearest-even:
+    the (mantissa, exponent) pair."""
     shift = v.bit_length() - p
     if shift <= 0:
-        return PrecisionReal(v << -shift, exp + shift) if v else R_ZERO
+        return (v << -shift, exp + shift) if v else (0, 0)
     keep = v >> shift  # floor, so rem is in [0, 2^shift) for either sign
     rem = v - (keep << shift)
     half = 1 << (shift - 1)
@@ -106,10 +116,10 @@ def _round(v: int, exp: int, p: int) -> PrecisionReal:
     if keep.bit_length() > p:  # carried up to 2^p, or floored to -2^p
         keep >>= 1
         shift += 1
-    return PrecisionReal(keep, exp + shift)
+    return keep, exp + shift
 
 
-def _round_quotient(num: int, den: int, exp: int, p: int) -> PrecisionReal:
+def _round_quotient(num: int, den: int, exp: int, p: int) -> tuple:
     """Round the exact (num/den)*2^exp to p bits, nearest-even; a zero den
     raises ZeroDivisionError.
 
@@ -120,17 +130,41 @@ def _round_quotient(num: int, den: int, exp: int, p: int) -> PrecisionReal:
     return _round(q | 1 if rem else q, exp - shift, p)
 
 
+def _add(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
+    """Round the exact am*2^ae + bm*2^be to p bits: the pair, as _round."""
+    # The zero checks come first: a zero's top bit says nothing about scale.
+    if not am:
+        return _round(bm, be, p)
+    if not bm:
+        return _round(am, ae, p)
+    ta = ae + am.bit_length()
+    tb = be + bm.bit_length()
+    if ta < tb:
+        am, ae, bm, be, ta, tb = bm, be, am, ae, tb, ta
+    # Widen a to an even integer of at least p+3 bits. A b wholly below its
+    # last bit only decides which side of a the sum falls: fold it into an
+    # odd last bit (sticky), which no rounding boundary at p bits can sit on.
+    low = ta - p - 3  # min(ae - 1, ta - p - 3), unrolled: this is the hottest call
+    if low >= ae:
+        low = ae - 1
+    if tb <= low:
+        return _round((am << (ae - low)) + (1 if bm > 0 else -1), low, p)
+    if ae <= be:
+        return _round(am + (bm << (be - ae)), ae, p)
+    return _round((am << (ae - be)) + bm, be, p)
+
+
 def round_to(a: PrecisionReal, p: int) -> PrecisionReal:
-    return _round(a.mantissa, a.exponent, p)
+    return PrecisionReal(*_round(a.mantissa, a.exponent, p))
 
 
 def from_int(v: int, p: int) -> PrecisionReal:
-    return _round(v, 0, p)
+    return PrecisionReal(*_round(v, 0, p))
 
 
 def from_ratio(num: int, den: int, p: int) -> PrecisionReal:
     """Correctly rounded num/den."""
-    return _round_quotient(num, den, 0, p)
+    return PrecisionReal(*_round_quotient(num, den, 0, p))
 
 
 def from_fraction(x: Fraction, p: int) -> PrecisionReal:
@@ -146,48 +180,29 @@ def rabs(a: PrecisionReal) -> PrecisionReal:
 
 
 def radd(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    # The zero checks come first: a zero's top bit says nothing about scale.
-    if not a.mantissa:
-        return round_to(b, p)
-    if not b.mantissa:
-        return round_to(a, p)
-    ta = a.exponent + a.mantissa.bit_length()
-    tb = b.exponent + b.mantissa.bit_length()
-    if ta < tb:
-        a, b, ta, tb = b, a, tb, ta
-    # Widen a to an even integer of at least p+3 bits. A b wholly below its
-    # last bit only decides which side of a the sum falls: fold it into an
-    # odd last bit (sticky), which no rounding boundary at p bits can sit on.
-    low = min(a.exponent - 1, ta - p - 3)
-    if tb <= low:
-        sticky = 1 if b.mantissa > 0 else -1
-        return _round((a.mantissa << (a.exponent - low)) + sticky, low, p)
-    e0 = min(a.exponent, b.exponent)
-    return _round(
-        (a.mantissa << (a.exponent - e0)) + (b.mantissa << (b.exponent - e0)), e0, p
-    )
+    return PrecisionReal(*_add(a.mantissa, a.exponent, b.mantissa, b.exponent, p))
 
 
 def rsub(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    return radd(a, rneg(b), p)
+    return PrecisionReal(*_add(a.mantissa, a.exponent, -b.mantissa, b.exponent, p))
 
 
 def rmul(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    return _round(a.mantissa * b.mantissa, a.exponent + b.exponent, p)
+    return PrecisionReal(*_round(a.mantissa * b.mantissa, a.exponent + b.exponent, p))
 
 
 def rmul_int(a: PrecisionReal, k: int, p: int) -> PrecisionReal:
     """a*k for exact integer k, with a single rounding."""
-    return _round(a.mantissa * k, a.exponent, p)
+    return PrecisionReal(*_round(a.mantissa * k, a.exponent, p))
 
 
 def rdiv(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    return _round_quotient(a.mantissa, b.mantissa, a.exponent - b.exponent, p)
+    return PrecisionReal(*_round_quotient(a.mantissa, b.mantissa, a.exponent - b.exponent, p))
 
 
 def rdiv_int(a: PrecisionReal, k: int, p: int) -> PrecisionReal:
     """a/k for exact integer k, with a single rounding."""
-    return _round_quotient(a.mantissa, k, a.exponent, p)
+    return PrecisionReal(*_round_quotient(a.mantissa, k, a.exponent, p))
 
 
 def rcmp(a: PrecisionReal, b: PrecisionReal) -> int:
@@ -305,7 +320,7 @@ def from_hex(text: str, p: int) -> PrecisionReal:
     if (mag // (mag & -mag)).bit_length() > p:
         # the odd part holds more significant bits than the target width
         raise ValueError(f"hex literal does not fit in {p} bits: {text!r}")
-    return _round(sign * mag, top - frac_bits, p)
+    return PrecisionReal(*_round(sign * mag, top - frac_bits, p))
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +374,6 @@ def csub(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
     return PrecisionComplex(rsub(a.re, b.re, p), rsub(a.im, b.im, p))
 
 
-def cneg(a: PrecisionComplex) -> PrecisionComplex:
-    return PrecisionComplex(rneg(a.re), rneg(a.im))
-
-
 def cmul(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
     re = rsub(rmul(a.re, b.re, p), rmul(a.im, b.im, p), p)
     im = radd(rmul(a.re, b.im, p), rmul(a.im, b.re, p), p)
@@ -371,14 +382,6 @@ def cmul(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
 
 def cmul_int(a: PrecisionComplex, k: int, p: int) -> PrecisionComplex:
     return PrecisionComplex(rmul_int(a.re, k, p), rmul_int(a.im, k, p))
-
-
-def cmul_real(a: PrecisionComplex, r: PrecisionReal, p: int) -> PrecisionComplex:
-    return PrecisionComplex(rmul(a.re, r, p), rmul(a.im, r, p))
-
-
-def cdiv_real(a: PrecisionComplex, r: PrecisionReal, p: int) -> PrecisionComplex:
-    return PrecisionComplex(rdiv(a.re, r, p), rdiv(a.im, r, p))
 
 
 def cdiv(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
@@ -437,10 +440,27 @@ class NormalizedSeries:
         return NormalizedSeries(cs, self.precision)
 
     def reround(self, p: int) -> "NormalizedSeries":
-        if p == self.precision:
-            return self
-        cs = [PrecisionComplex(round_to(c.re, p), round_to(c.im, p)) for c in self.coeffs]
-        return NormalizedSeries(cs, p)
+        return self if p == self.precision else _series(_quads(self, p), p)
+
+
+def _quads(a: NormalizedSeries, p: int) -> list:
+    """a's coefficients as raw (re_m, re_e, im_m, im_e) tuples, rounded to
+    p bits unless a is at precision p already."""
+    if a.precision == p:
+        return [(c.re.mantissa, c.re.exponent, c.im.mantissa, c.im.exponent) for c in a.coeffs]
+    return [
+        _round(c.re.mantissa, c.re.exponent, p) + _round(c.im.mantissa, c.im.exponent, p)
+        for c in a.coeffs
+    ]
+
+
+def _complex(q: tuple) -> PrecisionComplex:
+    return PrecisionComplex(PrecisionReal(q[0], q[1]), PrecisionReal(q[2], q[3]))
+
+
+def _series(coeffs: list, p: int) -> NormalizedSeries:
+    """The inverse of _quads at precision p."""
+    return NormalizedSeries(map(_complex, coeffs), p)
 
 
 def zero_series(m: int, p: int) -> NormalizedSeries:
@@ -508,12 +528,21 @@ def series_mul(a: NormalizedSeries, b: NormalizedSeries, m: int) -> NormalizedSe
 def series_eval(a: NormalizedSeries, t0: PrecisionReal) -> PrecisionComplex:
     """sum a_k t0^k/k!, ascending k, factor by recurrence f_k = f_{k-1} t0/k.
     The factors are solved once per (t0, degree, precision) by eval_factors."""
-    p = a.precision
-    acc = C_ZERO
-    for coeff, factor in zip(a.coeffs, eval_factors(t0, len(a.coeffs) - 1, p)):
-        if not coeff.is_zero():
-            acc = cadd(acc, cmul_real(coeff, factor, p), p)
-    return acc
+    return _complex(_eval(_quads(a, a.precision), t0, a.precision))
+
+
+def _eval(coeffs: list, t0: PrecisionReal, p: int) -> tuple:
+    """series_eval on raw coefficients: each term coeff*f_k rounded, then
+    added to the running sum; coefficients with both parts zero are skipped."""
+    wm = we = zm = ze = 0
+    for (cm, ce, dm, de), f in zip(coeffs, eval_factors(t0, len(coeffs) - 1, p)):
+        if cm or dm:
+            fm, fe = f.mantissa, f.exponent
+            tm, te = _round(cm * fm, ce + fe, p)
+            wm, we = _add(wm, we, tm, te, p)
+            tm, te = _round(dm * fm, de + fe, p)
+            zm, ze = _add(zm, ze, tm, te, p)
+    return wm, we, zm, ze
 
 
 @functools.lru_cache(maxsize=64)

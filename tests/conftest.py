@@ -7,7 +7,20 @@ from fractions import Fraction
 
 import pytest
 
+from hamspec.filter_pipeline import DegenerateScheduleError
 from hamspec.graph import Graph
+from hamspec.numerics import (
+    C_ZERO,
+    NormalizedSeries,
+    PrecisionComplex,
+    cadd,
+    from_int,
+    radd,
+    rdiv,
+    rdiv_int,
+    rmul,
+    rneg,
+)
 
 
 def _connected(n, edges):
@@ -163,3 +176,65 @@ def bisect_fraction(fn, lo: Fraction, hi: Fraction, iters: int) -> Fraction:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------------------
+# Object-level filter step: the reference for filter_pipeline's raw kernel
+# ---------------------------------------------------------------------------
+
+
+def cneg(a):
+    return PrecisionComplex(rneg(a.re), rneg(a.im))
+
+
+def cmul_real(a, r, p):
+    return PrecisionComplex(rmul(a.re, r, p), rmul(a.im, r, p))
+
+
+def cdiv_real(a, r, p):
+    return PrecisionComplex(rdiv(a.re, r, p), rdiv(a.im, r, p))
+
+
+def reference_step(series, r, m, p):
+    """One filter step at degree m from radd/rmul/rdiv on PrecisionComplex
+    values, in the kernel's operation order: the cascade acc = u - acc (a
+    zero u negates acc), the ascending evaluation at r against the factors
+    f_k = f_{k-1} r / k, and the pin adj = -(w / tr_m(e^{-r})) added to even
+    and subtracted from odd coefficients. Every coefficient is pinned."""
+    u = series.coeffs if series.precision == p else series.reround(p).coeffs
+    acc = C_ZERO
+    shifted = [acc]
+    for k in range(1, m + 1):
+        c = u[k - 1] if k - 1 < len(u) else C_ZERO
+        acc = cneg(acc) if c.is_zero() else cadd(cneg(acc), c, p)
+        shifted.append(acc)
+    w, f, neg_r = C_ZERO, from_int(1, p), rneg(r)
+    decay, g = f, f
+    for k, c in enumerate(shifted):
+        if k:
+            f = rdiv_int(rmul(f, r, p), k, p)
+            g = rdiv_int(rmul(g, neg_r, p), k, p)
+            decay = radd(decay, g, p)
+        if not c.is_zero():
+            w = cadd(w, cmul_real(c, f, p), p)
+    if decay.is_zero():
+        raise DegenerateScheduleError("truncated decay vanished")
+    adj = cneg(cdiv_real(w, decay, p))
+    return NormalizedSeries(
+        [cadd(c, adj if i % 2 == 0 else cneg(adj), p) for i, c in enumerate(shifted)], p
+    )
+
+
+def reference_pipeline(f_series, sched, prof, dump=None):
+    """run_pipeline from reference_step: step 1 at n_d1 on the series
+    rounded to p_2, truncated to n_d, then steps 2..n_d+3 at n_d."""
+    n_d, p = prof.n_d, prof.p_2
+    j = reference_step(f_series, sched.times[1], prof.n_d1, p)
+    if dump:
+        dump(1, j)
+    j = j.truncate(n_d)
+    for sp in range(2, n_d + 4):
+        j = reference_step(j, sched.times[sp], n_d, p)
+        if dump:
+            dump(sp, j)
+    return j

@@ -10,14 +10,15 @@ import pytest
 from hamspec import cli, grid, schedule, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
 from hamspec.graph import load_graph
-from hamspec.numerics import series_from_text
-from hamspec.schedule import desk_profile, full_scale_profile, profile_to_text
-from conftest import complete_graph
+from hamspec.numerics import series_from_text, series_to_text
+from hamspec.schedule import build_schedule, desk_profile, full_scale_profile, profile_to_text
+from conftest import complete_graph, reference_step
 
 P2 = "n 2\ne 1 2\n"
 FOUR_CLUSTER = "n 4\ne 1 2\ne 1 3\ne 2 3\ne 1 4\ne 4 3\n"
 C4 = "n 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
+GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
 
 @pytest.fixture
@@ -96,6 +97,23 @@ class TestFilterPseudoExtract:
         assert code == 0
         names = sorted(f.name for f in dump.iterdir())
         assert names[0] == "step_001.series" and len(names) == 11
+
+    def test_dump_steps_writes_step_one_in_full(self, tmp_path, capsys):
+        # run_pipeline pins only the n_d + 1 coefficients it keeps, but the
+        # step 1 dump holds all n_d1 + 1, as the object-level step writes them
+        enc, flt, dump = tmp_path / "f.series", tmp_path / "o.series", tmp_path / "steps"
+        assert run_cli(capsys, "encode", str(GRAPHS / "c5.graph"), "--out", str(enc))[0] == 0
+        code, _, _ = run_cli(
+            capsys, "filter", str(enc), "--n", "5", "--out", str(flt), "--dump-steps", str(dump)
+        )
+        assert code == 0
+        text = (dump / "step_001.series").read_text()
+        assert len(text.splitlines()) == 1 + 65
+        prof = desk_profile(5)
+        f = series_from_text(enc.read_text())
+        want = reference_step(f, build_schedule(prof).times[1], prof.n_d1, prof.p_2)
+        assert text == series_to_text(want)
+        assert (dump / "step_011.series").read_text() == flt.read_text()
 
     def test_extract_rejects_unfiltered_series(self, files, capsys):
         tmp, g2, _, prof = files

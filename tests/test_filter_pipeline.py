@@ -1,4 +1,5 @@
-"""Step semantics: cascade ODE identity, zero pinning, linearity, pipelines."""
+"""Step semantics: cascade ODE identity, zero pinning, linearity, pipelines;
+the raw step kernel bit for bit against the object-level reference."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from hamspec.filter_pipeline import (
     DegenerateScheduleError,
+    _step,
     decay_at,
     decay_series,
     filter_step,
@@ -19,10 +21,12 @@ from hamspec.numerics import (
     C_ZERO,
     NormalizedSeries,
     PrecisionComplex,
+    PrecisionReal,
+    R_ZERO,
+    _quads,
     cadd,
     cfrom_int,
     cmul_int,
-    cneg,
     const_series,
     eval_factors,
     from_fraction,
@@ -32,7 +36,14 @@ from hamspec.numerics import (
     zero_series,
 )
 from hamspec.schedule import build_schedule, desk_profile, solve_schedule
-from conftest import cycle_graph, trunc_exp_fraction
+from conftest import (
+    cneg,
+    complete_graph,
+    cycle_graph,
+    reference_pipeline,
+    reference_step,
+    trunc_exp_fraction,
+)
 
 
 def random_series(rng, m, p, mag=20):
@@ -61,6 +72,34 @@ def ascending_cascade(series, m):
             acc = cadd(acc, u if (k - 1 - d) % 2 == 0 else cneg(u), p)
         out.append(acc)
     return NormalizedSeries(out, p)
+
+
+def edge_series(rng, m, p):
+    """Seeded series at precision p whose parts mix zeros (some coefficients
+    wholly zero), both signs, mantissas at the carry edge 2^p - 1 and the
+    floor edge -2^p + 1, and exponents near together or far apart (the
+    sticky path of the addition)."""
+
+    def part():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return R_ZERO
+        e = rng.randrange(-8, 8) if rng.random() < 0.5 else rng.randrange(-4 * p, 4 * p)
+        if kind == 1:
+            return PrecisionReal((1 << p) - 1, e)
+        if kind == 2:
+            return PrecisionReal(-(1 << p) + 1, e)
+        mant = rng.randrange(1 << (p - 1), 1 << p)
+        return PrecisionReal(mant if kind == 3 else -mant, e)
+
+    return NormalizedSeries(
+        [C_ZERO if rng.random() < 0.15 else PrecisionComplex(part(), part()) for _ in range(m + 1)],
+        p,
+    )
+
+
+def step_time(rng, p):
+    return from_fraction(Fraction(rng.randrange(1, 4000), rng.choice((7, 64, 997))), p)
 
 
 def sup_fractions(series):
@@ -196,6 +235,68 @@ class TestFilterStep:
                 1,
                 p,
             )
+
+
+class TestKernelBits:
+    """filter_step and run_pipeline give the object-level reference's bits
+    (conftest.reference_step: radd/rmul/rdiv on PrecisionComplex values)."""
+
+    @pytest.mark.parametrize("p", [24, 53, 256])
+    @pytest.mark.parametrize("m", [0, 1, 8, 64])
+    def test_filter_step_matches_reference(self, p, m):
+        rng = random.Random(1000 * p + m)
+        for trial in range(4):
+            # the last trial's input sits at another precision (reround path)
+            q = p + 37 if trial == 3 else p
+            u = edge_series(rng, rng.choice((m, m + 3, max(m - 2, 0))), q)
+            r = step_time(rng, p)
+            try:
+                want = reference_step(u, r, m, p)
+            except DegenerateScheduleError:
+                with pytest.raises(DegenerateScheduleError):
+                    filter_step(u, r, m, p)
+                continue
+            assert filter_step(u, r, m, p).bits() == want.bits()
+
+    @pytest.mark.parametrize("p", [24, 53, 256])
+    def test_kernel_pins_only_kept_coefficients(self, p):
+        rng = random.Random(p)
+        m = 16
+        for keep in (0, 1, 7, m):
+            u = edge_series(rng, m, p)
+            r = step_time(rng, p)
+            got = _step(_quads(u, p), r, m, p, keep)
+            assert got == _quads(reference_step(u, r, m, p), p)[: keep + 1]
+
+    def test_vanished_decay_raises_in_kernel(self):
+        # m=1, r=1: the truncated decay 1 - r vanishes, whatever is kept
+        p = 53
+        u = _quads(NormalizedSeries([cfrom_int(3, -1, p), cfrom_int(2, 5, p)], p), p)
+        for keep in (0, 1):
+            with pytest.raises(DegenerateScheduleError):
+                _step(u, from_int(1, p), 1, p, keep)
+
+    @pytest.mark.parametrize("p_2", [53, 256])
+    def test_run_pipeline_matches_reference(self, p_2):
+        rng = random.Random(p_2)
+        for g in (cycle_graph(5), complete_graph(4)):
+            prof = desk_profile(g.n, p_2=p_2)
+            sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
+            for f in (grid_series(g, prof), edge_series(rng, prof.n_d1, prof.p_1)):
+                want = reference_pipeline(f, sched, prof)
+                assert run_pipeline(f, sched, prof).bits() == want.bits()
+
+    def test_dump_keeps_bits_and_full_step_one(self):
+        prof = desk_profile(5)
+        sched = build_schedule(prof)
+        f = grid_series(cycle_graph(5), prof)
+        got, want = {}, {}
+        out = run_pipeline(f, sched, prof, dump=got.__setitem__)
+        assert out.bits() == run_pipeline(f, sched, prof).bits()
+        reference_pipeline(f, sched, prof, dump=want.__setitem__)
+        assert got[1].degree_bound == prof.n_d1
+        assert sorted(got) == sorted(want) == list(range(1, prof.n_d + 4))
+        assert all(got[sp].bits() == want[sp].bits() for sp in want)
 
 
 class TestStepCaches:

@@ -105,6 +105,22 @@ class TestRounding:
         assert radd(wide, tiny, p).bits() == round_nearest_even_fraction(x, p)
         assert radd(tiny, wide, p).bits() == round_nearest_even_fraction(x, p)
 
+    def test_sticky_path_on_wide_operands(self):
+        # a wider than p, b wholly below a's last bit: only the sticky bit's
+        # sign tells which side of a p-bit midpoint the sum falls, and an a
+        # of exactly p+3 bits must still be widened before it is folded in
+        rng = random.Random(17)
+        for _ in range(400):
+            p = rng.choice((24, 53))
+            extra = rng.randrange(1, 9)
+            half = 1 << (extra - 1)
+            low = rng.choice((half, half - 1, half + 1, 0, 1, (1 << extra) - 1)) % (1 << extra)
+            mant = (rng.randrange(1 << (p - 1), 1 << p) << extra) | low
+            a = PrecisionReal(rng.choice((1, -1)) * mant, rng.randrange(-40, 40))
+            b = PrecisionReal(rng.choice((1, -1)) << (p - 1), a.exponent - rng.randrange(p + 4, 400))
+            want = round_nearest_even_fraction(a.to_fraction() + b.to_fraction(), p)
+            assert radd(a, b, p).bits() == radd(b, a, p).bits() == want
+
     def test_exact_int_scaling(self):
         p = 64
         a = from_fraction(Fraction(3, 7), p)
