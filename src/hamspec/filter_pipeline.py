@@ -36,7 +36,7 @@ from .numerics import (
     rneg,
     round_to,
     rsub,
-    truncated_exp,
+    taylor_table,
 )
 from .schedule import PipelineProfile, StepSchedule
 
@@ -70,8 +70,8 @@ def _step(coeffs: list, r: PrecisionReal, m: int, p: int, keep: int) -> list:
     coefficients 0..keep. The pin adj = -(w / tr_m(e^{-r})) is added to
     even and subtracted from odd coefficients."""
     shifted = _cascade(coeffs, m, p)
-    wm, we, zm, ze = _eval(shifted, r, p)
-    q = decay_at(r, m, p)
+    factors, _, q = taylor_table(r, m, p)
+    wm, we, zm, ze = _eval(shifted, factors, p)
     if not q.mantissa:
         raise DegenerateScheduleError(
             f"truncated decay vanished at r={r.to_float()} with degree {m}"
@@ -106,15 +106,9 @@ def filter_step(
     series: NormalizedSeries, r_sp: PrecisionReal, m: int, p: int
 ) -> NormalizedSeries:
     """One step at degree m: cascade, then pin the output to zero at r_sp.
-    The evaluation factors at r_sp and tr_m(e^{-r_sp}) depend only on
-    (r_sp, m, p) and are solved once per process (eval_factors, decay_at)."""
+    The evaluation factors at r_sp and tr_m(e^{-r_sp}) are one entry of
+    numerics.taylor_table, solved once per process per (r_sp, m, p)."""
     return _series(_step(_quads(series, p), r_sp, m, p, m), p)
-
-
-@functools.lru_cache(maxsize=64)
-def decay_at(r_sp: PrecisionReal, m: int, p: int) -> PrecisionReal:
-    """tr_m(e^{-r_sp}) at p bits, keyed by r_sp's value like eval_factors."""
-    return truncated_exp(rneg(r_sp), m, p)
 
 
 def run_pipeline(

@@ -15,6 +15,11 @@ is a one-line wrapper that builds a PrecisionReal from the pair. Hot loops
 coefficients, (re_m, re_e, im_m, im_e) tuples, so they build no object per
 operation and round exactly as the primitives would.
 
+Every truncated exponential is a read of one memo, ``taylor_table(x, m,
+p)``: the factors x^k/k! by the rounded recurrence, tr_m(e^x) and
+tr_m(e^{-x}). A filter step's evaluation factors and decay, and the
+schedule's alpha and beta, are entries of it.
+
 Series are stored with normalized coefficients: ``coeffs[k]`` holds
 ``a_k`` in ``sum a_k t^k / k!``, which turns integration into an index
 shift and keeps exponential series exact before rounding.
@@ -224,22 +229,28 @@ def rmax(a: PrecisionReal, b: PrecisionReal) -> PrecisionReal:
     return a if rcmp(a, b) >= 0 else b
 
 
-def _taylor_terms(x: PrecisionReal, m: int, p: int):
-    """Yield x^k/k! for k = 0..m by t_k = t_{k-1} x/k, each step rounded to p bits."""
-    term = from_int(1, p)
-    yield term
+@functools.lru_cache(maxsize=64)
+def taylor_table(x: PrecisionReal, m: int, p: int) -> tuple:
+    """(factors, tr_m(e^x), tr_m(e^{-x})) at p bits: the factors are f_0 = 1
+    and f_k = f_{k-1} x/k, each step rounded; both sums add them ascending.
+
+    The recurrence at -x gives exactly (-1)^k f_k, since correct rounding is
+    symmetric in sign, so tr_m(e^{-x}) alternates adding and subtracting the
+    same factors. The key is x's value: every operation is correctly
+    rounded, so x rounded at another precision gives the same bits."""
+    f = from_int(1, p)
+    factors, up, down = [f], f, f
     for k in range(1, m + 1):
-        term = rdiv_int(rmul(term, x, p), k, p)
-        yield term
+        f = rdiv_int(rmul(f, x, p), k, p)
+        factors.append(f)
+        up = radd(up, f, p)
+        down = rsub(down, f, p) if k & 1 else radd(down, f, p)
+    return tuple(factors), up, down
 
 
 def truncated_exp(x: PrecisionReal, m: int, p: int) -> PrecisionReal:
-    """sum_{i=0..m} x^i/i!, term recurrence, ascending accumulation."""
-    terms = _taylor_terms(x, m, p)
-    acc = next(terms)
-    for term in terms:
-        acc = radd(acc, term, p)
-    return acc
+    """sum_{i=0..m} x^i/i!: the taylor_table entry."""
+    return taylor_table(x, m, p)[1]
 
 
 def pow2(k: int, p: int) -> PrecisionReal:
@@ -526,16 +537,17 @@ def series_mul(a: NormalizedSeries, b: NormalizedSeries, m: int) -> NormalizedSe
 
 
 def series_eval(a: NormalizedSeries, t0: PrecisionReal) -> PrecisionComplex:
-    """sum a_k t0^k/k!, ascending k, factor by recurrence f_k = f_{k-1} t0/k.
-    The factors are solved once per (t0, degree, precision) by eval_factors."""
-    return _complex(_eval(_quads(a, a.precision), t0, a.precision))
+    """sum a_k t0^k/k!, ascending k, against the factors f_k = f_{k-1} t0/k
+    of taylor_table(t0, degree, precision), solved once per key."""
+    p = a.precision
+    return _complex(_eval(_quads(a, p), taylor_table(t0, a.degree_bound, p)[0], p))
 
 
-def _eval(coeffs: list, t0: PrecisionReal, p: int) -> tuple:
+def _eval(coeffs: list, factors: tuple, p: int) -> tuple:
     """series_eval on raw coefficients: each term coeff*f_k rounded, then
     added to the running sum; coefficients with both parts zero are skipped."""
     wm = we = zm = ze = 0
-    for (cm, ce, dm, de), f in zip(coeffs, eval_factors(t0, len(coeffs) - 1, p)):
+    for (cm, ce, dm, de), f in zip(coeffs, factors):
         if cm or dm:
             fm, fe = f.mantissa, f.exponent
             tm, te = _round(cm * fm, ce + fe, p)
@@ -543,14 +555,6 @@ def _eval(coeffs: list, t0: PrecisionReal, p: int) -> tuple:
             tm, te = _round(dm * fm, de + fe, p)
             zm, ze = _add(zm, ze, tm, te, p)
     return wm, we, zm, ze
-
-
-@functools.lru_cache(maxsize=64)
-def eval_factors(t0: PrecisionReal, m: int, p: int) -> tuple:
-    """(f_0, ..., f_m) with f_0 = 1 and f_k = f_{k-1} t0/k, each step rounded
-    to p bits. The key is t0's value: every operation is correctly rounded,
-    so t0 rounded at another precision gives the same bits."""
-    return tuple(_taylor_terms(t0, m, p))
 
 
 def exp_series(lam: PrecisionComplex, m: int, p: int) -> NormalizedSeries:

@@ -28,6 +28,7 @@ from .numerics import (
     rdiv_int,
     rmul,
     rneg,
+    taylor_table,
     to_decimal,
     truncated_exp,
 )
@@ -352,7 +353,7 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
     exactly; the root is correctly rounded to p bits. Raises NoRootError
     when P has no sign change in (0, 1].
     """
-    beta = truncated_exp(r_mu, n_d, p)
+    beta = taylor_table(r_mu, n_d, p)[1]
     coeffs = [Fraction(-1), beta.to_fraction() - 1]
     coeffs += [Fraction(-1, math.factorial(i)) for i in range(2, n_d + 1)]
     what = (
@@ -386,17 +387,18 @@ def solve_schedule(p: int, n_d: int, n_d1: int, r_1: int, r_mu: int) -> StepSche
     """Solve the full schedule at precision p, once per process per key.
 
     times[1] = r_1; times[2..n_d+1] from the step-time equation with
-    alpha = 1/tr_{n_d1}(e^{-r_1}) (the gain step 1 actually realizes);
-    times[n_d+2] = r_mu; times[n_d+3] from the closing equation.
-    beta = tr_{n_d}(e^{r_mu}). A NoRootError is raised, not cached.
+    alpha = 1/tr_{n_d1}(e^{-r_1}) off the taylor_table entry step 1
+    divides by (the gain step 1 realizes); times[n_d+2] = r_mu;
+    times[n_d+3] from the closing equation. beta = tr_{n_d}(e^{r_mu}) is
+    the entry step n_d+2 reads. A NoRootError is raised, not cached.
     """
     r_1 = from_int(r_1, p)
-    alpha = rdiv(from_int(1, p), truncated_exp(rneg(r_1), n_d1, p), p)
+    alpha = rdiv(from_int(1, p), taylor_table(r_1, n_d1, p)[2], p)
     times = [None, r_1]
     for sp in range(2, n_d + 2):
         times.append(solve_r_sp(alpha, sp, n_d, p))
     r_mu = from_int(r_mu, p)
     times.append(r_mu)
     times.append(solve_r_mu_plus_1(r_mu, n_d, p))
-    beta = truncated_exp(r_mu, n_d, p)
+    beta = taylor_table(r_mu, n_d, p)[1]
     return StepSchedule(times=tuple(times), alpha=alpha, beta=beta)

@@ -161,6 +161,16 @@ def trunc_exp_fraction(x: Fraction, m: int) -> Fraction:
     return total
 
 
+def reference_truncated_exp(x, m: int, p: int):
+    """sum_{i=0..m} x^i/i! from the object-level primitives: the term
+    recurrence t_k = t_{k-1} x/k, each step rounded, added ascending."""
+    term = acc = from_int(1, p)
+    for k in range(1, m + 1):
+        term = rdiv_int(rmul(term, x, p), k, p)
+        acc = radd(acc, term, p)
+    return acc
+
+
 def exp_fraction(x: Fraction, terms: int = 300) -> Fraction:
     """e^x by series with enough terms to be an oracle for |x| <= 32."""
     return trunc_exp_fraction(x, terms)

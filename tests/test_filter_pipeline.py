@@ -9,7 +9,6 @@ import pytest
 from hamspec.filter_pipeline import (
     DegenerateScheduleError,
     _step,
-    decay_at,
     decay_series,
     filter_step,
     integrator_cascade,
@@ -28,11 +27,11 @@ from hamspec.numerics import (
     cfrom_int,
     cmul_int,
     const_series,
-    eval_factors,
     from_fraction,
     from_int,
     round_to,
     series_eval,
+    taylor_table,
     zero_series,
 )
 from hamspec.schedule import build_schedule, desk_profile, solve_schedule
@@ -300,12 +299,11 @@ class TestKernelBits:
 
 
 class TestStepCaches:
-    """eval_factors and decay_at are keyed by (value of r, m, p) and change
-    no bits of series_eval or filter_step."""
+    """taylor_table is keyed by (value of r, m, p) and changes no bits of
+    series_eval or filter_step."""
 
     def setup_method(self):
-        eval_factors.cache_clear()
-        decay_at.cache_clear()
+        taylor_table.cache_clear()
 
     def test_same_value_at_another_precision(self):
         p, m = 256, 16
@@ -318,6 +316,7 @@ class TestStepCaches:
         self.setup_method()
         cold_wide = (series_eval(u, wide).bits(), filter_step(u, wide, m, p).bits())
         assert cold == warm == cold_wide
+        assert taylor_table(narrow, m, p) is taylor_table(wide, m, p)  # one entry
 
     def test_key_includes_precision(self):
         m = 12
@@ -330,8 +329,10 @@ class TestStepCaches:
         self.setup_method()
         cold = series_eval(lo, r).bits(), filter_step(lo, r, m, 128).bits()
         assert after_512 == cold
-        assert {f.mantissa.bit_length() for f in eval_factors(r, m, 128)} == {128}
-        assert decay_at(r, m, 128).mantissa.bit_length() == 128
+        factors, up, down = taylor_table(r, m, 128)
+        assert {f.mantissa.bit_length() for f in factors} == {128}
+        assert up.mantissa.bit_length() == down.mantissa.bit_length() == 128
+        assert {f.mantissa.bit_length() for f in taylor_table(r, m, 512)[0]} == {512}
 
 
 class TestCascade:

@@ -6,10 +6,10 @@ from math import comb
 import pytest
 
 from hamspec import grid
-from hamspec.filter_pipeline import decay_at, run_pipeline
+from hamspec.filter_pipeline import run_pipeline
 from hamspec.graph import Graph, hamiltonian_frequency, vertex_numbers
 from hamspec.grid import grid_intermediate, grid_series
-from hamspec.numerics import cfrom_int, eval_factors, exp_series, series_add
+from hamspec.numerics import cfrom_int, exp_series, series_add, taylor_table
 from hamspec.schedule import build_schedule, desk_profile
 from hamspec.walk_oracle import oracle_series, walk_spectrum
 from conftest import FOUR_CLUSTER, _connected, complete_graph, cycle_graph, path_graph
@@ -240,8 +240,7 @@ class TestShift:
 
 def clear_step_caches():
     grid._powers.cache_clear()
-    eval_factors.cache_clear()
-    decay_at.cache_clear()
+    taylor_table.cache_clear()
 
 
 class TestDeterminism:

@@ -31,12 +31,18 @@ from hamspec.numerics import (
     series_from_text,
     series_mul,
     series_to_text,
+    taylor_table,
     to_decimal,
     to_hex,
     truncated_exp,
     zero_series,
 )
-from conftest import exp_fraction, round_nearest_even_fraction, trunc_exp_fraction
+from conftest import (
+    exp_fraction,
+    reference_truncated_exp,
+    round_nearest_even_fraction,
+    trunc_exp_fraction,
+)
 
 
 def rand_fraction(rng, mag=40):
@@ -438,3 +444,20 @@ class TestTruncatedExp:
                 term = term * abs(x) / i
                 peak = max(peak, term)
             assert abs(got - want) <= Fraction(2) ** (-p + 16) * peak
+
+    def test_table_invariants(self):
+        # both sums equal the object-level recurrence at x and at -x, and the
+        # factors at -x are (-1)^k times those at x, bit for bit
+        rng = random.Random(13)
+        for width in (8, 24, 53, 100, 256, 512):
+            for sign in (1, -1):
+                mant = sign * rng.randrange(1 << (width - 1), 1 << width)
+                x = PrecisionReal(mant, rng.randrange(-6, 5) - (width - 1))
+                for m in (0, 1, 8, 64):
+                    for p in (24, 53, 256):
+                        factors, up, down = taylor_table(x, m, p)
+                        assert up.bits() == reference_truncated_exp(x, m, p).bits()
+                        assert down.bits() == reference_truncated_exp(rneg(x), m, p).bits()
+                        flipped = [(rneg(f) if k & 1 else f).bits() for k, f in enumerate(factors)]
+                        assert [f.bits() for f in taylor_table(rneg(x), m, p)[0]] == flipped
+                        assert len(factors) == m + 1

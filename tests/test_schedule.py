@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from hamspec.numerics import from_fraction, from_int, pow2, to_decimal, to_hex, truncated_exp
+from hamspec.numerics import (
+    from_fraction,
+    from_int,
+    pow2,
+    rdiv,
+    taylor_table,
+    to_decimal,
+    to_hex,
+    truncated_exp,
+)
 from hamspec.schedule import (
     NoRootError,
     PipelineProfile,
@@ -239,6 +248,11 @@ class TestBuildSchedule:
         want = 1 / trunc_exp_fraction(Fraction(-16), 64)
         got = sched.alpha.to_fraction()
         assert abs(got - want) <= Fraction(2) ** -200 * want
+        # alpha and beta are the entries steps 1 and n_d+2 read
+        n_d, n_d1, p = prof.n_d, prof.n_d1, prof.p_2
+        decay = taylor_table(sched.times[1], n_d1, p)[2]
+        assert sched.alpha.bits() == rdiv(from_int(1, p), decay, p).bits()
+        assert sched.beta.bits() == taylor_table(sched.times[n_d + 2], n_d, p)[1].bits()
 
     def test_toy_profile(self):
         prof = PipelineProfile(n=3, n_d=6, n_d1=48, r_1=12, r_mu=2, c=2 ** 30)

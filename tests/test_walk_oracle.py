@@ -127,8 +127,9 @@ class TestCorpusInvariants:
             assert ok, witness
 
     def test_matrix_count_matches_enumeration(self, corpus):
-        for g in corpus:
+        for g in [*corpus, Graph(1, [])]:
             assert total_walks(g) == matrix_walk_count(g)
+        assert matrix_walk_count(Graph(1, [])) == 1
 
     @pytest.mark.parametrize("g", LARGE)
     def test_matrix_count_matches_enumeration_n6_7(self, g):
