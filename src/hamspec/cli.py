@@ -106,11 +106,14 @@ def _extraction_block(result: extraction.ExtractionResult) -> dict:
     }
 
 
-def _schedule_digest(sched: schedule.StepSchedule) -> dict:
+@functools.lru_cache(maxsize=8)
+def _schedule_digest(sched: schedule.StepSchedule) -> tuple:
+    """The schedule's (name, decimal string) pairs, rendered once per process
+    per schedule; each report makes its own dict of them."""
     d = {"alpha": to_decimal(sched.alpha), "beta": to_decimal(sched.beta)}
     for sp in range(1, len(sched.times)):
         d[f"r{sp}"] = to_decimal(sched.times[sp])
-    return d
+    return tuple(d.items())
 
 
 def _resolve_profile(args, n: int | None) -> PipelineProfile:
@@ -221,7 +224,7 @@ def run_experiment(
         n=g.n,
         edge_count=g.edge_count(),
         profile=profile,
-        schedule_digest=_schedule_digest(sched),
+        schedule_digest=dict(_schedule_digest(sched)),
         oracle=oracle_block,
         extraction={"error": "singular-system"} if result is None else _extraction_block(result),
         verdict=verdict,

@@ -12,8 +12,9 @@ exponent as in PrecisionReal. Every addition, product and quotient rounds
 through numerics' _add, _round and _round_quotient, in the order the
 object-level primitives would take, so the bits are theirs. _step pins
 only coefficients 0..keep, since the pin changes each coefficient on its
-own: run_pipeline keeps step 1's coefficients 0..n_d (all n_d1 + 1 when a
-dump callback asks for step 1's full output), and later steps keep all.
+own, and a cascade at degree n_d reads only u_0..u_{n_d-1}: run_pipeline
+keeps coefficients 0..n_d-1 in steps 1..n_d+2 and all of them in the last
+step, or in every step when a dump callback asks for the full output.
 A series is converted to raw coefficients once per pipeline and back once.
 """
 
@@ -49,15 +50,14 @@ class DegenerateScheduleError(ArithmeticError):
 
 def _cascade(coeffs: list, m: int, p: int) -> list:
     """integrator_cascade on raw coefficients: acc = u - acc, rounded as the
-    sum (-acc) + u; a zero u negates acc without rounding."""
+    sum (-acc) + u; a zero part of u negates acc's part without rounding."""
     acc = ZERO
     out = [acc]
     for um, ue, vm, ve in coeffs[:m]:
         am, ae, bm, be = acc
-        if um or vm:
-            acc = _add(-am, ae, um, ue, p) + _add(-bm, be, vm, ve, p)
-        else:
-            acc = (-am, ae, -bm, be)
+        acc = (_add(-am, ae, um, ue, p) if um else (-am, ae)) + (
+            _add(-bm, be, vm, ve, p) if vm else (-bm, be)
+        )
         out.append(acc)
     while len(out) <= m:  # u_d = 0 beyond the series
         am, ae, bm, be = out[-1]
@@ -118,27 +118,27 @@ def run_pipeline(
     dump=None,
 ) -> NormalizedSeries:
     """All steps 1..n_d+3. Step 1 runs at degree n_d1; its output is then
-    truncated (coefficients above n_d dropped, no re-rounding) and the
-    remaining steps run at degree n_d. `dump`, if given, is called with
-    (step_index, series) after every step; step 1's series has all n_d1 + 1
-    coefficients."""
+    truncated to coefficients 0..n_d-1, all that a cascade at degree n_d
+    reads, and the remaining steps run at degree n_d. `dump`, if given, is
+    called with (step_index, series) after every step; step 1's series has
+    all n_d1 + 1 coefficients."""
     n_d, n_d1, p = profile.n_d, profile.n_d1, profile.p_2
     if f_series.degree_bound != n_d1:
         raise ValueError(
             f"input series degree {f_series.degree_bound} != n_d1 {n_d1}"
         )
-    j = _step(_quads(f_series, p), sched.times[1], n_d1, p, n_d1 if dump else n_d)
+    j = _step(_quads(f_series, p), sched.times[1], n_d1, p, n_d1 if dump else n_d - 1)
     if dump:
         dump(1, _series(j, p))
-    j = j[: n_d + 1] + [ZERO] * (n_d + 1 - len(j))
-    return _series(_tail_steps(j, sched, n_d, p, dump), p)
+    return _series(_tail_steps(j[:n_d], sched, n_d, p, dump), p)
 
 
 def _tail_steps(coeffs: list, sched: StepSchedule, n_d: int, p: int, dump) -> list:
     """Steps 2..n_d+3 at degree n_d on raw coefficients that stand for step
     1's output; `dump` as in run_pipeline."""
     for sp in range(2, n_d + 4):
-        coeffs = _step(coeffs, sched.times[sp], n_d, p, n_d)
+        keep = n_d if dump or sp == n_d + 3 else n_d - 1
+        coeffs = _step(coeffs, sched.times[sp], n_d, p, keep)
         if dump:
             dump(sp, _series(coeffs, p))
     return coeffs

@@ -1,34 +1,28 @@
-"""Exact integer moments of the encoded series, by one of two routes.
+"""Exact integer moments of the encoded series, by one layered wavefront.
 
 Before rounding, every coefficient of the encoded series is an integer:
 coefficient k is i^k c^k S_k, with S_k = sum_W mult(W) (W - a_h)^k over
-the walk-numbers W of all n-walks (k = 0..n_d1), so the shared path
-frequency sits at zero and c scales the time axis. Two exact routes build
-the same S_k, and each output coefficient is rounded once, to p_1 bits,
-so the encoded series is the correctly rounded value of
-sum_W mult(W) (i c (W - a_h))^k at every size, whichever route ran.
+the walk-numbers W of all n-walks (k = 0..n_d1 = m), so the shared path
+frequency sits at zero and c scales the time axis. Each coefficient is
+rounded once, to p_1 bits: the encoded series is correctly rounded.
 
-The moment wavefront runs in polynomial time. Wire l at depth d holds
-M_k = sum of W^k over all d-walks ending at l, so its series sum e^{iWt}
-has coefficients i^k M_k. Depth 1 starts wire l at the powers of its
-vertex-number n^l; every further depth sums the neighbor wires and shifts
-by n^l, which on moments is the binomial convolution
-out_k = sum_j C(k,j) in_j (n^l)^(k-j). The final sum over wires is shifted
-by -a_h the same way. Each shift is Shaw and Traub's scaled Pascal
-triangle (JACM 1974): scale in_j by v^(m-j), run the add-only Pascal
-triangle, divide coefficient k exactly by v^(m-k). The n(n-1) shifts of
-m+1 integers cost about n(n-1) m^2 / 2 additions.
+Wire l at depth d stands for the d-walks ending at l. Depth 1 starts
+wire l at its vertex-number n^l; every further depth sums the neighbor
+wires and adds n^l to each walk-number, n^l - a_h at the last depth. Up
+to a switch depth d0, a wire is a sparse spectrum {W: count}; equal
+visit multisets give equal walk-numbers, so it has at most
+C(n+d-2, d-1) keys. At d0 every wire becomes its moments
+M_k = sum count W^k by power sums, and each later depth shifts the
+summed neighbor moments, out_k = sum_j C(k,j) in_j v^(k-j), by Shaw and
+Traub's scaled Pascal triangle (JACM 1974): about m^2 / 2 additions.
+With d0 = n no shift runs, and S_k are the power sums of the merged
+spectrum of at most C(2n-1, n) offsets W - a_h.
 
-The spectrum route runs the same wavefront on sparse spectra {W: count}:
-depth 1 is {n^l: 1}, every further depth merges the neighbor spectra and
-adds n^l to every key. S_k is then a power sum over the N distinct
-offsets W - a_h, about 2 N m operations. Equal visit multisets give equal
-walk-numbers, so N is at most the number of multisets of n visits to n
-vertices, C(2n-1, n). grid_series takes the spectrum route when that
-bound makes it the cheaper one, 4 C(2n-1, n) <= n(n-1) m, and the
-wavefront otherwise: at the desk degree m = 64, the spectrum for n <= 6
-and the wavefront from n = 7. The bound grows like 4^n while the
-wavefront is polynomial in n, so the wavefront is the route at scale.
+d0 minimizes one operation count: C(2n-1, n) m for d0 = n, and
+n C(n+d0-2, d0-1) m + (n-d0) n m^2 / 2 below it. The spectra grow like
+4^n and the shifts are polynomial in n, so at the desk degree m = 64,
+d0 = n for n <= 6 and d0 = 3 for n = 7 and 8. Every d0 gives the same
+integers, and none enumerates walks.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 from math import comb
-from operator import add, mul
+from operator import mul
 
 from .graph import Graph, hamiltonian_frequency, vertex_numbers
 from .numerics import R_ZERO, NormalizedSeries, PrecisionComplex, from_int
@@ -45,8 +39,8 @@ from .schedule import PipelineProfile
 
 @functools.lru_cache(maxsize=64)
 def _powers(v: int, m: int) -> tuple:
-    """(v^0, v^1, ..., v^m); v is a vertex-number or -a_h, so it depends
-    only on n, and m is n_d1."""
+    """(v^0, v^1, ..., v^m); v is a vertex-number n^l or n^l - a_h, so it
+    depends only on n, and m is n_d1."""
     out = [1]
     for _ in range(m):
         out.append(out[-1] * v)
@@ -56,7 +50,7 @@ def _powers(v: int, m: int) -> tuple:
 def _shift(moments: list, v: int) -> list:
     """Moments of the walk-numbers after adding v to each:
     out_k = sum_j C(k,j) moments_j v^(k-j), where v != 0 (a vertex-number
-    is >= n, and -a_h <= -1).
+    is >= n, and n^l - a_h <= -1).
 
     With y_j = moments_j v^(m-j), out_k v^(m-k) = sum_j C(k,j) y_j, and the
     add-only Pascal triangle forms those sums: the pass at i = m-1..0
@@ -70,28 +64,6 @@ def _shift(moments: list, v: int) -> list:
     return [a // b for a, b in zip(y, scale)]
 
 
-def _propagate(g: Graph, m: int, depth: int) -> list:
-    """Exact moment vectors M_0..M_m of each wire after `depth` layers."""
-    numbers = vertex_numbers(g.n)
-    wires = [_powers(v, m) for v in numbers]
-    for _ in range(2, depth + 1):
-        nxt = []
-        for l in range(1, g.n + 1):
-            incoming = [0] * (m + 1)
-            for j in g.neighbors(l):
-                incoming = list(map(add, incoming, wires[j - 1]))
-            nxt.append(_shift(incoming, numbers[l - 1]))
-        wires = nxt
-    return wires
-
-
-def _wavefront_moments(g: Graph, m: int) -> list:
-    """S_0..S_m by the moment wavefront: propagate to depth n, sum the
-    wires, shift by -a_h."""
-    total = [sum(col) for col in zip(*_propagate(g, m, g.n))]
-    return _shift(total, -hamiltonian_frequency(g))
-
-
 def _merged(spectra, v: int) -> dict:
     """Sum of the spectra {W: count}, with v added to every walk-number."""
     out = {}
@@ -101,31 +73,57 @@ def _merged(spectra, v: int) -> dict:
     return out
 
 
-def _spectrum(g: Graph) -> dict:
-    """Multiplicity of each walk-number over all n-walks, by the wavefront
-    on sparse spectra in place of moment vectors."""
-    numbers = vertex_numbers(g.n)
-    wires = [{v: 1} for v in numbers]
-    for _ in range(2, g.n + 1):
-        wires = [
-            _merged((wires[j - 1] for j in g.neighbors(l)), v)
-            for l, v in enumerate(numbers, start=1)
-        ]
-    return _merged(wires, 0)
-
-
-def _spectrum_moments(g: Graph, m: int) -> list:
-    """S_0..S_m as power sums over the walk-number spectrum: term_W
-    starts at mult(W) and gains a factor W - a_h per degree."""
-    spectrum = _spectrum(g)
-    a_h = hamiltonian_frequency(g)
-    offsets = [w - a_h for w in spectrum]
+def _power_sums(spectrum: dict, m: int) -> list:
+    """sum count W^k for k = 0..m: term_W starts at count and gains a
+    factor W per degree."""
+    keys = list(spectrum)
     terms = list(spectrum.values())
     sums = [sum(terms)]
     for _ in range(m):
-        terms = list(map(mul, terms, offsets))
+        terms = list(map(mul, terms, keys))
         sums.append(sum(terms))
     return sums
+
+
+@functools.lru_cache(maxsize=64)
+def _switch_depth(n: int, m: int) -> int:
+    """The d0 in 1..n with the fewest operations, the smallest on a tie."""
+
+    def cost(d):
+        if d == n:
+            return comb(2 * n - 1, n) * m
+        return n * comb(n + d - 2, d - 1) * m + (n - d) * n * m * m / 2
+
+    return min(range(1, n + 1), key=cost)
+
+
+def _wires(g: Graph, m: int, depth: int, d0: int, a_h: int = 0) -> list:
+    """The n wires at `depth`, with a_h taken from every walk-number at
+    that depth: spectra {W: count} when depth <= d0, else moment vectors
+    M_0..M_m, turned from spectra by power sums at d0 and shifted since."""
+    numbers = vertex_numbers(g.n)
+    last = [v - a_h for v in numbers]
+    wires = [{v: 1} for v in (last if depth == 1 else numbers)]
+    for d in range(2, depth + 1):
+        shifts = last if d == depth else numbers
+        if d == d0 + 1:
+            wires = [_power_sums(w, m) for w in wires]
+        ins = [[wires[j - 1] for j in g.neighbors(l)] for l in range(1, g.n + 1)]
+        if d <= d0:
+            wires = [_merged(w, v) for w, v in zip(ins, shifts)]
+        else:
+            zero = [0] * (m + 1)
+            wires = [_shift([sum(c) for c in zip(zero, *w)], v) for w, v in zip(ins, shifts)]
+    return wires
+
+
+def _moments(g: Graph, m: int, d0: int) -> list:
+    """S_0..S_m by the wavefront switching at d0; with d0 = n, one power
+    sum over the merged spectrum of offsets W - a_h."""
+    wires = _wires(g, m, g.n, d0, hamiltonian_frequency(g))
+    if d0 >= g.n:
+        return _power_sums(_merged(wires, 0), m)
+    return [sum(col) for col in zip(*wires)]
 
 
 def _round_moments(moments: list, c: int, p: int) -> NormalizedSeries:
@@ -140,27 +138,24 @@ def _round_moments(moments: list, c: int, p: int) -> NormalizedSeries:
 
 
 def grid_intermediate(g: Graph, profile: PipelineProfile, depth: int) -> list:
-    """The n wire series (unshifted, time unscaled) at a given depth, for
-    cross-checks and debugging."""
+    """The n wire series (unshifted, time unscaled) at a given depth, from
+    the same wavefront as grid_series, for cross-checks and debugging."""
     if not 1 <= depth <= g.n:
         raise ValueError(f"depth {depth} outside 1..{g.n}")
-    return [
-        _round_moments(w, 1, profile.p_1) for w in _propagate(g, profile.n_d1, depth)
-    ]
+    m = profile.n_d1
+    d0 = _switch_depth(g.n, m)
+    wires = _wires(g, m, depth, d0)
+    if depth <= d0:
+        wires = [_power_sums(w, m) for w in wires]
+    return [_round_moments(w, 1, profile.p_1) for w in wires]
 
 
 def grid_series(g: Graph, profile: PipelineProfile) -> NormalizedSeries:
-    """Encoded series at degree n_d1, precision p_1: the exact moments S_k
-    by the cheaper route for (n, n_d1), each rounded once with time scaled
-    by c."""
+    """Encoded series at degree n_d1, precision p_1: the exact moments S_k,
+    switching from spectra to shifts at the cheapest depth for (n, n_d1),
+    each rounded once with time scaled by c."""
     if profile.n != g.n:
         raise ValueError(f"profile n={profile.n} does not match graph n={g.n}")
     c = profile.require_c()
-    n, m = g.n, profile.n_d1
-    # ~2 N m operations for N <= C(2n-1, n) walk-numbers against the
-    # wavefront's ~n(n-1) m^2 / 2 additions
-    if 4 * comb(2 * n - 1, n) <= n * (n - 1) * m:
-        moments = _spectrum_moments(g, m)
-    else:
-        moments = _wavefront_moments(g, m)
-    return _round_moments(moments, c, profile.p_1)
+    m = profile.n_d1
+    return _round_moments(_moments(g, m, _switch_depth(g.n, m)), c, profile.p_1)

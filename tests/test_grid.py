@@ -1,4 +1,4 @@
-"""Both exact encoder routes versus each other and the enumeration oracle."""
+"""The encoder at every switch depth versus itself and the enumeration oracle."""
 
 import random
 from math import comb
@@ -99,15 +99,19 @@ ROUTE_GRAPHS.update(
 )
 
 
+DISPATCH = [(n, 64, n) for n in range(2, 7)] + [(7, 64, 3), (8, 64, 3), (6, 32, 3), (5, 8, 1)]
+
+
 class TestRoutes:
-    """The moment wavefront and the spectrum power sums give the same
-    exact integers S_k = sum_W mult(W) (W - a_h)^k."""
+    """Every switch depth d0 gives the same exact integers
+    S_k = sum_W mult(W) (W - a_h)^k."""
 
     @pytest.mark.parametrize("g", ROUTE_GRAPHS.values(), ids=ROUTE_GRAPHS.keys())
     def test_routes_agree_exactly(self, g):
         for m in (8, 32, 64):
-            got = grid._spectrum_moments(g, m)
-            assert got == grid._wavefront_moments(g, m), m
+            got = grid._moments(g, m, g.n)
+            for d0 in range(1, g.n):
+                assert grid._moments(g, m, d0) == got, (m, d0)
             if g.n <= 6:
                 a_h = hamiltonian_frequency(g)
                 spectrum = walk_spectrum(g)
@@ -115,19 +119,19 @@ class TestRoutes:
                 assert got == want, m
 
     @pytest.mark.parametrize(
-        "n, m, route",
-        [(n, 64, "spectrum") for n in range(2, 7)]
-        + [(7, 64, "wavefront"), (8, 64, "wavefront"), (6, 32, "wavefront")],
+        "n, m, d0",
+        DISPATCH,
+        ids=[f"{n}-{m}-{'spectrum' if d0 == n else 'wavefront'}" for n, m, d0 in DISPATCH],
     )
-    def test_dispatch(self, monkeypatch, n, m, route):
-        # 4 C(2n-1, n) <= n(n-1) m picks the spectrum; the other route's
-        # builder must never run
-        def refuse(*args):
-            raise AssertionError(f"{route} expected")
-
-        skipped = "_propagate" if route == "spectrum" else "_spectrum"
-        monkeypatch.setattr(grid, skipped, refuse)
+    def test_dispatch(self, monkeypatch, n, m, d0):
+        # the op-count model's choice, and one shift per wire per depth
+        # after it: 28 on K7 and none on K6 at the desk profile
+        assert grid._switch_depth(n, m) == d0
+        calls = []
+        shift = grid._shift
+        monkeypatch.setattr(grid, "_shift", lambda x, v: calls.append(v) or shift(x, v))
         grid_series(complete_graph(n), desk_profile(n, n_d1=m))
+        assert len(calls) == (n - d0) * n
 
 
 class TestIntermediates:
@@ -174,10 +178,13 @@ class TestIntermediates:
         from hamspec.numerics import cfrom_int, cmul, cadd, cmul_int
 
         g = FOUR_CLUSTER
-        prof = encode_profile(4, n_d1=16)
-        m, p = 16, prof.p_1
         nums = vertex_numbers(g.n)
-        for depth in (2, 3, 4):
+        # at n_d1 = 4 the wavefront switches at depth 1, so depths 2..4
+        # come from moment shifts rather than spectra
+        assert grid._switch_depth(4, 16) == 4 and grid._switch_depth(4, 4) == 1
+        for m, depth in ((16, 2), (16, 3), (16, 4), (4, 2), (4, 3), (4, 4)):
+            prof = encode_profile(4, n_d1=m)
+            p = prof.p_1
             walks = [[v] for v in range(1, g.n + 1)]
             for _ in range(depth - 1):
                 walks = [w + [x] for w in walks for x in g.neighbors(w[-1])]
