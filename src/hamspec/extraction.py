@@ -19,6 +19,7 @@ channel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +83,21 @@ def nearest_integer(x: PrecisionReal):
     return n, abs(frac - n)
 
 
+@functools.lru_cache(maxsize=8)
+def _system(phi01: PrecisionComplex, phi11: PrecisionComplex, sched: StepSchedule, p: int):
+    """(phi00, phi10, det) with system_columns(sched, p)'s constant column,
+    once per process per key; SingularSystemError is raised, not cached."""
+    (phi00, phi10), _ = system_columns(sched, p)
+    det = csub(cmul(phi00, phi11, p), cmul(phi10, phi01, p), p)
+    scale = rmax(rmax(csup(phi00), csup(phi10)), rmax(csup(phi01), csup(phi11)))
+    threshold = rmul(pow2(-(p // 2), p), scale, p)
+    if rcmp(csup(det), threshold) < 0:
+        raise SingularSystemError(
+            f"two-channel system determinant below 2^-{p // 2} of coefficient scale"
+        )
+    return phi00, phi10, det
+
+
 def extract_nh(
     o: NormalizedSeries,
     phi01: PrecisionComplex,
@@ -97,14 +113,7 @@ def extract_nh(
     system coefficient (run should be marked inconclusive).
     """
     c0, c1 = o.coeffs[0], o.coeffs[1]
-    (phi00, phi10), _ = system_columns(sched, p)
-    det = csub(cmul(phi00, phi11, p), cmul(phi10, phi01, p), p)
-    scale = rmax(rmax(csup(phi00), csup(phi10)), rmax(csup(phi01), csup(phi11)))
-    threshold = rmul(pow2(-(p // 2), p), scale, p)
-    if rcmp(csup(det), threshold) < 0:
-        raise SingularSystemError(
-            f"two-channel system determinant below 2^-{p // 2} of coefficient scale"
-        )
+    phi00, phi10, det = _system(phi01, phi11, sched, p)
     k0 = cdiv(csub(cmul(c0, phi11, p), cmul(phi01, c1, p), p), det, p)
     z1 = cdiv(csub(cmul(phi00, c1, p), cmul(phi10, c0, p), p), det, p)
     residual0 = csup(csub(cadd(cmul(phi00, k0, p), cmul(phi01, z1, p), p), c0, p))

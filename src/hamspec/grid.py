@@ -18,11 +18,16 @@ Traub's scaled Pascal triangle (JACM 1974): about m^2 / 2 additions.
 With d0 = n no shift runs, and S_k are the power sums of the merged
 spectrum of at most C(2n-1, n) offsets W - a_h.
 
-d0 minimizes one operation count: C(2n-1, n) m for d0 = n, and
-n C(n+d0-2, d0-1) m + (n-d0) n m^2 / 2 below it. The spectra grow like
-4^n and the shifts are polynomial in n, so at the desk degree m = 64,
-d0 = n for n <= 6 and d0 = 3 for n = 7 and 8. Every d0 gives the same
-integers, and none enumerates walks.
+For odd n = 2h - 1 the route may instead fold at depth h (meet in the
+middle; Horowitz and Sahni, JACM 1974): an n-walk splits in one way into
+two h-walks ending at the same l, so with A_l the moments of
+Y = 2W - n^l - a_h over those, S_k = 2^-k sum_l sum_j C(k,j) A_l,j A_l,k-j.
+
+The route (d0, fold) minimizes one operation count, C(2n-1, n) m for
+d0 = n, else n C(n+d0-2, d0-1) m plus m^2 / 2 per shift and m^2 per
+square. At the desk degree m = 64: d0 = n for n <= 6, d0 = 3 folded for
+n = 7 (7 shifts, 7 squares), d0 = 3 for n = 8 (40 shifts). Every route
+gives the same integers, and none enumerates walks.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from math import comb
 from operator import mul
 
 from .graph import Graph, hamiltonian_frequency, vertex_numbers
-from .numerics import R_ZERO, NormalizedSeries, PrecisionComplex, from_int
+from .numerics import R_ZERO, NormalizedSeries, PrecisionComplex, PrecisionReal, _round
 from .schedule import PipelineProfile
 
 
@@ -85,22 +90,43 @@ def _power_sums(spectrum: dict, m: int) -> list:
     return sums
 
 
+def _fold(wires: list, m: int) -> list:
+    """S_k = 2^-k sum_l sum_j C(k,j) A_l,j A_l,k-j for k = 0..m, wire l
+    holding A_l; the terms j and k-j are equal, so j runs to k/2."""
+    cols = list(zip(*wires))
+    return [
+        sum(
+            (2 - (2 * j == k)) * comb(k, j) * sum(map(mul, cols[j], cols[k - j]))
+            for j in range(k // 2 + 1)
+        )
+        >> k
+        for k in range(m + 1)
+    ]
+
+
 @functools.lru_cache(maxsize=64)
-def _switch_depth(n: int, m: int) -> int:
-    """The d0 in 1..n with the fewest operations, the smallest on a tie."""
+def _route(n: int, m: int) -> tuple:
+    """The (d0, fold) with the fewest operations, the first listed on a tie:
+    unfolded for d0 = 1..n, then folded (odd n) for d0 = 1..h-1."""
+    h = (n + 1) // 2
 
-    def cost(d):
-        if d == n:
+    def cost(route):
+        d0, fold = route
+        if d0 == n:
             return comb(2 * n - 1, n) * m
-        return n * comb(n + d - 2, d - 1) * m + (n - d) * n * m * m / 2
+        shifts = (h if fold else n) - d0 + 2 * fold  # a square costs two shifts
+        return n * comb(n + d0 - 2, d0 - 1) * m + shifts * n * m * m / 2
 
-    return min(range(1, n + 1), key=cost)
+    routes = [(d0, False) for d0 in range(1, n + 1)] + [(d0, True) for d0 in range(1, h) if n % 2]
+    return min(routes, key=cost)
 
 
-def _wires(g: Graph, m: int, depth: int, d0: int, a_h: int = 0) -> list:
+def _wires(g: Graph, m: int, depth: int, d0: int, a_h: int = 0, fold: bool = False) -> list:
     """The n wires at `depth`, with a_h taken from every walk-number at
     that depth: spectra {W: count} when depth <= d0, else moment vectors
-    M_0..M_m, turned from spectra by power sums at d0 and shifted since."""
+    M_0..M_m, turned from spectra by power sums at d0 and shifted since.
+    With `fold` (d0 < depth), the last depth doubles the summed neighbor
+    moments (M_k << k) before its shift: the moments of 2W - n^l - a_h."""
     numbers = vertex_numbers(g.n)
     last = [v - a_h for v in numbers]
     wires = [{v: 1} for v in (last if depth == 1 else numbers)]
@@ -111,39 +137,49 @@ def _wires(g: Graph, m: int, depth: int, d0: int, a_h: int = 0) -> list:
         ins = [[wires[j - 1] for j in g.neighbors(l)] for l in range(1, g.n + 1)]
         if d <= d0:
             wires = [_merged(w, v) for w, v in zip(ins, shifts)]
-        else:
-            zero = [0] * (m + 1)
-            wires = [_shift([sum(c) for c in zip(zero, *w)], v) for w, v in zip(ins, shifts)]
+            continue
+        zero = [0] * (m + 1)
+        sums = [[sum(c) for c in zip(zero, *w)] for w in ins]
+        if fold and d == depth:
+            sums = [[x << k for k, x in enumerate(s)] for s in sums]
+        wires = [_shift(s, v) for s, v in zip(sums, shifts)]
     return wires
 
 
-def _moments(g: Graph, m: int, d0: int) -> list:
-    """S_0..S_m by the wavefront switching at d0; with d0 = n, one power
-    sum over the merged spectrum of offsets W - a_h."""
-    wires = _wires(g, m, g.n, d0, hamiltonian_frequency(g))
+def _moments(g: Graph, m: int, d0: int, fold: bool = False) -> list:
+    """S_0..S_m by the wavefront switching at d0: with d0 = n, one power
+    sum over the merged spectrum of offsets W - a_h; with `fold` (odd n,
+    d0 < h), _fold of the wires at depth h."""
+    a_h = hamiltonian_frequency(g)
+    if fold:
+        return _fold(_wires(g, m, (g.n + 1) // 2, d0, a_h, fold=True), m)
+    wires = _wires(g, m, g.n, d0, a_h)
     if d0 >= g.n:
         return _power_sums(_merged(wires, 0), m)
     return [sum(col) for col in zip(*wires)]
 
 
 def _round_moments(moments: list, c: int, p: int) -> NormalizedSeries:
-    """Series with coefficient k = i^k c^k moments_k, each rounded once to p bits."""
+    """Series with coefficient k = i^k c^k moments_k, each rounded once to p
+    bits: with c = odd * 2^e, odd^k moments_k at exponent e*k."""
+    e = (c & -c).bit_length() - 1
+    odd = c >> e
     coeffs = []
-    ck = 1
+    ok = 1
     for k, s in enumerate(moments):
-        x = from_int(ck * s if k % 4 < 2 else -ck * s, p)
+        x = PrecisionReal(*_round(ok * s if k % 4 < 2 else -ok * s, e * k, p))
         coeffs.append(PrecisionComplex(x, R_ZERO) if k % 2 == 0 else PrecisionComplex(R_ZERO, x))
-        ck *= c
+        ok *= odd
     return NormalizedSeries(coeffs, p)
 
 
 def grid_intermediate(g: Graph, profile: PipelineProfile, depth: int) -> list:
-    """The n wire series (unshifted, time unscaled) at a given depth, from
-    the same wavefront as grid_series, for cross-checks and debugging."""
+    """The n wire series (unshifted, time unscaled) at a given depth, for
+    cross-checks and debugging: grid_series' wavefront, never folded."""
     if not 1 <= depth <= g.n:
         raise ValueError(f"depth {depth} outside 1..{g.n}")
     m = profile.n_d1
-    d0 = _switch_depth(g.n, m)
+    d0, _ = _route(g.n, m)
     wires = _wires(g, m, depth, d0)
     if depth <= d0:
         wires = [_power_sums(w, m) for w in wires]
@@ -158,4 +194,4 @@ def grid_series(g: Graph, profile: PipelineProfile) -> NormalizedSeries:
         raise ValueError(f"profile n={profile.n} does not match graph n={g.n}")
     c = profile.require_c()
     m = profile.n_d1
-    return _round_moments(_moments(g, m, _switch_depth(g.n, m)), c, profile.p_1)
+    return _round_moments(_moments(g, m, *_route(g.n, m)), c, profile.p_1)

@@ -356,6 +356,9 @@ class PrecisionComplex:
             return NotImplemented
         return rcmp(self.re, other.re) == 0 and rcmp(self.im, other.im) == 0
 
+    def __hash__(self):
+        return hash((self.re, self.im))
+
     def is_zero(self) -> bool:
         return not self.re.mantissa and not self.im.mantissa
 

@@ -363,8 +363,10 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
     return _smallest_root(coeffs, p, what)
 
 
+@functools.lru_cache(maxsize=64)
 def require_valid(profile: PipelineProfile) -> None:
-    """Raise ProfileError naming every constraint the profile fails."""
+    """Raise ProfileError naming every constraint the profile fails; a pass
+    is memoized per profile, a failure raises on every call."""
     constraints = validate_profile(profile)
     if not profile_ok(constraints):
         failed = ", ".join(c.name for c in constraints if not c.passed)
@@ -374,9 +376,9 @@ def require_valid(profile: PipelineProfile) -> None:
 def build_schedule(profile: PipelineProfile) -> StepSchedule:
     """Validate the profile, then return its schedule at precision p_2.
 
-    Validation runs on every call, since it depends on n and c; the solve
-    depends only on (p_2, n_d, n_d1, r_1, r_mu) and is shared through
-    solve_schedule's cache.
+    Validation depends on n and c as well, so it is memoized per profile;
+    the solve depends only on (p_2, n_d, n_d1, r_1, r_mu) and is shared
+    through solve_schedule's cache.
     """
     require_valid(profile)
     return solve_schedule(profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu)

@@ -1,4 +1,4 @@
-"""The encoder at every switch depth versus itself and the enumeration oracle."""
+"""The encoder on every route (switch depth, fold) versus itself and the enumeration oracle."""
 
 import random
 from math import comb
@@ -9,9 +9,9 @@ from hamspec import grid
 from hamspec.filter_pipeline import run_pipeline
 from hamspec.graph import Graph, hamiltonian_frequency, vertex_numbers
 from hamspec.grid import grid_intermediate, grid_series
-from hamspec.numerics import cfrom_int, exp_series, series_add, taylor_table
+from hamspec.numerics import cfrom_int, exp_series, from_int, series_add, taylor_table
 from hamspec.schedule import build_schedule, desk_profile
-from hamspec.walk_oracle import oracle_series, walk_spectrum
+from hamspec.walk_oracle import matrix_walk_count, oracle_series, walk_spectrum
 from conftest import FOUR_CLUSTER, _connected, complete_graph, cycle_graph, path_graph
 
 
@@ -96,42 +96,65 @@ ROUTE_GRAPHS.update(
     disconnected5=Graph(5, [(1, 2), (3, 4), (4, 5)]),
     K6=complete_graph(6),
     K7=complete_graph(7),
+    C7=cycle_graph(7),
+    P7=path_graph(7),
+    tree7=Graph(7, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)]),
 )
 
 
-DISPATCH = [(n, 64, n) for n in range(2, 7)] + [(7, 64, 3), (8, 64, 3), (6, 32, 3), (5, 8, 1)]
+def routes(n):
+    """Every (d0, fold) the encoder can take for n vertices."""
+    folded = [(d0, True) for d0 in range(1, (n + 1) // 2)] if n % 2 else []
+    return [(d0, False) for d0 in range(1, n + 1)] + folded
+
+
+DISPATCH = [(n, 64, (n, False)) for n in range(2, 7)] + [
+    (7, 64, (3, True)),
+    (7, 32, (2, True)),
+    (8, 64, (3, False)),
+    (6, 32, (3, False)),
+    (5, 8, (1, False)),
+]
 
 
 class TestRoutes:
-    """Every switch depth d0 gives the same exact integers
+    """Every route (d0, fold) gives the same exact integers
     S_k = sum_W mult(W) (W - a_h)^k."""
 
     @pytest.mark.parametrize("g", ROUTE_GRAPHS.values(), ids=ROUTE_GRAPHS.keys())
     def test_routes_agree_exactly(self, g):
+        # graphs with few walks (every n <= 6 one, and the sparse n = 7
+        # ones, where the fold runs) are also checked against enumeration
+        enumerable = matrix_walk_count(g) <= 20_000
+        if enumerable:
+            a_h = hamiltonian_frequency(g)
+            spectrum = walk_spectrum(g)
         for m in (8, 32, 64):
             got = grid._moments(g, m, g.n)
-            for d0 in range(1, g.n):
-                assert grid._moments(g, m, d0) == got, (m, d0)
-            if g.n <= 6:
-                a_h = hamiltonian_frequency(g)
-                spectrum = walk_spectrum(g)
+            for d0, fold in routes(g.n):
+                assert grid._moments(g, m, d0, fold) == got, (m, d0, fold)
+            if enumerable:
                 want = [sum(c * (w - a_h) ** k for w, c in spectrum.items()) for k in range(m + 1)]
                 assert got == want, m
 
     @pytest.mark.parametrize(
-        "n, m, d0",
+        "n, m, route",
         DISPATCH,
-        ids=[f"{n}-{m}-{'spectrum' if d0 == n else 'wavefront'}" for n, m, d0 in DISPATCH],
+        ids=[f"{n}-{m}-{'spectrum' if d0 == n else 'wavefront'}" for n, m, (d0, _) in DISPATCH],
     )
-    def test_dispatch(self, monkeypatch, n, m, d0):
-        # the op-count model's choice, and one shift per wire per depth
-        # after it: 28 on K7 and none on K6 at the desk profile
-        assert grid._switch_depth(n, m) == d0
-        calls = []
-        shift = grid._shift
-        monkeypatch.setattr(grid, "_shift", lambda x, v: calls.append(v) or shift(x, v))
+    def test_dispatch(self, monkeypatch, n, m, route):
+        # the op-count model's choice, one shift per wire per depth after
+        # d0 and one square per wire at the fold: 7 shifts and 7 squares
+        # on K7, none on K6 and 40 shifts on K8 at the desk profile
+        assert grid._route(n, m) == route
+        d0, fold = route
+        shifts, squares = [], []
+        shift, fold_wires = grid._shift, grid._fold
+        monkeypatch.setattr(grid, "_shift", lambda x, v: shifts.append(v) or shift(x, v))
+        monkeypatch.setattr(grid, "_fold", lambda w, m: squares.extend(w) or fold_wires(w, m))
         grid_series(complete_graph(n), desk_profile(n, n_d1=m))
-        assert len(calls) == (n - d0) * n
+        assert len(shifts) == (((n + 1) // 2 if fold else n) - d0) * n
+        assert len(squares) == (n if fold else 0)
 
 
 class TestIntermediates:
@@ -181,7 +204,7 @@ class TestIntermediates:
         nums = vertex_numbers(g.n)
         # at n_d1 = 4 the wavefront switches at depth 1, so depths 2..4
         # come from moment shifts rather than spectra
-        assert grid._switch_depth(4, 16) == 4 and grid._switch_depth(4, 4) == 1
+        assert grid._route(4, 16) == (4, False) and grid._route(4, 4) == (1, False)
         for m, depth in ((16, 2), (16, 3), (16, 4), (4, 2), (4, 3), (4, 4)):
             prof = encode_profile(4, n_d1=m)
             p = prof.p_1
@@ -243,6 +266,20 @@ class TestShift:
             signed = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(m + 1)]
             for x in (unsigned, signed):
                 assert grid._shift(x, v) == self.reference(x, v), (v, m)
+
+
+class TestRounding:
+    @pytest.mark.parametrize("c", [1, 3, 2**40, 3 * 2**5, 5**3])
+    def test_rounds_like_from_int(self, c):
+        # _round_moments rounds odd^k S_k at exponent e*k (c = odd * 2^e);
+        # the bits must be from_int(c^k S_k, p)'s, for k = 0..64
+        rng = random.Random(c)
+        moments = [0, 1, -1] + [rng.randrange(-(1 << 300), 1 << 300) for _ in range(62)]
+        for p in (8, 64, 512):
+            got = grid._round_moments(moments, c, p)
+            for k, (s, coeff) in enumerate(zip(moments, got.coeffs)):
+                x = from_int(c**k * s if k % 4 < 2 else -(c**k) * s, p)
+                assert (coeff.re if k % 2 == 0 else coeff.im).bits() == x.bits(), (k, p)
 
 
 def clear_step_caches():

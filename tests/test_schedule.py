@@ -298,9 +298,11 @@ class TestBuildSchedule:
 
     def test_validation_runs_on_a_cache_hit(self):
         build_schedule(desk_profile(4))
-        # same solve key, but c is too small: highfreq_transient_small fails
-        with pytest.raises(ProfileError, match="highfreq_transient_small"):
-            build_schedule(desk_profile(4, c=16))
+        # same solve key, but c is too small: highfreq_transient_small fails,
+        # on every call (validation memoizes passes only)
+        for _ in range(2):
+            with pytest.raises(ProfileError, match="highfreq_transient_small"):
+                build_schedule(desk_profile(4, c=16))
 
     def test_key_fields_change_the_times(self):
         base = build_schedule(desk_profile(4))
