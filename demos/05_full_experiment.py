@@ -50,9 +50,11 @@ with open(out_path, "w") as fh:
 print()
 print("record written to", os.path.normpath(out_path))
 print()
-print("reading the verdicts: every claim graph has non-path walks, whose")
-print("high-frequency coefficients grow to ~2^3000 under the desk scale factor.")
-print("The count reaches the solver swamped by their rounding, flagged")
-print("INCONCLUSIVE via the imaginary part or astronomically wrong (MISMATCH).")
-print("A graph with no non-path walks, the 2-path, recovers its count exactly")
-print("(criterion 7); see demo 04 for both mechanisms")
+print("reading the verdicts: `run` now reads k0 as the exact truncated")
+print("functional to ~2^-247 (tests/test_transfer.py), so what the verdicts show")
+print("is truncation error, not rounding error. At degree n_d - 2 = 6 the readout")
+print("is a polynomial in c*dW, and every non-path walk, ~2^40 out, lifts k0 to")
+print("~1e40-1e55: round_distance flags it (INCONCLUSIVE) when k0 is real, and")
+print("the imaginary flag when the odd moments leave an imaginary part. The")
+print("2-path, with no non-path walks, recovers its count exactly (criterion 7);")
+print("demo 04 shows the pin that used to bury k0 in rounding noise")

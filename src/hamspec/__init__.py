@@ -6,6 +6,7 @@ from .filter_pipeline import (
     DegenerateScheduleError,
     filter_step,
     integrator_cascade,
+    run_filter,
     run_pipeline,
     run_pseudo_steps,
 )

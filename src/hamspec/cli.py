@@ -156,6 +156,9 @@ def run_experiment(
     """validate -> oracle -> encode -> schedule -> filter -> pseudo-steps
     -> extract -> verdict.
 
+    The encoder stops at degree n_d - 2 and the filter is run_filter,
+    whose step 1 is unpinned: that is all k0 and z1 read.
+
     The profile is validated before any series work, so a profile that
     fails a constraint costs neither the oracle nor the encode; the
     schedule stage then only solves.
@@ -184,7 +187,7 @@ def run_experiment(
     if g.n <= oracle_limit:
         oracle_block = staged("oracle", lambda: _oracle_block(g, oracle_limit))
 
-    f_series = staged("encode", lambda: grid.grid_series(g, profile))
+    f_series = staged("encode", lambda: grid.grid_series(g, profile, profile.n_d - 2))
     sched = staged(
         "schedule",
         lambda: schedule.solve_schedule(
@@ -194,7 +197,7 @@ def run_experiment(
 
     dump = _step_dumper(dump_dir)
     o_series = staged(
-        "filter", lambda: filter_pipeline.run_pipeline(f_series, sched, profile, dump=dump)
+        "filter", lambda: filter_pipeline.run_filter(f_series, sched, profile, dump=dump)
     )
     phi01, phi11 = staged(
         "pseudo", lambda: filter_pipeline.run_pseudo_steps(sched, profile)
@@ -249,10 +252,16 @@ def _cmd_filter(args) -> int:
     with open(args.series) as fh:
         f_series = series_from_text(fh.read())
     profile = _resolve_profile(args, args.n)
+    if f_series.degree_bound != profile.n_d1:
+        raise StageError(
+            "filter",
+            ValueError(
+                f"input series degree {f_series.degree_bound} != n_d1 {profile.n_d1}: "
+                "filter takes an encoded series"
+            ),
+        )
     sched = schedule.build_schedule(profile)
-    out = filter_pipeline.run_pipeline(
-        f_series, sched, profile, dump=_step_dumper(args.dump_steps)
-    )
+    out = filter_pipeline.run_filter(f_series, sched, profile, dump=_step_dumper(args.dump_steps))
     _write_out(args, series_to_text(out))
     return 0
 
@@ -289,11 +298,34 @@ def _cmd_oracle(args) -> int:
 def _cmd_check_profile(args) -> int:
     profile = schedule.load_profile(args.profile, n=args.n)
     constraints = schedule.validate_profile(profile)
+    ok = schedule.profile_ok(constraints)
+    if ok:
+        constraints.append(_schedule_constraint(profile))
+        ok = constraints[-1].passed
     for c in constraints:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name} slack={c.slack:.6g} ({c.detail})")
-    print("profile", "OK" if schedule.profile_ok(constraints) else "INVALID")
+    print("profile", "OK" if ok else "INVALID")
     return 0
+
+
+def _schedule_constraint(profile: PipelineProfile) -> schedule.Constraint:
+    """Whether `run` gets past its schedule stage, decided as run decides
+    it. A profile without an integer c (a validation-only, full-scale one)
+    is refused unsolved, as run's encoder refuses it before the solve."""
+    if not profile.c:
+        return schedule.Constraint(
+            "schedule_solved", False, 0.0, "not solved: no integer c, so run refuses it"
+        )
+    try:
+        schedule.solve_schedule(
+            profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu
+        )
+    except schedule.NoRootError as exc:
+        return schedule.Constraint("schedule_solved", False, 0.0, str(exc))
+    return schedule.Constraint(
+        "schedule_solved", True, 0.0, f"{profile.n_d + 3} step times at p_2={profile.p_2}"
+    )
 
 
 def _cmd_run(args) -> int:

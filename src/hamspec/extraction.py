@@ -2,19 +2,24 @@
 
 The model: the filtered output's constant and linear coefficients (c0, c1)
 are written as k0 * (phi00, phi10) + z1 * (phi01, phi11). Both columns are
-responses of steps 2..n_d+3, solved by filter_pipeline.system_columns:
-(phi00, phi10) to 1 - alpha*e^{-t}, which is what step 1 makes of a unit
-constant, and (phi01, phi11) to a unit e^{-t}. k0 is the zero-frequency
-amplitude claim; z1 the decay amplitude entering step 2 beyond the
-constant's own companion.
+solved by filter_pipeline.system_columns: (phi00, phi10) is run_filter's
+output for a unit constant, which its unpinned step 1 makes 1 - e^{-t},
+and (phi01, phi11) is the response of steps 2..n_d+3 to a unit e^{-t}.
+k0 is the zero-frequency amplitude claim. z1 is the decay amplitude of
+run_filter's step-1 output beyond the constant's own companion; it is
+exactly 0 on the 2-path. Solved on the output of run_pipeline, the pinned
+reference, k0 is the same in exact arithmetic and z1 is larger by step
+1's pin amplitude A = -w/tr_{n_d1}(e^{-r_1}); the reference's pin,
+though, leaves its k0 to rounding.
 
-The two columns are nearly parallel (sine of the angle between them ~1e-11
-at the desk profile), so the constant column has to be what the cascade
-itself does to a constant. A closed form such as
-(1, -tr_{n_d}(e^{r_last})/r_last) misses it by a sine of ~1.5e-5, since
-step n_d+2 realizes a companion of 1/tr_{n_d}(e^{-r_mu}), not
-tr_{n_d}(e^{r_mu}); solved against it, the constant lands in the decay
-channel.
+The constant column has to be what the cascade itself does to a
+constant. With step 1 pinned, a unit constant left step 1 as
+1 - alpha*e^{-t} (alpha ~ 8.9e6 at the desk profile), and the two columns
+were nearly parallel (sine ~1.2e-11); unpinned, the sine is ~4.2e-3. A
+closed form for the pinned column, (1, -tr_{n_d}(e^{r_last})/r_last),
+missed it by a sine of ~1.5e-5, since step n_d+2 realizes a companion of
+1/tr_{n_d}(e^{-r_mu}), not tr_{n_d}(e^{r_mu}); solved against it, the
+constant landed in the decay channel.
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ def extract_nh(
     """Closed-form 2x2 solve; rounds Re(k0) to the nearest integer.
 
     The constant column (phi00, phi10) is system_columns(sched, p)'s
-    constant half, measured on 1 - alpha*e^{-t}. Raises
+    constant half, measured on 1 - e^{-t}, step 1's unpinned output for a
+    unit constant. Raises
     SingularSystemError when |det| falls below 2^(-p/2) times the largest
     system coefficient (run should be marked inconclusive).
     """

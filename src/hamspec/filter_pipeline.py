@@ -6,16 +6,27 @@ cascade out[d+1+i] += u[d] * (-1)^i; (2) evaluate the response at the
 step's time r, and add the multiple of e^{-t} that zeroes it there. The
 added term is a homogeneous solution, so the output still solves the ODE.
 
+Two paths run the steps. run_filter, the production path that `hamspec
+run` and `hamspec filter` take, leaves step 1 unpinned: step 1's pin adds
+A*e^{-t}, A = -w/tr_{n_d1}(e^{-r_1}), and on the coefficients 0..n_d-1 the
+tail reads that is exactly the decay column's input, so by linearity the
+pin moves only the decay amplitude z1, never k0. Step 1 is then the bare
+cascade of u_0..u_{n_d-2}, truncated to the n_d coefficients the tail
+reads. run_pipeline is the paper-literal pinned reference: step 1 at
+degree n_d1 with its pin, whose ~2^3000 terms cancel and leave k0 to
+rounding. Both run steps 2..n_d+3 through _tail_steps.
+
 Every step runs in one kernel, _step, on raw coefficients: a list of
 (re_m, re_e, im_m, im_e) integer tuples, each part a p-bit mantissa and
 exponent as in PrecisionReal. Every addition, product and quotient rounds
 through numerics' _add, _round and _round_quotient, in the order the
 object-level primitives would take, so the bits are theirs. _step pins
 only coefficients 0..keep, since the pin changes each coefficient on its
-own, and a cascade at degree n_d reads only u_0..u_{n_d-1}: run_pipeline
-keeps coefficients 0..n_d-1 in steps 1..n_d+2 and all of them in the last
-step, or in every step when a dump callback asks for the full output.
-A series is converted to raw coefficients once per pipeline and back once.
+own, and a cascade at degree n_d reads only u_0..u_{n_d-1}: the tail
+keeps coefficients 0..n_d-1 in steps 2..n_d+2 and all of them in the last
+step, and run_pipeline keeps 0..n_d-1 of step 1, or every coefficient of
+every step when a dump callback asks for the full output. A series is
+converted to raw coefficients once per pipeline and back once.
 """
 
 from __future__ import annotations
@@ -31,12 +42,11 @@ from .numerics import (
     _complex,
     _eval,
     _quads,
+    _round,
     _round_quotient,
     _series,
     from_int,
     rneg,
-    round_to,
-    rsub,
     taylor_table,
 )
 from .schedule import PipelineProfile, StepSchedule
@@ -111,17 +121,50 @@ def filter_step(
     return _series(_step(_quads(series, p), r_sp, m, p, m), p)
 
 
+def run_filter(
+    u_series: NormalizedSeries,
+    sched: StepSchedule,
+    profile: PipelineProfile,
+    dump=None,
+) -> NormalizedSeries:
+    """The production path, steps 1..n_d+3 without step 1's pin.
+
+    Step 1 is the bare cascade of u_0..u_{n_d-2}, truncated to its n_d
+    coefficients 0..n_d-1, all that the cascade of step 2 reads; the
+    series may have any degree from n_d - 2 up, and grid_series gives it
+    at n_d - 2. The pin it leaves out would add A*e^{-t}, which the tail
+    carries into the decay column alone, so k0 is the pinned reference's
+    in exact arithmetic and z1 is the pinned z1 less A. `dump`, if given,
+    is called with (step_index, series) after every step; step 1's series
+    has n_d coefficients."""
+    n_d, p = profile.n_d, profile.p_2
+    if u_series.degree_bound < n_d - 2:
+        raise ValueError(
+            f"input series degree {u_series.degree_bound} < n_d - 2 = {n_d - 2}"
+        )
+    return _series(_unpinned(_quads(u_series.truncate(n_d - 2), p), sched, n_d, p, dump), p)
+
+
+def _unpinned(coeffs: list, sched: StepSchedule, n_d: int, p: int, dump) -> list:
+    """run_filter on raw coefficients u_0..u_{n_d-2}."""
+    j = _cascade(coeffs, n_d - 1, p)
+    if dump:
+        dump(1, _series(j, p))
+    return _tail_steps(j, sched, n_d, p, dump)
+
+
 def run_pipeline(
     f_series: NormalizedSeries,
     sched: StepSchedule,
     profile: PipelineProfile,
     dump=None,
 ) -> NormalizedSeries:
-    """All steps 1..n_d+3. Step 1 runs at degree n_d1; its output is then
-    truncated to coefficients 0..n_d-1, all that a cascade at degree n_d
-    reads, and the remaining steps run at degree n_d. `dump`, if given, is
-    called with (step_index, series) after every step; step 1's series has
-    all n_d1 + 1 coefficients."""
+    """The paper-literal pinned reference, steps 1..n_d+3. Step 1 runs at
+    degree n_d1 with its pin; its output is then truncated to coefficients
+    0..n_d-1, all that a cascade at degree n_d reads, and the remaining
+    steps run at degree n_d. `dump`, if given, is called with
+    (step_index, series) after every step; step 1's series has all
+    n_d1 + 1 coefficients. run_filter is the production path."""
     n_d, n_d1, p = profile.n_d, profile.n_d1, profile.p_2
     if f_series.degree_bound != n_d1:
         raise ValueError(
@@ -163,19 +206,12 @@ def run_pseudo_steps(sched: StepSchedule, profile: PipelineProfile):
 def system_columns(sched: StepSchedule, p: int):
     """Both columns of the extraction's two-channel system,
     ((phi00, phi10), (phi01, phi11)): the constant and linear coefficients
-    of what steps 2..n_d+3 at degree n_d make of 1 - alpha*e^{-t} (step 1's
-    output for a unit constant) and of e^{-t}. n_d = step_count - 3.
-    Solved once per process per (schedule, p); a DegenerateScheduleError
-    is raised, not cached."""
+    of run_filter's output for a unit constant, whose step 1 makes it
+    1 - e^{-t}, and of what steps 2..n_d+3 make of e^{-t}.
+    n_d = step_count - 3. Solved once per process per (schedule, p); a
+    DegenerateScheduleError is raised, not cached."""
     n_d = sched.step_count - 3
-    alpha = round_to(sched.alpha, p)
-    neg_alpha = rneg(alpha)
-    constant = [PrecisionComplex(rsub(from_int(1, p), alpha, p), R_ZERO)]
-    constant += [
-        PrecisionComplex(alpha if k % 2 else neg_alpha, R_ZERO) for k in range(1, n_d + 1)
-    ]
-    columns = []
-    for series in (NormalizedSeries(constant, p), decay_series(n_d, p)):
-        j = _tail_steps(_quads(series, p), sched, n_d, p, None)
-        columns.append((_complex(j[0]), _complex(j[1])))
-    return tuple(columns)
+    unit = [_round(1, 0, p) + (0, 0)]
+    constant = _unpinned(unit, sched, n_d, p, None)
+    decay = _tail_steps(_quads(decay_series(n_d, p), p), sched, n_d, p, None)
+    return tuple((_complex(j[0]), _complex(j[1])) for j in (constant, decay))

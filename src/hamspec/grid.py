@@ -24,10 +24,15 @@ two h-walks ending at the same l, so with A_l the moments of
 Y = 2W - n^l - a_h over those, S_k = 2^-k sum_l sum_j C(k,j) A_l,j A_l,k-j.
 
 The route (d0, fold) minimizes one operation count, C(2n-1, n) m for
-d0 = n, else n C(n+d0-2, d0-1) m plus m^2 / 2 per shift and m^2 per
-square. At the desk degree m = 64: d0 = n for n <= 6, d0 = 3 folded for
-n = 7 (7 shifts, 7 squares), d0 = 3 for n = 8 (40 shifts). Every route
-gives the same integers, and none enumerates walks.
+d0 = n, else n C(n+d0-2, d0-1) m plus m^2 / 2 + 40 per shift and m^2 per
+square. The 40 prices a shift's fixed cost per call (its passes, slices
+and divisions), which dominates at small m: a shift took 5.3 us at m = 6
+and 392 us at m = 64, and a square 0.56x and ~2x a shift (timeit, 2-vCPU
+x86). At the desk degree m = 64: d0 = n for n <= 6, d0 = 3 folded for
+n = 7 (7 shifts, 7 squares), d0 = 3 for n = 8 (40 shifts). At m = 6,
+the degree `hamspec run` encodes at (n_d - 2): d0 = n for n <= 4, d0 = 2
+folded for n = 5 and 7, d0 = 2 for n = 6 and 8. Every route gives the
+same integers, and none enumerates walks.
 """
 
 from __future__ import annotations
@@ -114,8 +119,8 @@ def _route(n: int, m: int) -> tuple:
         d0, fold = route
         if d0 == n:
             return comb(2 * n - 1, n) * m
-        shifts = (h if fold else n) - d0 + 2 * fold  # a square costs two shifts
-        return n * comb(n + d0 - 2, d0 - 1) * m + shifts * n * m * m / 2
+        shifts = (h if fold else n) - d0
+        return n * comb(n + d0 - 2, d0 - 1) * m + n * (shifts * (m * m / 2 + 40) + fold * m * m)
 
     routes = [(d0, False) for d0 in range(1, n + 1)] + [(d0, True) for d0 in range(1, h) if n % 2]
     return min(routes, key=cost)
@@ -186,12 +191,15 @@ def grid_intermediate(g: Graph, profile: PipelineProfile, depth: int) -> list:
     return [_round_moments(w, 1, profile.p_1) for w in wires]
 
 
-def grid_series(g: Graph, profile: PipelineProfile) -> NormalizedSeries:
-    """Encoded series at degree n_d1, precision p_1: the exact moments S_k,
-    switching from spectra to shifts at the cheapest depth for (n, n_d1),
-    each rounded once with time scaled by c."""
+def grid_series(g: Graph, profile: PipelineProfile, m: int | None = None) -> NormalizedSeries:
+    """Encoded series at degree m (default n_d1), precision p_1: the exact
+    moments S_0..S_m, switching from spectra to shifts at the cheapest
+    depth for (n, m), each rounded once with time scaled by c. Coefficient
+    k does not depend on m, so a lower degree gives the head of the
+    series; `hamspec run` asks for n_d - 2, all that run_filter reads."""
     if profile.n != g.n:
         raise ValueError(f"profile n={profile.n} does not match graph n={g.n}")
     c = profile.require_c()
-    m = profile.n_d1
+    if m is None:
+        m = profile.n_d1
     return _round_moments(_moments(g, m, *_route(g.n, m)), c, profile.p_1)

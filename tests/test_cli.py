@@ -9,14 +9,14 @@ import pytest
 
 from hamspec import cli, grid, schedule, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
+from hamspec.filter_pipeline import integrator_cascade
 from hamspec.graph import load_graph
 from hamspec.numerics import series_from_text, series_to_text
-from hamspec.schedule import build_schedule, desk_profile, full_scale_profile, profile_to_text
-from conftest import complete_graph, reference_step
+from hamspec.schedule import desk_profile, full_scale_profile, profile_to_text
+from conftest import complete_graph
 
 P2 = "n 2\ne 1 2\n"
 FOUR_CLUSTER = "n 4\ne 1 2\ne 1 3\ne 2 3\ne 1 4\ne 4 3\n"
-C4 = "n 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
@@ -68,22 +68,21 @@ class TestFilterPseudoExtract:
         assert fields["n_h_rounded"] == "2"
         assert fields["flags"] == "none"
 
-    def test_extract_prints_the_run_extraction_block(self, files, capsys):
-        # c4 has non-path walks, so z1 != 0 and a wrong decay column shows;
-        # on the 2-path z1 = 0
-        tmp, g2, _, prof = files
-        c4 = tmp / "c4.graph"
-        c4.write_text(C4)
-        for graph, n in ((g2, "2"), (c4, "4")):
-            enc, flt = tmp / f"{n}.series", tmp / f"{n}.out.series"
-            run_cli(capsys, "encode", str(graph), "--profile", str(prof), "--out", str(enc))
-            run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", n, "--out", str(flt))
-            code, stdout, _ = run_cli(capsys, "extract", str(flt), "--profile", str(prof), "--n", n)
-            assert code == 0
-            report = json.loads(
-                run_cli(capsys, "run", str(graph), "--profile", str(prof), "--json", "--no-timings")[1]
-            )
-            assert stdout.splitlines() == [f"{k}={v}" for k, v in report["extraction"].items()]
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GRAPHS.glob("*.graph")))
+    def test_extract_prints_the_run_extraction_block(self, tmp_path, capsys, name):
+        # encode -> filter -> extract through files is run's own path: the
+        # filter reads the head of the degree-n_d1 encoded series that run
+        # encodes at degree n_d - 2. Graphs with non-path walks have z1 != 0,
+        # so a wrong decay column shows; on the 2-path z1 = 0
+        graph = GRAPHS / f"{name}.graph"
+        n = str(load_graph(str(graph)).n)
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        assert run_cli(capsys, "encode", str(graph), "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--n", n, "--out", str(flt))[0] == 0
+        code, stdout, _ = run_cli(capsys, "extract", str(flt), "--n", n)
+        assert code == 0
+        report = json.loads(run_cli(capsys, "run", str(graph), "--json", "--no-timings")[1])
+        assert stdout.splitlines() == [f"{k}={v}" for k, v in report["extraction"].items()]
 
     def test_dump_steps(self, files, capsys):
         tmp, g2, _, prof = files
@@ -99,8 +98,8 @@ class TestFilterPseudoExtract:
         assert names[0] == "step_001.series" and len(names) == 11
 
     def test_dump_steps_writes_step_one_in_full(self, tmp_path, capsys):
-        # run_pipeline pins only the n_d + 1 coefficients it keeps, but the
-        # step 1 dump holds all n_d1 + 1, as the object-level step writes them
+        # step 1 is the bare cascade of u_0..u_{n_d-2}: its full output is
+        # the n_d coefficients 0..n_d-1 that step 2 reads, with no pin
         enc, flt, dump = tmp_path / "f.series", tmp_path / "o.series", tmp_path / "steps"
         assert run_cli(capsys, "encode", str(GRAPHS / "c5.graph"), "--out", str(enc))[0] == 0
         code, _, _ = run_cli(
@@ -108,12 +107,22 @@ class TestFilterPseudoExtract:
         )
         assert code == 0
         text = (dump / "step_001.series").read_text()
-        assert len(text.splitlines()) == 1 + 65
         prof = desk_profile(5)
-        f = series_from_text(enc.read_text())
-        want = reference_step(f, build_schedule(prof).times[1], prof.n_d1, prof.p_2)
-        assert text == series_to_text(want)
+        assert len(text.splitlines()) == 1 + prof.n_d
+        f = series_from_text(enc.read_text()).reround(prof.p_2)
+        assert text == series_to_text(integrator_cascade(f, prof.n_d - 1))
         assert (dump / "step_011.series").read_text() == flt.read_text()
+
+    def test_filter_refuses_a_series_below_the_encoded_degree(self, tmp_path, capsys):
+        # the file contract is the encoder's degree n_d1; run's own shorter
+        # encode (degree n_d - 2) is not a filter input
+        enc = tmp_path / "f.series"
+        assert run_cli(capsys, "encode", str(GRAPHS / "c4.graph"), "--out", str(enc))[0] == 0
+        head = grid.grid_series(load_graph(str(GRAPHS / "c4.graph")), desk_profile(4), 6)
+        enc.write_text(series_to_text(head))
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--n", "4")
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: [filter] input series degree 6 != n_d1 64")
 
     def test_extract_rejects_unfiltered_series(self, files, capsys):
         tmp, g2, _, prof = files
@@ -135,14 +144,31 @@ class TestFilterPseudoExtract:
 
 class TestProfileRefusals:
     def test_run_names_the_step_without_a_root(self, files, capsys):
-        # r_1 = 24 passes the validator, but step 5's equation has no root
+        # r_1 = 24 passes every log2-domain constraint, but step 5's
+        # equation has no root: check-profile solves the schedule as run
+        # does and says so
         tmp, g2, _, prof = files
         bad = tmp / "r24.profile"
         bad.write_text(prof.read_text().replace("r_1=16", "r_1=24"))
-        assert run_cli(capsys, "check-profile", str(bad), "--n", "2")[1].endswith("profile OK\n")
+        lines = run_cli(capsys, "check-profile", str(bad), "--n", "2")[1].splitlines()
+        assert lines[-1] == "profile INVALID"
+        assert lines[-2].startswith("FAIL schedule_solved") and "step 5" in lines[-2]
+        assert all(line.startswith("PASS") for line in lines[:-2])
         code, stdout, err = run_cli(capsys, "run", str(g2), "--profile", str(bad))
         assert code == 1 and stdout == ""
         assert "[schedule]" in err and "step 5" in err
+
+    def test_check_profile_refuses_a_full_scale_profile_unsolved(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("schedule solve started")
+
+        monkeypatch.setattr(schedule, "solve_schedule", refuse)
+        full = tmp_path / "full.profile"
+        full.write_text(profile_to_text(full_scale_profile(4)))
+        code, stdout, _ = run_cli(capsys, "check-profile", str(full))
+        lines = stdout.splitlines()
+        assert code == 0 and lines[-1] == "profile INVALID"
+        assert lines[-2].startswith("FAIL schedule_solved") and "no integer c" in lines[-2]
 
     @pytest.mark.parametrize("key", ["p_1", "p_2"])
     @pytest.mark.parametrize("command", ["encode", "run"])
@@ -236,6 +262,7 @@ class TestCheckProfile:
         assert code == 0
         assert "profile OK" in stdout
         assert stdout.count("PASS") >= 7
+        assert "PASS schedule_solved" in stdout
 
     def test_broken_names_constraint(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.profile"

@@ -11,7 +11,7 @@ from hamspec.extraction import (
     extract_nh,
     nearest_integer,
 )
-from hamspec.filter_pipeline import run_pipeline, run_pseudo_steps
+from hamspec.filter_pipeline import run_filter, run_pipeline, run_pseudo_steps
 from hamspec.grid import grid_series
 from hamspec.numerics import (
     PrecisionComplex,
@@ -30,8 +30,8 @@ from conftest import path_graph, trunc_exp_fraction
 def p2_run():
     prof = desk_profile(2)
     sched = build_schedule(prof)
-    f = grid_series(path_graph(2), prof)
-    o = run_pipeline(f, sched, prof)
+    f = grid_series(path_graph(2), prof, prof.n_d - 2)
+    o = run_filter(f, sched, prof)
     phi01, phi11 = run_pseudo_steps(sched, prof)
     return prof, sched, o, phi01, phi11
 
@@ -88,32 +88,38 @@ class TestExtract:
         assert res.residual1.to_fraction() <= bound
 
     def test_constant_flow_lands_in_decay_channel(self, p2_run):
-        # step 1 turns the constant 2 into 2 - 2*alpha*e^{-t}; its decay
-        # companion is part of the measured constant column, so none of the
-        # constant flow lands in the decay channel: k0 = 2 and z1 ~ 0
+        # step 1 turns the constant 2 into 2 - 2*e^{-t}, exactly twice the
+        # constant column's input, so none of the constant flow lands in the
+        # decay channel: k0 = 2 and z1 = 0 exactly. The pinned reference
+        # adds A*e^{-t} at step 1, A = 2(1 - alpha), which lands wholly in z1
         prof, sched, o, phi01, phi11 = p2_run
         res = extract_nh(o, phi01, phi11, sched, prof.p_2)
-        alpha = 1 / trunc_exp_fraction(Fraction(-16), prof.n_d1)
-        tol = Fraction(2) ** -100
-        assert abs(res.k0.re.to_fraction() - 2) <= tol * 2
-        assert res.k0.im.is_zero()
-        assert abs(res.z1.re.to_fraction()) <= tol * 2 * alpha
+        assert res.k0.to_fractions() == (2, 0) and res.z1.is_zero()
         assert res.n_h_rounded == 2
         assert res.flags == ()
+        pinned = run_pipeline(grid_series(path_graph(2), prof), sched, prof)
+        ref = extract_nh(pinned, phi01, phi11, sched, prof.p_2)
+        alpha = 1 / trunc_exp_fraction(Fraction(-prof.r_1), prof.n_d1)
+        tol = Fraction(2) ** -100
+        assert abs(ref.k0.re.to_fraction() - 2) <= tol * 2
+        assert abs(ref.z1.re.to_fraction() - 2 * (1 - alpha)) <= tol * 2 * alpha
 
     def test_model_column_values(self, p2_run):
-        # (phi00, phi10) is the response of steps 2..n_d+3 to 1 - alpha*e^{-t};
-        # replay those steps in exact rationals at the schedule's times
+        # (phi00, phi10) is the response of steps 2..n_d+3 to 1 - e^{-t},
+        # step 1's unpinned output for a unit constant; (phi01, phi11) the
+        # response to e^{-t}. Replay those steps in exact rationals at the
+        # schedule's times
         prof, sched, o, phi01, phi11 = p2_run
         res = extract_nh(o, phi01, phi11, sched, prof.p_2)
         n_d = prof.n_d
-        alpha = 1 / trunc_exp_fraction(Fraction(-prof.r_1), prof.n_d1)
-        u = [1 - alpha] + [alpha * (-1) ** (k + 1) for k in range(1, n_d + 1)]
-        for sp in range(2, n_d + 4):
-            u = _fraction_filter_step(u, sched.times[sp].to_fraction(), n_d)
-        for got, want in ((res.phi00, u[0]), (res.phi10, u[1])):
-            assert got.im.is_zero()
-            assert abs(got.re.to_fraction() - want) <= Fraction(2) ** -100 * abs(want)
+        constant = [Fraction(0)] + [Fraction((-1) ** (k - 1)) for k in range(1, n_d + 1)]
+        decay = [Fraction((-1) ** k) for k in range(n_d + 1)]
+        for u, column in ((constant, (res.phi00, res.phi10)), (decay, (res.phi01, res.phi11))):
+            for sp in range(2, n_d + 4):
+                u = _fraction_filter_step(u, sched.times[sp].to_fraction(), n_d)
+            for got, want in zip(column, u):
+                assert got.im.is_zero()
+                assert abs(got.re.to_fraction() - want) <= Fraction(2) ** -100 * abs(want)
 
     def test_deterministic(self, p2_run):
         prof, sched, o, phi01, phi11 = p2_run

@@ -12,8 +12,10 @@ from hamspec.filter_pipeline import (
     decay_series,
     filter_step,
     integrator_cascade,
+    run_filter,
     run_pipeline,
     run_pseudo_steps,
+    system_columns,
 )
 from hamspec.grid import grid_series
 from hamspec.numerics import (
@@ -26,6 +28,7 @@ from hamspec.numerics import (
     cadd,
     cfrom_int,
     cmul_int,
+    cone,
     const_series,
     from_fraction,
     from_int,
@@ -434,6 +437,57 @@ class TestPipeline:
             dump=lambda sp, s: last.__setitem__("series", s),
         )
         assert out.bits() == last["series"].bits()
+
+
+class TestProductionPath:
+    """run_filter: step 1 is the bare cascade of u_0..u_{n_d-2}, truncated to
+    coefficients 0..n_d-1, then steps 2..n_d+3 as in run_pipeline."""
+
+    @staticmethod
+    def reference(f, sched, prof):
+        p, n_d = prof.p_2, prof.n_d
+        j = ascending_cascade(f.reround(p).truncate(n_d - 2), n_d - 1)
+        for sp in range(2, n_d + 4):
+            j = reference_step(j, sched.times[sp], n_d, p)
+        return j
+
+    @pytest.mark.parametrize("p_2", [53, 256])
+    def test_matches_reference(self, p_2):
+        rng = random.Random(p_2)
+        for g in (cycle_graph(5), complete_graph(4)):
+            prof = desk_profile(g.n, p_2=p_2)
+            sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
+            head = grid_series(g, prof, prof.n_d - 2)
+            for f in (head, edge_series(rng, prof.n_d - 2, prof.p_1)):
+                assert run_filter(f, sched, prof).bits() == self.reference(f, sched, prof).bits()
+            # the encoded file's degree n_d1: only its head is read
+            assert run_filter(grid_series(g, prof), sched, prof).bits() == run_filter(head, sched, prof).bits()
+
+    def test_rejects_a_series_below_n_d_minus_2(self):
+        prof = desk_profile(4)
+        sched = build_schedule(prof)
+        run_filter(zero_series(prof.n_d - 2, prof.p_2), sched, prof)
+        with pytest.raises(ValueError, match="n_d - 2"):
+            run_filter(zero_series(prof.n_d - 3, prof.p_2), sched, prof)
+
+    def test_dump_keeps_bits_and_holds_n_d_coefficients_at_step_one(self):
+        prof = desk_profile(5)
+        sched = build_schedule(prof)
+        f = grid_series(cycle_graph(5), prof, prof.n_d - 2)
+        got = {}
+        out = run_filter(f, sched, prof, dump=got.__setitem__)
+        assert out.bits() == run_filter(f, sched, prof).bits()
+        assert sorted(got) == list(range(1, prof.n_d + 4))
+        assert got[1].bits() == integrator_cascade(f.reround(prof.p_2), prof.n_d - 1).bits()
+        assert all(got[sp].degree_bound == prof.n_d for sp in range(2, prof.n_d + 4))
+        assert got[prof.n_d + 3].bits() == out.bits()
+
+    def test_constant_column_is_the_response_to_a_unit_constant(self):
+        prof = desk_profile(4)
+        sched = build_schedule(prof)
+        o = run_filter(const_series(cone(prof.p_2), prof.n_d - 2, prof.p_2), sched, prof)
+        (phi00, phi10), _ = system_columns(sched, prof.p_2)
+        assert (phi00, phi10) == o.coeffs[:2]
 
 
 class TestPseudoSteps:

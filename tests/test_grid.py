@@ -113,7 +113,15 @@ DISPATCH = [(n, 64, (n, False)) for n in range(2, 7)] + [
     (7, 32, (2, True)),
     (8, 64, (3, False)),
     (6, 32, (3, False)),
-    (5, 8, (1, False)),
+    (5, 8, (2, True)),
+]
+# m = n_d - 2 = 6, the degree `hamspec run` encodes at, where a shift's
+# fixed cost per call outweighs its m^2 / 2 additions
+DISPATCH += [(n, 6, (n, False)) for n in range(2, 5)] + [
+    (5, 6, (2, True)),
+    (6, 6, (2, False)),
+    (7, 6, (2, True)),
+    (8, 6, (2, False)),
 ]
 
 
@@ -157,6 +165,20 @@ class TestRoutes:
         assert len(squares) == (n if fold else 0)
 
 
+HEAD_GRAPHS = dict(ROUTE_GRAPHS, C8=cycle_graph(8))
+
+
+class TestHead:
+    @pytest.mark.parametrize("g", HEAD_GRAPHS.values(), ids=HEAD_GRAPHS.keys())
+    def test_low_degree_is_the_head_of_the_full_series(self, g):
+        # run encodes at n_d - 2 = 6, on another route than at n_d1 = 64
+        # for n >= 5 (K7 folds at both, from d0 = 2 and d0 = 3)
+        prof = desk_profile(g.n)
+        head = grid_series(g, prof, prof.n_d - 2)
+        assert head.precision == prof.p_1
+        assert head.bits() == grid_series(g, prof).bits()[: prof.n_d - 1]
+
+
 class TestIntermediates:
     def test_depth_one_is_oscillator_bank(self):
         prof = encode_profile(4)
@@ -192,7 +214,7 @@ class TestIntermediates:
                 M = [[sum(M[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
             assert total == sum(sum(r) for r in M)
 
-    def test_every_wire_matches_enumerated_walk_sums(self):
+    def test_every_wire_matches_enumerated_walk_sums(self, monkeypatch):
         # wire l at depth d is exactly sum of e^{iWt} over d-walks ending
         # at l; rebuild that sum from explicit enumeration and compare bits
         from collections import Counter
@@ -202,9 +224,10 @@ class TestIntermediates:
 
         g = FOUR_CLUSTER
         nums = vertex_numbers(g.n)
-        # at n_d1 = 4 the wavefront switches at depth 1, so depths 2..4
-        # come from moment shifts rather than spectra
-        assert grid._route(4, 16) == (4, False) and grid._route(4, 4) == (1, False)
+        # at n_d1 = 16 the wavefront stays on spectra; forced to switch at
+        # depth 1 at n_d1 = 4, depths 2..4 come from moment shifts instead
+        assert grid._route(4, 16) == (4, False)
+        monkeypatch.setattr(grid, "_route", lambda n, m: (1, False) if m == 4 else (n, False))
         for m, depth in ((16, 2), (16, 3), (16, 4), (4, 2), (4, 3), (4, 4)):
             prof = encode_profile(4, n_d1=m)
             p = prof.p_1
