@@ -2,7 +2,8 @@
 
 Subcommands: encode, filter, extract, oracle, check-profile, run.
 The `run` verdict is data, not a test result: MATCH / MISMATCH /
-INCONCLUSIVE all exit 0; only operational failures exit nonzero.
+INCONCLUSIVE all exit 0; only operational failures exit nonzero, each
+raised by a stage as StageError and printed as `error: [stage] message`.
 """
 
 from __future__ import annotations
@@ -116,6 +117,18 @@ def _schedule_digest(sched: schedule.StepSchedule) -> tuple:
     return tuple(d.items())
 
 
+def _staged(timings: dict, stage: str, fn, *args):
+    """fn(*args), its wall time recorded as timings[f"{stage}_ms"]; whatever
+    it raises comes out as StageError(stage), the one error main reports."""
+    t0 = time.perf_counter()
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
+    timings[f"{stage}_ms"] = (time.perf_counter() - t0) * 1000.0
+    return out
+
+
 def _resolve_profile(args, n: int | None) -> PipelineProfile:
     if getattr(args, "profile", None):
         return schedule.load_profile(args.profile, n=n)
@@ -124,14 +137,62 @@ def _resolve_profile(args, n: int | None) -> PipelineProfile:
     return desk_profile(n)
 
 
+def _validated(profile, n: int | None) -> tuple:
+    """The profile (or profile(n), given a function of the vertex count)
+    and its schedule. build_schedule refuses every profile that
+    check-profile calls INVALID, naming the failed check."""
+    if callable(profile):
+        profile = profile(n)
+    return profile, schedule.build_schedule(profile)
+
+
+def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
+    """The pseudo-steps' columns (a per-profile memo hit), then the solve."""
+    phi01, phi11 = filter_pipeline.run_pseudo_steps(sched, profile)
+    return extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2)
+
+
+def _schedule_key(profile: PipelineProfile) -> str:
+    """The header fields `filter` adds to its output: the schedule's key
+    beyond the (n_d, p_2) that the header's m and p carry."""
+    return f"n_d1={profile.n_d1} r_1={profile.r_1} r_mu={profile.r_mu}"
+
+
+def _read_series(path: str, profile: PipelineProfile, filtered: bool):
+    """The series in a file, refused unless it is what the command reads:
+    an encoded series of degree n_d1 (filter), or a series of degree n_d
+    at p_2 bits whose header records this profile's schedule key (extract)."""
+    with open(path) as fh:
+        head, _, body = fh.read().partition("\n")
+    fields = head.split()
+    series = series_from_text(" ".join(fields[:3]) + "\n" + body)
+    m, p, key = series.degree_bound, series.precision, " ".join(fields[3:])
+    if not filtered and m != profile.n_d1:
+        raise ValueError(
+            f"input series degree {m} != n_d1 {profile.n_d1}: filter takes an encoded series"
+        )
+    if filtered and (m, p) != (profile.n_d, profile.p_2):
+        raise ValueError(
+            f"series has (m, p) = ({m}, {p}); a filtered series has "
+            f"(n_d, p_2) = ({profile.n_d}, {profile.p_2})"
+        )
+    if filtered and key != _schedule_key(profile):
+        raise ValueError(
+            f"series was filtered under {key or 'an unrecorded schedule key'}; "
+            f"the profile has {_schedule_key(profile)}"
+        )
+    return series
+
+
 def _step_dumper(dump_dir: str | None):
     """A run_pipeline dump callback writing step_<sp>.series files into
-    dump_dir (created if missing), or None without a directory."""
+    dump_dir, or None without a directory. The directory is made at the
+    first dump, so that failing to make it fails the filter stage."""
     if not dump_dir:
         return None
-    os.makedirs(dump_dir, exist_ok=True)
 
     def dump(sp, series):
+        os.makedirs(dump_dir, exist_ok=True)
         with open(os.path.join(dump_dir, f"step_{sp:03d}.series"), "w") as fh:
             fh.write(series_to_text(series))
 
@@ -153,61 +214,34 @@ def run_experiment(
     oracle_limit: int = walk_oracle.DEFAULT_ORACLE_LIMIT,
     dump_dir: str | None = None,
 ) -> RunReport:
-    """validate -> oracle -> encode -> schedule -> filter -> pseudo-steps
-    -> extract -> verdict.
+    """parse -> validate -> oracle -> encode -> filter -> extract -> verdict,
+    each stage timed, and its failure raised as StageError.
 
-    The encoder stops at degree n_d - 2 and the filter is run_filter,
-    whose step 1 is unpinned: that is all k0 and z1 read.
-
-    The profile is validated before any series work, so a profile that
-    fails a constraint costs neither the oracle nor the encode; the
-    schedule stage then only solves.
+    validate refuses every profile that check-profile calls INVALID, the
+    schedule solve included, before any series work, and returns the
+    schedule. The encoder stops at degree n_d - 2 and the filter is
+    run_filter, whose step 1 is unpinned: that is all k0 and z1 read.
+    extract runs the pseudo-steps and the solve.
 
     `profile` is a profile, or a function from the parsed graph's vertex
     count to one, so that a caller who needs n to choose the profile does
     not parse the file a second time.
     """
     timings = {}
-
-    def staged(stage, fn):
-        t0 = time.perf_counter()
-        try:
-            out = fn()
-        except Exception as exc:
-            raise StageError(stage, exc) from exc
-        timings[f"{stage}_ms"] = (time.perf_counter() - t0) * 1000.0
-        return out
-
-    g = staged("parse", lambda: load_graph(graph_path))
-    if callable(profile):
-        profile = profile(g.n)
-    staged("validate", lambda: schedule.require_valid(profile))
+    g = _staged(timings, "parse", load_graph, graph_path)
+    profile, sched = _staged(timings, "validate", _validated, profile, g.n)
 
     oracle_block = None
     if g.n <= oracle_limit:
-        oracle_block = staged("oracle", lambda: _oracle_block(g, oracle_limit))
+        oracle_block = _staged(timings, "oracle", _oracle_block, g, oracle_limit)
 
-    f_series = staged("encode", lambda: grid.grid_series(g, profile, profile.n_d - 2))
-    sched = staged(
-        "schedule",
-        lambda: schedule.solve_schedule(
-            profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu
-        ),
-    )
-
+    f_series = _staged(timings, "encode", grid.grid_series, g, profile, profile.n_d - 2)
     dump = _step_dumper(dump_dir)
-    o_series = staged(
-        "filter", lambda: filter_pipeline.run_filter(f_series, sched, profile, dump=dump)
+    o_series = _staged(
+        timings, "filter", filter_pipeline.run_filter, f_series, sched, profile, dump
     )
-    phi01, phi11 = staged(
-        "pseudo", lambda: filter_pipeline.run_pseudo_steps(sched, profile)
-    )
-
     try:
-        result = staged(
-            "extract",
-            lambda: extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2),
-        )
+        result = _staged(timings, "extract", _extract, o_series, sched, profile)
     except StageError as exc:
         if not isinstance(exc.cause, extraction.SingularSystemError):
             raise
@@ -236,102 +270,65 @@ def run_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: all work runs in stages, so every failure is a StageError
 # ---------------------------------------------------------------------------
 
 
 def _cmd_encode(args) -> int:
-    g = load_graph(args.graph)
-    profile = _resolve_profile(args, g.n)
-    series = grid.grid_series(g, profile)
-    _write_out(args, series_to_text(series))
+    g = _staged({}, "parse", load_graph, args.graph)
+    resolve = functools.partial(_resolve_profile, args)
+    profile, _ = _staged({}, "validate", _validated, resolve, g.n)
+    text = _staged({}, "encode", lambda: series_to_text(grid.grid_series(g, profile)))
+    _staged({}, "write", _write_out, args, text)
     return 0
 
 
 def _cmd_filter(args) -> int:
-    with open(args.series) as fh:
-        f_series = series_from_text(fh.read())
-    profile = _resolve_profile(args, args.n)
-    if f_series.degree_bound != profile.n_d1:
-        raise StageError(
-            "filter",
-            ValueError(
-                f"input series degree {f_series.degree_bound} != n_d1 {profile.n_d1}: "
-                "filter takes an encoded series"
-            ),
-        )
-    sched = schedule.build_schedule(profile)
-    out = filter_pipeline.run_filter(f_series, sched, profile, dump=_step_dumper(args.dump_steps))
-    _write_out(args, series_to_text(out))
+    resolve = functools.partial(_resolve_profile, args)
+    profile, sched = _staged({}, "validate", _validated, resolve, args.n)
+    f_series = _staged({}, "parse", _read_series, args.series, profile, False)
+    dump = _step_dumper(args.dump_steps)
+    out = _staged({}, "filter", filter_pipeline.run_filter, f_series, sched, profile, dump)
+    text = series_to_text(out).replace("\n", f" {_schedule_key(profile)}\n", 1)
+    _staged({}, "write", _write_out, args, text)
     return 0
 
 
 def _cmd_extract(args) -> int:
-    with open(args.series) as fh:
-        o_series = series_from_text(fh.read())
-    profile = _resolve_profile(args, args.n)
-    expected = (profile.n_d, profile.p_2)
-    if (o_series.degree_bound, o_series.precision) != expected:
-        raise ValueError(
-            f"series has (m, p) = ({o_series.degree_bound}, {o_series.precision}); "
-            f"a filtered series has (n_d, p_2) = {expected}"
-        )
-    sched = schedule.build_schedule(profile)
-    phi01, phi11 = filter_pipeline.run_pseudo_steps(sched, profile)
-    result = extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2)
+    resolve = functools.partial(_resolve_profile, args)
+    profile, sched = _staged({}, "validate", _validated, resolve, args.n)
+    o_series = _staged({}, "parse", _read_series, args.series, profile, True)
+    result = _staged({}, "extract", _extract, o_series, sched, profile)
     for k, v in _extraction_block(result).items():
         print(f"{k}={v}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    g = load_graph(args.graph)
-    for k, v in _oracle_block(g, args.oracle_limit).items():
+    g = _staged({}, "parse", load_graph, args.graph)
+    for k, v in _staged({}, "oracle", _oracle_block, g, args.oracle_limit).items():
         print(f"{k}={v}")
     if args.spectrum:
-        spectrum = walk_oracle.walk_spectrum(g, args.oracle_limit)
+        spectrum = _staged({}, "oracle", walk_oracle.walk_spectrum, g, args.oracle_limit)
         for wn in sorted(spectrum):
             print(f"{wn} {spectrum[wn]}")
     return 0
 
 
 def _cmd_check_profile(args) -> int:
-    profile = schedule.load_profile(args.profile, n=args.n)
-    constraints = schedule.validate_profile(profile)
-    ok = schedule.profile_ok(constraints)
-    if ok:
-        constraints.append(_schedule_constraint(profile))
-        ok = constraints[-1].passed
+    profile = _staged({}, "validate", schedule.load_profile, args.profile, args.n)
+    constraints = _staged({}, "validate", schedule.profile_constraints, profile)
     for c in constraints:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name} slack={c.slack:.6g} ({c.detail})")
-    print("profile", "OK" if ok else "INVALID")
+    print("profile", "OK" if schedule.profile_ok(constraints) else "INVALID")
     return 0
-
-
-def _schedule_constraint(profile: PipelineProfile) -> schedule.Constraint:
-    """Whether `run` gets past its schedule stage, decided as run decides
-    it. A profile without an integer c (a validation-only, full-scale one)
-    is refused unsolved, as run's encoder refuses it before the solve."""
-    if not profile.c:
-        return schedule.Constraint(
-            "schedule_solved", False, 0.0, "not solved: no integer c, so run refuses it"
-        )
-    try:
-        schedule.solve_schedule(
-            profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu
-        )
-    except schedule.NoRootError as exc:
-        return schedule.Constraint("schedule_solved", False, 0.0, str(exc))
-    return schedule.Constraint(
-        "schedule_solved", True, 0.0, f"{profile.n_d + 3} step times at p_2={profile.p_2}"
-    )
 
 
 def _cmd_run(args) -> int:
     report = run_experiment(
         args.graph,
-        lambda n: _resolve_profile(args, n),
+        functools.partial(_resolve_profile, args),
         oracle_limit=args.oracle_limit,
         dump_dir=args.dump_steps,
     )
@@ -340,10 +337,9 @@ def _cmd_run(args) -> int:
         text = json.dumps(report.to_json_dict(timings=timings), indent=2) + "\n"
     else:
         text = report.to_text(timings=timings)
+    if args.out:  # before stdout, so that a failed write prints no report
+        _staged({}, "write", _write_out, args, text)
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     return 0
 
 
@@ -406,15 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        StageError,
-        ValueError,  # GraphParseError and ProfileError among them
-        OSError,
-        walk_oracle.OracleLimitError,
-        filter_pipeline.DegenerateScheduleError,
-        schedule.NoRootError,
-        extraction.SingularSystemError,
-    ) as exc:
+    except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,6 @@
 """Filter-step schedule: solve each step's zero-output time, fix the decay
-gains, and validate parameter profiles in log2 domain.
+gains, and decide whether a parameter profile can run: log2-domain design
+checks, then the exact solve.
 
 A step's output is pinned to zero at its time r_sp. For steps 2..n_d+1 the
 times are the smallest positive roots of
@@ -363,22 +364,42 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
     return _smallest_root(coeffs, p, what)
 
 
+def profile_constraints(profile: PipelineProfile) -> list:
+    """validate_profile's records and, once they all pass, the exact
+    `schedule_solved` record: whether solve_schedule finds every step
+    time. This decides whether a profile can run; require_valid raises on
+    it and check-profile prints it. A profile without an integer c (a
+    validation-only, full-scale one) is refused unsolved."""
+    constraints = validate_profile(profile)
+    if profile_ok(constraints):
+        passed, detail = False, "not solved: no integer c, so run refuses it"
+        if profile.c:
+            try:
+                solve_schedule(profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu)
+                passed, detail = True, f"{profile.n_d + 3} step times at p_2={profile.p_2}"
+            except NoRootError as exc:
+                detail = str(exc)
+        constraints.append(Constraint("schedule_solved", passed, 0.0, detail))
+    return constraints
+
+
 @functools.lru_cache(maxsize=64)
 def require_valid(profile: PipelineProfile) -> None:
-    """Raise ProfileError naming every constraint the profile fails; a pass
-    is memoized per profile, a failure raises on every call."""
-    constraints = validate_profile(profile)
-    if not profile_ok(constraints):
-        failed = ", ".join(c.name for c in constraints if not c.passed)
-        raise ProfileError(f"profile fails validation: {failed}")
+    """Raise ProfileError naming every profile_constraints check the
+    profile fails, with its detail; a pass is memoized per profile, a
+    failure raises on every call."""
+    failed = [c for c in profile_constraints(profile) if not c.passed]
+    if failed:
+        why = "; ".join(f"{c.name} ({c.detail})" for c in failed)
+        raise ProfileError(f"profile fails validation: {why}")
 
 
 def build_schedule(profile: PipelineProfile) -> StepSchedule:
     """Validate the profile, then return its schedule at precision p_2.
 
     Validation depends on n and c as well, so it is memoized per profile;
-    the solve depends only on (p_2, n_d, n_d1, r_1, r_mu) and is shared
-    through solve_schedule's cache.
+    it includes the solve, which depends only on (p_2, n_d, n_d1, r_1,
+    r_mu) and is shared through solve_schedule's cache.
     """
     require_valid(profile)
     return solve_schedule(profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu)

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -111,7 +112,9 @@ class TestFilterPseudoExtract:
         assert len(text.splitlines()) == 1 + prof.n_d
         f = series_from_text(enc.read_text()).reround(prof.p_2)
         assert text == series_to_text(integrator_cascade(f, prof.n_d - 1))
-        assert (dump / "step_011.series").read_text() == flt.read_text()
+        # the filtered file adds the schedule key to the last step's header
+        last = (dump / "step_011.series").read_text()
+        assert flt.read_text() == last.replace("\n", " n_d1=64 r_1=16 r_mu=2\n", 1)
 
     def test_filter_refuses_a_series_below_the_encoded_degree(self, tmp_path, capsys):
         # the file contract is the encoder's degree n_d1; run's own shorter
@@ -122,7 +125,7 @@ class TestFilterPseudoExtract:
         enc.write_text(series_to_text(head))
         code, stdout, err = run_cli(capsys, "filter", str(enc), "--n", "4")
         assert code == 1 and stdout == ""
-        assert err.startswith("error: [filter] input series degree 6 != n_d1 64")
+        assert err.startswith("error: [parse] input series degree 6 != n_d1 64")
 
     def test_extract_rejects_unfiltered_series(self, files, capsys):
         tmp, g2, _, prof = files
@@ -131,6 +134,23 @@ class TestFilterPseudoExtract:
         code, stdout, err = run_cli(capsys, "extract", str(enc), "--profile", str(prof), "--n", "2")
         assert code == 1 and stdout == ""
         assert "(64, 512)" in err and "(8, 256)" in err
+
+    def test_extract_refuses_a_series_filtered_under_another_profile(self, tmp_path, capsys):
+        # (m, p) = (n_d, p_2) agree; only the header's schedule key tells
+        # that this series was filtered with r_mu = 3
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        r_mu3 = tmp_path / "r_mu3.profile"
+        r_mu3.write_text(profile_to_text(desk_profile(4, r_mu=3)))
+        assert run_cli(capsys, "encode", str(GRAPHS / "c4.graph"), "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--profile", str(r_mu3), "--out", str(flt))[0] == 0
+        code, stdout, err = run_cli(capsys, "extract", str(flt), "--n", "4")
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: [parse] series was filtered under n_d1=64 r_1=16 r_mu=3; ")
+        # a series whose header records no key is refused too
+        flt.write_text(flt.read_text().replace(" n_d1=64 r_1=16 r_mu=3\n", "\n", 1))
+        code, stdout, err = run_cli(capsys, "extract", str(flt), "--n", "4")
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: [parse] series was filtered under an unrecorded schedule key")
 
     def test_filter_rejects_truncated_series(self, files, capsys):
         tmp, g2, _, prof = files
@@ -145,8 +165,8 @@ class TestFilterPseudoExtract:
 class TestProfileRefusals:
     def test_run_names_the_step_without_a_root(self, files, capsys):
         # r_1 = 24 passes every log2-domain constraint, but step 5's
-        # equation has no root: check-profile solves the schedule as run
-        # does and says so
+        # equation has no root: check-profile prints the schedule_solved
+        # record that run's validate stage refuses on
         tmp, g2, _, prof = files
         bad = tmp / "r24.profile"
         bad.write_text(prof.read_text().replace("r_1=16", "r_1=24"))
@@ -156,7 +176,7 @@ class TestProfileRefusals:
         assert all(line.startswith("PASS") for line in lines[:-2])
         code, stdout, err = run_cli(capsys, "run", str(g2), "--profile", str(bad))
         assert code == 1 and stdout == ""
-        assert "[schedule]" in err and "step 5" in err
+        assert err.startswith("error: [validate] profile fails validation: schedule_solved (step 5: ")
 
     def test_check_profile_refuses_a_full_scale_profile_unsolved(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -182,7 +202,7 @@ class TestProfileRefusals:
         bad.write_text(re.sub(rf"^{key}=\d+$", f"{key}=0", prof.read_text(), flags=re.M))
         code, stdout, err = run_cli(capsys, command, str(g2), "--profile", str(bad))
         assert code == 1 and stdout == ""
-        assert err.startswith(f"error: {key}=0: ")
+        assert err.startswith(f"error: [validate] {key}=0: ")
 
     def test_invalid_profile_refused_before_series_work(self, files, capsys, monkeypatch):
         # desk_profile(8) fails highfreq_transient_small; the run must say
@@ -202,17 +222,97 @@ class TestProfileRefusals:
         assert err.startswith("error: [validate] profile fails validation: ")
         assert "highfreq_transient_small" in err
 
-    def test_log2_c_only_profile_fails_in_encode_without_solving(self, files, monkeypatch):
-        # full_scale_profile passes validation but has no integer c: the
-        # encoder's require_c refuses it before any schedule solve
+    def test_log2_c_only_profile_fails_in_validate_without_solving(self, files, monkeypatch):
+        # full_scale_profile passes the log2-domain checks but has no
+        # integer c: validate refuses it before any schedule solve
         def refuse(*args, **kwargs):
             raise AssertionError("schedule solve started")
 
         monkeypatch.setattr(schedule, "solve_schedule", refuse)
         _, _, g4, _ = files
-        with pytest.raises(cli.StageError, match="log2_c") as info:
+        with pytest.raises(cli.StageError, match="no integer c") as info:
             run_experiment(str(g4), full_scale_profile(4))
-        assert info.value.stage == "encode"
+        assert info.value.stage == "validate"
+
+
+class TestStagedErrors:
+    @pytest.mark.parametrize(
+        "command, bad, stage",
+        [
+            ("encode", "malformed graph", "parse"),
+            ("filter", "malformed series", "parse"),
+            ("extract", "p_1=0", "validate"),
+            ("oracle", "n above the oracle limit", "oracle"),
+            ("check-profile", "p_1=0", "validate"),
+            ("run", "unsolvable profile", "validate"),
+        ],
+    )
+    def test_every_command_fails_the_same_way(self, files, capsys, command, bad, stage):
+        tmp, g2, g4, prof = files
+        bad_graph, bad_series = tmp / "bad.graph", tmp / "bad.series"
+        bad_graph.write_text("n 2\ne 1 1\n")
+        bad_series.write_text("series m=x p=512\n")
+        zero, r24 = tmp / "zero.profile", tmp / "r24.profile"
+        zero.write_text(prof.read_text().replace("p_1=512", "p_1=0"))
+        r24.write_text(prof.read_text().replace("r_1=16", "r_1=24"))
+        argv = {
+            "malformed graph": [str(bad_graph)],
+            "malformed series": [str(bad_series), "--n", "2"],
+            "p_1=0": [str(bad_series), "--profile", str(zero), "--n", "2"],
+            "n above the oracle limit": [str(g4), "--oracle-limit", "3"],
+            "unsolvable profile": [str(g2), "--profile", str(r24)],
+        }[bad]
+        if command == "check-profile":
+            argv = [str(zero), "--n", "2"]
+        code, stdout, err = run_cli(capsys, command, *argv)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: [{stage}] ")
+
+
+class TestOneGate:
+    @pytest.mark.parametrize("which", ["desk", "r_1=24", "full_scale"])
+    def test_check_profile_invalid_exactly_when_commands_refuse(
+        self, tmp_path, capsys, monkeypatch, which
+    ):
+        # check-profile says INVALID exactly when encode, filter, extract
+        # and run refuse at [validate], and they refuse before series work
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        assert run_cli(capsys, "encode", str(GRAPHS / "c4.graph"), "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--n", "4", "--out", str(flt))[0] == 0
+        prof = tmp_path / "p.profile"
+        prof.write_text(
+            {
+                "desk": profile_to_text(desk_profile(4)),
+                "r_1=24": profile_to_text(desk_profile(4, r_1=24)),
+                "full_scale": profile_to_text(full_scale_profile(4)),
+            }[which]
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started past validate")
+
+        if which != "desk":
+            monkeypatch.setattr(grid, "grid_series", refuse)
+            monkeypatch.setattr(cli, "_oracle_block", refuse)
+        if which == "full_scale":
+            monkeypatch.setattr(schedule, "solve_schedule", refuse)
+        verdict = run_cli(capsys, "check-profile", str(prof))[1].splitlines()[-1]
+        assert verdict == ("profile OK" if which == "desk" else "profile INVALID")
+        out = tmp_path / "out"
+        commands = [
+            ["encode", str(GRAPHS / "c4.graph"), "--out", str(out)],
+            ["filter", str(enc), "--out", str(out)],
+            ["extract", str(flt)],
+            ["run", str(GRAPHS / "c4.graph"), "--no-timings"],
+        ]
+        for argv in commands:
+            code, stdout, err = run_cli(capsys, *argv, "--profile", str(prof))
+            if which == "desk":
+                assert code == 0 and err == "", argv
+            else:
+                assert code == 1 and stdout == "", argv
+                assert err.startswith("error: [validate] profile fails validation: "), argv
+                assert "schedule_solved" in err, argv
 
 
 class TestOracle:
@@ -362,15 +462,31 @@ class TestRun:
     def test_run_experiment_stage_timings(self, files):
         _, _, g4, _ = files
         report = run_experiment(str(g4), desk_profile(4))
-        stages = ("parse", "validate", "oracle", "encode", "schedule", "filter", "pseudo", "extract")
-        for stage in stages:
-            assert f"{stage}_ms" in report.timings_ms
+        stages = ("parse", "validate", "oracle", "encode", "filter", "extract")
+        assert list(report.timings_ms) == [f"{stage}_ms" for stage in stages]
+
+
+def readme_commands() -> list:
+    """The argv of each line of the README's command-line block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines() if line.strip()]
+    assert lines and all(line.startswith("hamspec ") for line in lines)
+    return [shlex.split(line, comments=True)[1:] for line in lines]
 
 
 class TestReadme:
     def test_command_lines_parse(self):
-        block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
-        lines = [line for line in block.split("```", 1)[0].splitlines() if line.strip()]
-        assert lines and all(line.startswith("hamspec ") for line in lines)
-        for line in lines:
-            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        for argv in readme_commands():
+            build_parser().parse_args(argv)
+
+    def test_command_lines_run_in_order(self, tmp_path, capsys, monkeypatch):
+        # run from a directory holding copies of graphs/ and profiles/, as
+        # a reader at the repository root would: encode -> filter ->
+        # extract chain through the files the lines name
+        root = README.parent
+        for name in ("graphs", "profiles"):
+            shutil.copytree(root / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        for argv in readme_commands():
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
