@@ -1,12 +1,18 @@
 """The recorded claim experiment: five graphs, full pipeline, verdicts.
 
 Regenerates results/claim_experiment.json (the committed record the
-acceptance suite compares against). The harness records MATCH, MISMATCH or
-INCONCLUSIVE as data; nothing here asserts which one comes out.
+acceptance suite compares against), or writes the record to the path given
+as the one argument:
+
+    python3 demos/05_full_experiment.py [OUT.json]
+
+The harness records MATCH, MISMATCH or INCONCLUSIVE as data; nothing here
+asserts which one comes out.
 """
 
 import json
 import os
+import sys
 import tempfile
 
 from hamspec.cli import run_experiment
@@ -21,7 +27,8 @@ GRAPHS = {
 }
 
 here = os.path.dirname(os.path.abspath(__file__))
-out_path = os.path.join(here, "..", "results", "claim_experiment.json")
+default_path = os.path.join(here, "..", "results", "claim_experiment.json")
+out_path = sys.argv[1] if len(sys.argv) > 1 else default_path
 
 reports = {}
 print(f"{'graph':>14} {'n_p':>5} {'paths':>6} {'recovered':>12} {'verdict':>14}")

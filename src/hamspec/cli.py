@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from . import extraction, filter_pipeline, grid, schedule, walk_oracle
@@ -28,6 +28,10 @@ VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 VERDICT_UNVERIFIED = "UNVERIFIED"
 
 PROFILE_HELP = "profile file (key=value lines)"
+
+# The report's profile block: every field but log2_c, which only
+# validation-only profiles carry.
+PROFILE_KEYS = tuple(f.name for f in fields(PipelineProfile) if f.name != "log2_c")
 
 
 class StageError(RuntimeError):
@@ -50,11 +54,9 @@ class RunReport:
     timings_ms: dict = field(default_factory=dict)
 
     def to_json_dict(self, timings: bool = True) -> dict:
-        profile = asdict(self.profile)
-        del profile["log2_c"]
         d = {
             "graph": {"file": self.graph_file, "n": self.n, "edges": self.edge_count},
-            "profile": profile,
+            "profile": {k: getattr(self.profile, k) for k in PROFILE_KEYS},
             "schedule": self.schedule_digest,
             "oracle": self.oracle,
             "extraction": self.extraction,
@@ -152,31 +154,52 @@ def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
     return extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2)
 
 
+def _encode_key(profile: PipelineProfile) -> str:
+    """The header field `encode` adds to its output: the scale c, beyond
+    the (n_d1, p_1) that the header's m and p carry."""
+    return f"c={profile.c}"
+
+
 def _schedule_key(profile: PipelineProfile) -> str:
     """The header fields `filter` adds to its output: the schedule's key
     beyond the (n_d, p_2) that the header's m and p carry."""
     return f"n_d1={profile.n_d1} r_1={profile.r_1} r_mu={profile.r_mu}"
 
 
+def _with_key(text: str, key: str) -> str:
+    """series_to_text output with key appended to its header line."""
+    return text.replace("\n", f" {key}\n", 1)
+
+
 def _read_series(path: str, profile: PipelineProfile, filtered: bool):
     """The series in a file, refused unless it is what the command reads:
-    an encoded series of degree n_d1 (filter), or a series of degree n_d
-    at p_2 bits whose header records this profile's schedule key (extract)."""
+    an encoded series of degree n_d1 at p_1 bits whose header records this
+    profile's c (filter), or a series of degree n_d at p_2 bits whose
+    header records this profile's schedule key (extract)."""
     with open(path) as fh:
         head, _, body = fh.read().partition("\n")
-    fields = head.split()
-    series = series_from_text(" ".join(fields[:3]) + "\n" + body)
-    m, p, key = series.degree_bound, series.precision, " ".join(fields[3:])
-    if not filtered and m != profile.n_d1:
-        raise ValueError(
-            f"input series degree {m} != n_d1 {profile.n_d1}: filter takes an encoded series"
-        )
-    if filtered and (m, p) != (profile.n_d, profile.p_2):
+    words = head.split()
+    series = series_from_text(" ".join(words[:3]) + "\n" + body)
+    m, p, key = series.degree_bound, series.precision, " ".join(words[3:])
+    if not filtered:
+        if m != profile.n_d1:
+            raise ValueError(
+                f"input series degree {m} != n_d1 {profile.n_d1}: filter takes an encoded series"
+            )
+        if p != profile.p_1:
+            raise ValueError(f"series has p={p}; an encoded series has p_1={profile.p_1}")
+        if key != _encode_key(profile):
+            raise ValueError(
+                f"series was encoded under {key or 'an unrecorded c'}; "
+                f"the profile has {_encode_key(profile)}"
+            )
+        return series
+    if (m, p) != (profile.n_d, profile.p_2):
         raise ValueError(
             f"series has (m, p) = ({m}, {p}); a filtered series has "
             f"(n_d, p_2) = ({profile.n_d}, {profile.p_2})"
         )
-    if filtered and key != _schedule_key(profile):
+    if key != _schedule_key(profile):
         raise ValueError(
             f"series was filtered under {key or 'an unrecorded schedule key'}; "
             f"the profile has {_schedule_key(profile)}"
@@ -278,7 +301,10 @@ def _cmd_encode(args) -> int:
     g = _staged({}, "parse", load_graph, args.graph)
     resolve = functools.partial(_resolve_profile, args)
     profile, _ = _staged({}, "validate", _validated, resolve, g.n)
-    text = _staged({}, "encode", lambda: series_to_text(grid.grid_series(g, profile)))
+    text = _staged(
+        {}, "encode",
+        lambda: _with_key(series_to_text(grid.grid_series(g, profile)), _encode_key(profile)),
+    )
     _staged({}, "write", _write_out, args, text)
     return 0
 
@@ -289,7 +315,7 @@ def _cmd_filter(args) -> int:
     f_series = _staged({}, "parse", _read_series, args.series, profile, False)
     dump = _step_dumper(args.dump_steps)
     out = _staged({}, "filter", filter_pipeline.run_filter, f_series, sched, profile, dump)
-    text = series_to_text(out).replace("\n", f" {_schedule_key(profile)}\n", 1)
+    text = _with_key(series_to_text(out), _schedule_key(profile))
     _staged({}, "write", _write_out, args, text)
     return 0
 

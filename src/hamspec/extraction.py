@@ -13,42 +13,36 @@ reference, k0 is the same in exact arithmetic and z1 is larger by step
 though, leaves its k0 to rounding.
 
 The constant column has to be what the cascade itself does to a
-constant. With step 1 pinned, a unit constant left step 1 as
-1 - alpha*e^{-t} (alpha ~ 8.9e6 at the desk profile), and the two columns
-were nearly parallel (sine ~1.2e-11); unpinned, the sine is ~4.2e-3. A
-closed form for the pinned column, (1, -tr_{n_d}(e^{r_last})/r_last),
-missed it by a sine of ~1.5e-5, since step n_d+2 realizes a companion of
-1/tr_{n_d}(e^{-r_mu}), not tr_{n_d}(e^{r_mu}); solved against it, the
-constant landed in the decay channel.
+constant. Unpinned, the two columns have a sine of ~4.2e-3; with step 1
+pinned they were nearly parallel (~1.2e-11), and a closed form for the
+pinned column missed it by ~1.5e-5 and landed the constant in z1.
+
+Both columns are real, so the complex solve splits into one real solve
+per part of (c0, c1), run on raw (mantissa, exponent) pairs. Every
+product it drops is an exact zero, and adding an exact zero returns the
+other, already rounded operand: the per-part solve has its bits.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .filter_pipeline import system_columns
 from .numerics import (
     NormalizedSeries,
     PrecisionComplex,
     PrecisionReal,
-    R_ZERO,
-    cadd,
-    cdiv,
-    cmul,
-    csub,
+    _add,
+    _round,
+    _round_quotient,
     csup,
-    from_fraction,
-    pow2,
     rabs,
     rcmp,
-    rmax,
-    rmul,
 )
 from .schedule import StepSchedule
 
-FLAG_LIMIT = Fraction(1, 4)
+FLAG_LIMIT = PrecisionReal(1, -2)  # 1/4
 
 
 class SingularSystemError(ArithmeticError):
@@ -73,34 +67,64 @@ class ExtractionResult:
 
     @property
     def flags(self) -> tuple:
-        out = []
-        if self.round_distance.to_fraction() > FLAG_LIMIT:
-            out.append("round_distance")
-        if self.imag_magnitude.to_fraction() > FLAG_LIMIT:
-            out.append("imaginary")
-        return tuple(out)
+        named = (("round_distance", self.round_distance), ("imaginary", self.imag_magnitude))
+        return tuple(name for name, x in named if rcmp(x, FLAG_LIMIT) > 0)
 
 
-def nearest_integer(x: PrecisionReal):
-    """Round-half-even nearest integer and the exact distance to it."""
-    frac = x.to_fraction()
-    n = round(frac)
-    return n, abs(frac - n)
+def _nearest_integer(m: int, e: int, p: int) -> tuple:
+    """The round-half-even nearest integer to m*2^e, and the distance to it
+    rounded to p bits as a (mantissa, exponent) pair."""
+    if e >= 0:
+        return m << e, (0, 0)
+    n, rem, one = m >> -e, m & ((1 << -e) - 1), 1 << -e  # m*2^e = n + rem*2^e
+    if 2 * rem > one or (2 * rem == one and n & 1):
+        n, rem = n + 1, one - rem
+    return n, _round(rem, e, p)
+
+
+# RN(a*b), RN(a - b) and RN(a/b) on raw (mantissa, exponent) pairs
+def _mul(a: tuple, b: tuple, p: int) -> tuple:
+    return _round(a[0] * b[0], a[1] + b[1], p)
+
+
+def _sub(a: tuple, b: tuple, p: int) -> tuple:
+    return _add(a[0], a[1], -b[0], b[1], p)
+
+
+def _div(a: tuple, b: tuple, p: int) -> tuple:
+    return _round_quotient(a[0], b[0], a[1] - b[1], p)
 
 
 @functools.lru_cache(maxsize=8)
 def _system(phi01: PrecisionComplex, phi11: PrecisionComplex, sched: StepSchedule, p: int):
-    """(phi00, phi10, det) with system_columns(sched, p)'s constant column,
-    once per process per key; SingularSystemError is raised, not cached."""
+    """(phi00, phi10, (phi00, phi10, phi01, phi11, det, det^2) as raw pairs),
+    with system_columns(sched, p)'s constant column, once per process per
+    key. A non-real column, and a |det| below 2^(-p/2) of the largest
+    column entry (SingularSystemError), are raised, not cached."""
     (phi00, phi10), _ = system_columns(sched, p)
-    det = csub(cmul(phi00, phi11, p), cmul(phi10, phi01, p), p)
-    scale = rmax(rmax(csup(phi00), csup(phi10)), rmax(csup(phi01), csup(phi11)))
-    threshold = rmul(pow2(-(p // 2), p), scale, p)
-    if rcmp(csup(det), threshold) < 0:
+    columns = (phi00, phi10, phi01, phi11)
+    if any(z.im.mantissa for z in columns):
+        raise ValueError("two-channel system column is not real; the solve takes real columns")
+    f00, f10, f01, f11 = real = tuple((z.re.mantissa, z.re.exponent) for z in columns)
+    det = _sub(_mul(f00, f11, p), _mul(f10, f01, p), p)
+    scale = max((PrecisionReal(abs(m), e) for m, e in real), key=functools.cmp_to_key(rcmp))
+    if rcmp(PrecisionReal(abs(det[0]), det[1] + p // 2), scale) < 0:
         raise SingularSystemError(
             f"two-channel system determinant below 2^-{p // 2} of coefficient scale"
         )
-    return phi00, phi10, det
+    return phi00, phi10, real + (det, _mul(det, det, p))
+
+
+def _solve_part(system: tuple, x0: tuple, x1: tuple, p: int) -> tuple:
+    """k0, z1 and both row residuals for one part (real or imaginary) of
+    the right-hand side (x0, x1), all raw pairs. Each quotient takes
+    complex division's order for a real divisor: times det, over det^2."""
+    f00, f10, f01, f11, det, det2 = system
+    k0 = _div(_mul(_sub(_mul(x0, f11, p), _mul(f01, x1, p), p), det, p), det2, p)
+    z1 = _div(_mul(_sub(_mul(f00, x1, p), _mul(f10, x0, p), p), det, p), det2, p)
+    r0 = _sub(_add(*_mul(f00, k0, p), *_mul(f01, z1, p), p), x0, p)
+    r1 = _sub(_add(*_mul(f10, k0, p), *_mul(f11, z1, p), p), x1, p)
+    return k0, z1, r0, r1
 
 
 def extract_nh(
@@ -110,33 +134,24 @@ def extract_nh(
     sched: StepSchedule,
     p: int,
 ) -> ExtractionResult:
-    """Closed-form 2x2 solve; rounds Re(k0) to the nearest integer.
-
-    The constant column (phi00, phi10) is system_columns(sched, p)'s
-    constant half, measured on 1 - e^{-t}, step 1's unpinned output for a
-    unit constant. Raises
+    """Closed-form 2x2 solve, once per part of (c0, c1), against
+    system_columns(sched, p)'s constant column; rounds Re(k0) to the
+    nearest integer. Raises ValueError when a column is not real, and
     SingularSystemError when |det| falls below 2^(-p/2) times the largest
-    system coefficient (run should be marked inconclusive).
-    """
+    system coefficient (run should be marked inconclusive)."""
     c0, c1 = o.coeffs[0], o.coeffs[1]
-    phi00, phi10, det = _system(phi01, phi11, sched, p)
-    k0 = cdiv(csub(cmul(c0, phi11, p), cmul(phi01, c1, p), p), det, p)
-    z1 = cdiv(csub(cmul(phi00, c1, p), cmul(phi10, c0, p), p), det, p)
-    residual0 = csup(csub(cadd(cmul(phi00, k0, p), cmul(phi01, z1, p), p), c0, p))
-    residual1 = csup(csub(cadd(cmul(phi10, k0, p), cmul(phi11, z1, p), p), c1, p))
-    n_h, dist = nearest_integer(k0.re)
+    phi00, phi10, system = _system(phi01, phi11, sched, p)
+    re, im = (
+        _solve_part(system, (a.mantissa, a.exponent), (b.mantissa, b.exponent), p)
+        for a, b in ((c0.re, c1.re), (c0.im, c1.im))
+    )
+    k0, z1, r0, r1 = (
+        PrecisionComplex(PrecisionReal(*a), PrecisionReal(*b)) for a, b in zip(re, im)
+    )
+    n_h, dist = _nearest_integer(*re[0], p)
     return ExtractionResult(
-        k0=k0,
-        z1=z1,
-        n_h_rounded=n_h,
-        imag_magnitude=rabs(k0.im),
-        round_distance=from_fraction(dist, p) if dist else R_ZERO,
-        phi00=phi00,
-        phi10=phi10,
-        phi01=phi01,
-        phi11=phi11,
-        c0=c0,
-        c1=c1,
-        residual0=residual0,
-        residual1=residual1,
+        k0=k0, z1=z1, n_h_rounded=n_h, imag_magnitude=rabs(k0.im),
+        round_distance=PrecisionReal(*dist), phi00=phi00, phi10=phi10,
+        phi01=phi01, phi11=phi11, c0=c0, c1=c1,
+        residual0=csup(r0), residual1=csup(r1),
     )

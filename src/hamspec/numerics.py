@@ -253,11 +253,6 @@ def truncated_exp(x: PrecisionReal, m: int, p: int) -> PrecisionReal:
     return taylor_table(x, m, p)[1]
 
 
-def pow2(k: int, p: int) -> PrecisionReal:
-    """Exact 2^k at precision p."""
-    return PrecisionReal(1 << (p - 1), k - (p - 1))
-
-
 def to_decimal(a: PrecisionReal, digits: int = 20) -> str:
     """Exact-integer-math decimal rendering, deterministic."""
     if not a.mantissa:
@@ -384,10 +379,6 @@ def cadd(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
     return PrecisionComplex(radd(a.re, b.re, p), radd(a.im, b.im, p))
 
 
-def csub(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
-    return PrecisionComplex(rsub(a.re, b.re, p), rsub(a.im, b.im, p))
-
-
 def cmul(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
     re = rsub(rmul(a.re, b.re, p), rmul(a.im, b.im, p), p)
     im = radd(rmul(a.re, b.im, p), rmul(a.im, b.re, p), p)
@@ -398,15 +389,8 @@ def cmul_int(a: PrecisionComplex, k: int, p: int) -> PrecisionComplex:
     return PrecisionComplex(rmul_int(a.re, k, p), rmul_int(a.im, k, p))
 
 
-def cdiv(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
-    d = radd(rmul(b.re, b.re, p), rmul(b.im, b.im, p), p)
-    re = rdiv(radd(rmul(a.re, b.re, p), rmul(a.im, b.im, p), p), d, p)
-    im = rdiv(rsub(rmul(a.im, b.re, p), rmul(a.re, b.im, p), p), d, p)
-    return PrecisionComplex(re, im)
-
-
 def csup(a: PrecisionComplex) -> PrecisionReal:
-    """max(|re|, |im|) -- the magnitude proxy used by all threshold checks."""
+    """max(|re|, |im|) -- the magnitude proxy of a complex residual."""
     return rmax(rabs(a.re), rabs(a.im))
 
 

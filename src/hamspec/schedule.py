@@ -100,6 +100,16 @@ class StepSchedule:
     alpha: PrecisionReal
     beta: PrecisionReal
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.times, self.alpha, self.beta))
+
+    def __hash__(self):
+        # A run looks its schedule up in three memos (the system columns,
+        # the extraction's real system, the report's digest): hash its
+        # reals once, not on every lookup.
+        return self._hash
+
     @property
     def step_count(self) -> int:
         return len(self.times) - 1

@@ -7,19 +7,29 @@ from fractions import Fraction
 
 import pytest
 
-from hamspec.filter_pipeline import DegenerateScheduleError
+from hamspec.extraction import ExtractionResult, SingularSystemError
+from hamspec.filter_pipeline import DegenerateScheduleError, system_columns
 from hamspec.graph import Graph
 from hamspec.numerics import (
     C_ZERO,
+    R_ZERO,
     NormalizedSeries,
     PrecisionComplex,
+    PrecisionReal,
     cadd,
+    cmul,
+    csup,
+    from_fraction,
     from_int,
+    rabs,
     radd,
+    rcmp,
     rdiv,
     rdiv_int,
+    rmax,
     rmul,
     rneg,
+    rsub,
 )
 
 
@@ -248,3 +258,72 @@ def reference_pipeline(f_series, sched, prof, dump=None):
         if dump:
             dump(sp, j)
     return j
+
+
+# ---------------------------------------------------------------------------
+# Object-level complex solve: the reference for extraction's per-part solve
+# ---------------------------------------------------------------------------
+
+
+def csub(a, b, p):
+    return PrecisionComplex(rsub(a.re, b.re, p), rsub(a.im, b.im, p))
+
+
+def cdiv(a, b, p):
+    d = radd(rmul(b.re, b.re, p), rmul(b.im, b.im, p), p)
+    re = rdiv(radd(rmul(a.re, b.re, p), rmul(a.im, b.im, p), p), d, p)
+    im = rdiv(rsub(rmul(a.im, b.re, p), rmul(a.re, b.im, p), p), d, p)
+    return PrecisionComplex(re, im)
+
+
+def pow2(k, p):
+    """Exact 2^k at precision p."""
+    return PrecisionReal(1 << (p - 1), k - (p - 1))
+
+
+def nearest_integer(x):
+    """Round-half-even nearest integer and the exact distance to it."""
+    frac = x.to_fraction()
+    n = round(frac)
+    return n, abs(frac - n)
+
+
+def reference_extract(o, phi01, phi11, sched, p, columns=None):
+    """extract_nh as the complex solve on PrecisionComplex values: Cramer's
+    rule with cmul/csub, a complex division by the determinant, residuals
+    as csup of each row's misfit, and n_h from the exact Fraction of k0.
+    columns replaces system_columns(sched, p)'s constant column."""
+    phi00, phi10 = columns or system_columns(sched, p)[0]
+    det = csub(cmul(phi00, phi11, p), cmul(phi10, phi01, p), p)
+    scale = rmax(rmax(csup(phi00), csup(phi10)), rmax(csup(phi01), csup(phi11)))
+    threshold = rmul(pow2(-(p // 2), p), scale, p)
+    if rcmp(csup(det), threshold) < 0:
+        raise SingularSystemError("two-channel system determinant below threshold")
+    c0, c1 = o.coeffs[0], o.coeffs[1]
+    k0 = cdiv(csub(cmul(c0, phi11, p), cmul(phi01, c1, p), p), det, p)
+    z1 = cdiv(csub(cmul(phi00, c1, p), cmul(phi10, c0, p), p), det, p)
+    residual0 = csup(csub(cadd(cmul(phi00, k0, p), cmul(phi01, z1, p), p), c0, p))
+    residual1 = csup(csub(cadd(cmul(phi10, k0, p), cmul(phi11, z1, p), p), c1, p))
+    n_h, dist = nearest_integer(k0.re)
+    return ExtractionResult(
+        k0=k0,
+        z1=z1,
+        n_h_rounded=n_h,
+        imag_magnitude=rabs(k0.im),
+        round_distance=from_fraction(dist, p) if dist else R_ZERO,
+        phi00=phi00,
+        phi10=phi10,
+        phi01=phi01,
+        phi11=phi11,
+        c0=c0,
+        c1=c1,
+        residual0=residual0,
+        residual1=residual1,
+    )
+
+
+def reference_flags(result):
+    """ExtractionResult.flags from exact Fractions against 1/4."""
+    limit = Fraction(1, 4)
+    named = (("round_distance", result.round_distance), ("imaginary", result.imag_magnitude))
+    return tuple(name for name, x in named if x.to_fraction() > limit)

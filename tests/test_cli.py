@@ -45,7 +45,10 @@ class TestEncode:
         out = tmp / "p2.series"
         code, _, _ = run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(out))
         assert code == 0
-        series = series_from_text(out.read_text())
+        # the header records the profile's c after (m, p)
+        head, body = out.read_text().split("\n", 1)
+        assert head == "series m=64 p=512 c=1099511627776"
+        series = series_from_text("series m=64 p=512\n" + body)
         assert series.degree_bound == 64
         assert series.coeffs[0].re.to_fraction() == 2
 
@@ -110,7 +113,7 @@ class TestFilterPseudoExtract:
         text = (dump / "step_001.series").read_text()
         prof = desk_profile(5)
         assert len(text.splitlines()) == 1 + prof.n_d
-        f = series_from_text(enc.read_text()).reround(prof.p_2)
+        f = series_from_text(enc.read_text().replace(" c=1099511627776", "", 1)).reround(prof.p_2)
         assert text == series_to_text(integrator_cascade(f, prof.n_d - 1))
         # the filtered file adds the schedule key to the last step's header
         last = (dump / "step_011.series").read_text()
@@ -126,6 +129,35 @@ class TestFilterPseudoExtract:
         code, stdout, err = run_cli(capsys, "filter", str(enc), "--n", "4")
         assert code == 1 and stdout == ""
         assert err.startswith("error: [parse] input series degree 6 != n_d1 64")
+
+    def test_filter_refuses_a_series_encoded_under_another_c_or_p(self, tmp_path, capsys):
+        # C4 encoded with c = 2^30 is not the desk profile's input (c = 2^40):
+        # filtered and extracted anyway, it printed k0_re=1.0387e33, exit 0
+        enc, c30 = tmp_path / "f.series", tmp_path / "c30.profile"
+        c30.write_text(profile_to_text(desk_profile(4, c=2 ** 30)))
+        c4 = str(GRAPHS / "c4.graph")
+        assert run_cli(capsys, "encode", c4, "--profile", str(c30), "--out", str(enc))[0] == 0
+        assert enc.read_text().startswith("series m=64 p=512 c=1073741824\n")
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--n", "4")
+        assert code == 1 and stdout == ""
+        assert err == (
+            "error: [parse] series was encoded under c=1073741824; "
+            "the profile has c=1099511627776\n"
+        )
+        # a series whose header records no c is refused too
+        text = enc.read_text()
+        enc.write_text(text.replace(" c=1073741824\n", "\n", 1))
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(c30))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: [parse] series was encoded under an unrecorded c; ")
+        # and one at another p_1
+        p1 = tmp_path / "p1.profile"
+        p1.write_text(profile_to_text(desk_profile(4, c=2 ** 30, p_1=384)))
+        enc.write_text(text)
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(p1))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: [parse] series has p=512; an encoded series has p_1=384")
+        assert run_cli(capsys, "filter", str(enc), "--profile", str(c30))[0] == 0
 
     def test_extract_rejects_unfiltered_series(self, files, capsys):
         tmp, g2, _, prof = files

@@ -1,20 +1,26 @@
 """Two-channel solve: exactness, degeneracy, flags, structural identities."""
 
+import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from hamspec import extraction
 from hamspec.extraction import (
     ExtractionResult,
     SingularSystemError,
+    _nearest_integer,
     extract_nh,
-    nearest_integer,
 )
 from hamspec.filter_pipeline import run_filter, run_pipeline, run_pseudo_steps
+from hamspec.graph import load_graph
 from hamspec.grid import grid_series
 from hamspec.numerics import (
+    NormalizedSeries,
     PrecisionComplex,
+    PrecisionReal,
     R_ZERO,
     cfrom_int,
     cmul,
@@ -23,7 +29,15 @@ from hamspec.numerics import (
     zero_series,
 )
 from hamspec.schedule import build_schedule, desk_profile
-from conftest import path_graph, trunc_exp_fraction
+from conftest import (
+    nearest_integer,
+    path_graph,
+    reference_extract,
+    reference_flags,
+    trunc_exp_fraction,
+)
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 @pytest.fixture(scope="module")
@@ -47,21 +61,28 @@ def _fraction_filter_step(u, r, m):
     return [c + adj * (-1) ** i for i, c in enumerate(out)]
 
 
+def nearest(x: PrecisionReal, p: int = 64):
+    """extract_nh's rounding of k0.re: the integer, and the distance to it
+    as a Fraction."""
+    n, dist = _nearest_integer(x.mantissa, x.exponent, p)
+    return n, PrecisionReal(*dist).to_fraction()
+
+
 class TestNearestInteger:
     def test_plain(self):
-        n, dist = nearest_integer(from_fraction(Fraction(9, 4), 64))
+        n, dist = nearest(from_fraction(Fraction(9, 4), 64))
         assert n == 2 and dist == Fraction(1, 4)
 
     def test_half_goes_even(self):
-        n, dist = nearest_integer(from_fraction(Fraction(5, 2), 64))
+        n, dist = nearest(from_fraction(Fraction(5, 2), 64))
         assert n == 2 and dist == Fraction(1, 2)
 
     def test_negative(self):
-        n, _ = nearest_integer(from_fraction(Fraction(-19, 8), 64))
+        n, _ = nearest(from_fraction(Fraction(-19, 8), 64))
         assert n == -2
 
     def test_zero(self):
-        n, dist = nearest_integer(R_ZERO)
+        n, dist = nearest(R_ZERO)
         assert n == 0 and dist == 0
 
 
@@ -177,3 +198,107 @@ class TestFlags:
 
     def test_boundary_quarter_does_not_fire(self):
         assert self.mk(Fraction(9, 4), Fraction(1, 4)).flags == ()
+
+
+def assert_same_bits(got: ExtractionResult, want: ExtractionResult):
+    for name in ("k0", "z1", "imag_magnitude", "round_distance", "residual0", "residual1"):
+        assert getattr(got, name).bits() == getattr(want, name).bits(), name
+    assert got.n_h_rounded == want.n_h_rounded
+    assert got.flags == reference_flags(want)
+
+
+class TestReferenceParity:
+    """The per-part real solve gives the complex solve's bits."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GRAPHS.glob("*.graph")))
+    def test_graph_files(self, name):
+        # through run_filter (run's path) and run_pipeline (the pinned reference)
+        g = load_graph(str(GRAPHS / f"{name}.graph"))
+        prof = desk_profile(g.n)
+        sched = build_schedule(prof)
+        phi01, phi11 = run_pseudo_steps(sched, prof)
+        outputs = (
+            run_filter(grid_series(g, prof, prof.n_d - 2), sched, prof),
+            run_pipeline(grid_series(g, prof), sched, prof),
+        )
+        for o in outputs:
+            got = extract_nh(o, phi01, phi11, sched, prof.p_2)
+            assert_same_bits(got, reference_extract(o, phi01, phi11, sched, prof.p_2))
+
+    @pytest.fixture
+    def constant_column(self, monkeypatch):
+        """Set extract_nh's constant column: system_columns is patched to
+        return it, and each set empties the system memo, whose key leaves
+        the constant column out."""
+
+        def set_column(phi00, phi10):
+            columns = lambda sched, p: ((phi00, phi10), None)  # noqa: E731
+            monkeypatch.setattr(extraction, "system_columns", columns)
+            extraction._system.cache_clear()
+
+        yield set_column
+        extraction._system.cache_clear()
+
+    @staticmethod
+    def _real(rng, p):
+        kind = rng.random()
+        if kind < 0.15:
+            return R_ZERO
+        if kind < 0.6:
+            return from_fraction(Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 4))), p)
+        num, den = rng.randrange(-(1 << 60), 1 << 60), rng.randrange(1, 1 << 30)
+        return from_fraction(Fraction(num, den), p)
+
+    def _check(self, set_column, system, rhs, sched, p):
+        phi00, phi10, phi01, phi11 = (PrecisionComplex(x, R_ZERO) for x in system)
+        set_column(phi00, phi10)
+        o = NormalizedSeries([PrecisionComplex(*rhs[:2]), PrecisionComplex(*rhs[2:])], p)
+        try:
+            want = reference_extract(o, phi01, phi11, sched, p, columns=(phi00, phi10))
+        except SingularSystemError:
+            for _ in range(2):
+                with pytest.raises(SingularSystemError):
+                    extract_nh(o, phi01, phi11, sched, p)
+            return None
+        got = extract_nh(o, phi01, phi11, sched, p)
+        assert_same_bits(got, want)
+        return got
+
+    def test_seeded_real_systems(self, p2_run, constant_column):
+        _, sched, _, _, _ = p2_run
+        rng = random.Random(1807)
+        solved = ties = negative = 0
+        for case in range(400):
+            p = rng.choice((24, 64, 256))
+            system = [self._real(rng, p) for _ in range(4)]
+            if case % 4 == 0:  # small diagonal systems: exact quotients, .5 ties
+                system = [from_int(rng.choice((1, 2, 4)), p), R_ZERO, R_ZERO, from_int(1, p)]
+            rhs = [self._real(rng, p) for _ in range(4)]
+            got = self._check(constant_column, system, rhs, sched, p)
+            if got is not None:
+                solved += 1
+                negative += got.k0.re.mantissa < 0
+                ties += got.round_distance.to_fraction() == Fraction(1, 2)
+        assert solved >= 300 and ties >= 5 and negative >= 50
+
+    def test_ties_go_even(self, p2_run, constant_column):
+        _, sched, _, _, _ = p2_run
+        p = 64
+        two, one = from_int(2, p), from_int(1, p)
+        for x0, n_h in ((5, 2), (7, 4), (-5, -2), (-7, -4)):
+            rhs = [from_int(x0, p), R_ZERO, R_ZERO, R_ZERO]
+            got = self._check(constant_column, [two, R_ZERO, R_ZERO, one], rhs, sched, p)
+            assert got.n_h_rounded == n_h
+            assert got.round_distance.to_fraction() == Fraction(1, 2)
+            assert got.flags == ("round_distance",)
+
+    def test_a_non_real_column_is_refused(self, p2_run, constant_column):
+        prof, sched, o, phi01, phi11 = p2_run
+        p = prof.p_2
+        tilted = PrecisionComplex(phi01.re, from_int(1, p))
+        for _ in range(2):  # refused on every call: the memo caches no failure
+            with pytest.raises(ValueError, match="not real"):
+                extract_nh(o, tilted, phi11, sched, p)
+        constant_column(PrecisionComplex(from_int(1, p), from_int(1, p)), cfrom_int(0, 0, p))
+        with pytest.raises(ValueError, match="not real"):
+            extract_nh(o, phi01, phi11, sched, p)

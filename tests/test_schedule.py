@@ -8,7 +8,6 @@ import pytest
 from hamspec.numerics import (
     from_fraction,
     from_int,
-    pow2,
     rdiv,
     taylor_table,
     to_decimal,
@@ -34,6 +33,7 @@ from hamspec.schedule import (
 )
 from conftest import (
     bisect_fraction,
+    pow2,
     round_nearest_even_fraction,
     rounding_midpoints,
     trunc_exp_fraction,
