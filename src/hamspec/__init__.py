@@ -1,48 +1,17 @@
 """Hamiltonian path counting via frequency-sum encoding and filter cascades,
-with exact enumeration oracles for desk-scale verification."""
+with exact enumeration oracles for desk-scale verification.
 
-from .extraction import ExtractionResult, SingularSystemError, extract_nh
-from .filter_pipeline import (
-    DegenerateScheduleError,
-    filter_step,
-    integrator_cascade,
-    run_filter,
-    run_pipeline,
-    run_pseudo_steps,
-)
-from .graph import Graph, GraphParseError, hamiltonian_frequency, parse_graph, vertex_numbers
-from .grid import grid_intermediate, grid_series
-from .numerics import (
-    NormalizedSeries,
-    PrecisionComplex,
-    PrecisionReal,
-    exp_series,
-    series_add,
-    series_eval,
-    series_from_text,
-    series_mul,
-    series_to_text,
-)
-from .schedule import (
-    NoRootError,
-    PipelineProfile,
-    ProfileError,
-    StepSchedule,
-    build_schedule,
-    desk_profile,
-    full_scale_profile,
-    solve_r_mu_plus_1,
-    solve_r_sp,
-    validate_profile,
-)
-from .walk_oracle import (
-    OracleLimitError,
-    check_visit_pair_uniqueness,
-    count_hamiltonian_paths,
-    enumerate_n_walks,
-    matrix_walk_count,
-    oracle_series,
-    walk_spectrum,
-)
+The top level exports what the README's Library example and the benchmark
+use; everything else lives in its submodule. Importing hamspec loads the
+submodules these names come from and numerics beneath them, so
+hamspec.numerics and the rest resolve; hamspec.cli and hamspec.transfer
+load when imported."""
+
+from .extraction import extract_nh
+from .filter_pipeline import run_filter, run_pipeline, run_pseudo_steps
+from .graph import Graph
+from .grid import grid_series
+from .schedule import StepSchedule, build_schedule, desk_profile
+from .walk_oracle import count_hamiltonian_paths, walk_spectrum
 
 __version__ = "0.1.0"

@@ -59,8 +59,17 @@ class DegenerateScheduleError(ArithmeticError):
 
 
 def _cascade(coeffs: list, m: int, p: int) -> list:
-    """integrator_cascade on raw coefficients: acc = u - acc, rounded as the
-    sum (-acc) + u; a zero part of u negates acc's part without rounding."""
+    """Zero-state response of y' + y = u truncated to degree m, on raw
+    coefficients: out_k = sum_{d=0..k-1} (-1)^(k-1-d) u_d, accumulated in
+    ascending d.
+
+    Computed as out_k = u_{k-1} - out_{k-1} (u_d = 0 beyond the series),
+    rounded as the sum (-out_{k-1}) + u_{k-1}, which is bit-identical to
+    the ascending sum: out_k's partial sums are exactly the negations of
+    out_{k-1}'s, because negation is exact and round-to-nearest-even is
+    symmetric in sign, so only the last addition differs. Zero inputs are
+    skipped, as in the sum, so a zero part of u_{k-1} negates that part of
+    out_{k-1} without rounding."""
     acc = ZERO
     out = [acc]
     for um, ue, vm, ve in coeffs[:m]:
@@ -95,21 +104,6 @@ def _step(coeffs: list, r: PrecisionReal, m: int, p: int, keep: int) -> list:
         else:
             out.append(_add(cm, ce, -wm, we, p) + _add(dm, de, -zm, ze, p))
     return out
-
-
-def integrator_cascade(series: NormalizedSeries, m: int) -> NormalizedSeries:
-    """Zero-state response of y' + y = u truncated to degree m:
-    out_k = sum_{d=0..k-1} (-1)^(k-1-d) u_d, accumulated in ascending d.
-
-    Computed as out_k = u_{k-1} - out_{k-1} (u_d = 0 beyond the series),
-    which is bit-identical to the ascending sum: out_k's partial sums are
-    exactly the negations of out_{k-1}'s, because negation is exact and
-    round-to-nearest-even is symmetric in sign, so only the last addition
-    differs. Zero inputs are skipped, as in the sum, so a zero u_{k-1}
-    gives -out_{k-1} exactly.
-    """
-    p = series.precision
-    return _series(_cascade(_quads(series, p), m, p), p)
 
 
 def filter_step(

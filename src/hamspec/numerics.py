@@ -9,7 +9,7 @@ correctly rounded, hence bit-reproducible on any platform.
 
 The kernels work on bare integers and return a (mantissa, exponent) pair;
 ``_add`` rounds the exact sum of two pairs through ``_round``. Each
-primitive (``radd``, ``rmul``, ``rdiv``, ``from_int``, ``round_to``, ...)
+primitive (``radd``, ``rmul``, ``rdiv``, ``from_int``, ...)
 is a one-line wrapper that builds a PrecisionReal from the pair. Hot loops
 (the filter step, ``series_eval``) call the pair kernels directly on raw
 coefficients, (re_m, re_e, im_m, im_e) tuples, so they build no object per
@@ -159,10 +159,6 @@ def _add(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
     return _round((am << (ae - be)) + bm, be, p)
 
 
-def round_to(a: PrecisionReal, p: int) -> PrecisionReal:
-    return PrecisionReal(*_round(a.mantissa, a.exponent, p))
-
-
 def from_int(v: int, p: int) -> PrecisionReal:
     return PrecisionReal(*_round(v, 0, p))
 
@@ -246,11 +242,6 @@ def taylor_table(x: PrecisionReal, m: int, p: int) -> tuple:
         up = radd(up, f, p)
         down = rsub(down, f, p) if k & 1 else radd(down, f, p)
     return tuple(factors), up, down
-
-
-def truncated_exp(x: PrecisionReal, m: int, p: int) -> PrecisionReal:
-    """sum_{i=0..m} x^i/i!: the taylor_table entry."""
-    return taylor_table(x, m, p)[1]
 
 
 def to_decimal(a: PrecisionReal, digits: int = 20) -> str:
@@ -371,10 +362,6 @@ def cfrom_int(re: int, im: int, p: int) -> PrecisionComplex:
     return PrecisionComplex(from_int(re, p), from_int(im, p))
 
 
-def cone(p: int) -> PrecisionComplex:
-    return PrecisionComplex(from_int(1, p), R_ZERO)
-
-
 def cadd(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
     return PrecisionComplex(radd(a.re, b.re, p), radd(a.im, b.im, p))
 
@@ -461,25 +448,8 @@ def _series(coeffs: list, p: int) -> NormalizedSeries:
     return NormalizedSeries(map(_complex, coeffs), p)
 
 
-def zero_series(m: int, p: int) -> NormalizedSeries:
-    return NormalizedSeries([C_ZERO] * (m + 1), p)
-
-
 def const_series(value: PrecisionComplex, m: int, p: int) -> NormalizedSeries:
     return NormalizedSeries([value] + [C_ZERO] * m, p)
-
-
-def series_add(a: NormalizedSeries, b: NormalizedSeries) -> NormalizedSeries:
-    if a.degree_bound != b.degree_bound:
-        raise SeriesConfigError(
-            f"degree bounds differ: {a.degree_bound} vs {b.degree_bound}"
-        )
-    if a.precision != b.precision:
-        raise SeriesConfigError(f"precisions differ: {a.precision} vs {b.precision}")
-    p = a.precision
-    return NormalizedSeries(
-        [cadd(x, y, p) for x, y in zip(a.coeffs, b.coeffs)], p
-    )
 
 
 def series_mul(a: NormalizedSeries, b: NormalizedSeries, m: int) -> NormalizedSeries:
@@ -542,14 +512,6 @@ def _eval(coeffs: list, factors: tuple, p: int) -> tuple:
             tm, te = _round(dm * fm, de + fe, p)
             zm, ze = _add(zm, ze, tm, te, p)
     return wm, we, zm, ze
-
-
-def exp_series(lam: PrecisionComplex, m: int, p: int) -> NormalizedSeries:
-    """Series of e^{lam t}: a_k = lam^k by repeated rounded multiplication."""
-    coeffs = [cone(p)]
-    for _ in range(m):
-        coeffs.append(cmul(coeffs[-1], lam, p))
-    return NormalizedSeries(coeffs, p)
 
 
 # ---------------------------------------------------------------------------

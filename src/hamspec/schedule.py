@@ -18,21 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .numerics import (
-    PrecisionReal,
-    from_int,
-    from_ratio,
-    rdiv,
-    rdiv_int,
-    rmul,
-    rneg,
-    taylor_table,
-    to_decimal,
-    truncated_exp,
-)
+from .numerics import PrecisionReal, from_int, from_ratio, rdiv, taylor_table, to_decimal
 
 LOG2_E = math.log2(math.e)
 MARGIN_BITS = 8.0
@@ -92,23 +81,13 @@ class Constraint:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepSchedule:
     """times[sp] is the zero-output time of step sp (index 0 unused)."""
 
     times: tuple
     alpha: PrecisionReal
     beta: PrecisionReal
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.times, self.alpha, self.beta))
-
-    def __hash__(self):
-        # A run looks its schedule up in three memos (the system columns,
-        # the extraction's real system, the report's digest): hash its
-        # reals once, not on every lookup.
-        return self._hash
 
     @property
     def step_count(self) -> int:
@@ -141,7 +120,7 @@ def full_scale_profile(n: int) -> PipelineProfile:
 # Profile file format: flat key=value lines
 # ---------------------------------------------------------------------------
 
-_PROFILE_KEYS = ("n", "n_d", "n_d1", "r_1", "r_mu", "c", "log2_c", "p_1", "p_2")
+_PROFILE_KEYS = tuple(f.name for f in fields(PipelineProfile))
 
 
 def profile_from_text(text: str, n: int | None = None) -> PipelineProfile:
@@ -177,20 +156,12 @@ def profile_from_text(text: str, n: int | None = None) -> PipelineProfile:
 
 
 def profile_to_text(profile: PipelineProfile) -> str:
-    lines = [
-        f"n={profile.n}",
-        f"n_d={profile.n_d}",
-        f"n_d1={profile.n_d1}",
-        f"r_1={profile.r_1}",
-        f"r_mu={profile.r_mu}",
-    ]
-    if profile.c:
-        lines.append(f"c={profile.c}")
-    else:
-        lines.append(f"log2_c={profile.log2_c!r}")
-    lines.append(f"p_1={profile.p_1}")
-    lines.append(f"p_2={profile.p_2}")
-    return "\n".join(lines) + "\n"
+    """One key=value line per field, in field order, with c or log2_c,
+    whichever the profile carries."""
+    skip = "log2_c" if profile.c else "c"
+    return "".join(
+        f"{key}={getattr(profile, key)!r}\n" for key in _PROFILE_KEYS if key != skip
+    )
 
 
 def load_profile(path, n: int | None = None) -> PipelineProfile:
@@ -229,8 +200,9 @@ def validate_profile(profile: PipelineProfile) -> list:
     def add(name, passed, slack, detail):
         out.append(Constraint(name, bool(passed), float(slack), detail))
 
-    if min(n, n_d, n_d1, r_1, r_mu) < 1 or (not profile.c and profile.log2_c <= 0):
-        add("positive", False, 0.0, "all parameters must be positive")
+    scale = profile.c or profile.log2_c  # c when set; a nan log2_c fails too
+    if min(n, n_d, n_d1, r_1, r_mu) < 1 or not 0 < scale < math.inf:
+        add("positive", False, 0.0, "all parameters must be positive and finite")
         return out
     add("positive", True, 0.0, "all parameters positive")
     add("n_d1_gt_n_d", n_d1 > n_d, math.log2(n_d1) - math.log2(n_d), f"{n_d1} > {n_d}")
@@ -274,17 +246,6 @@ def profile_ok(constraints) -> bool:
 # ---------------------------------------------------------------------------
 # Root solving
 # ---------------------------------------------------------------------------
-
-
-def ruleu_lhs(
-    alpha: PrecisionReal, r: PrecisionReal, sp: int, n_d: int, p: int
-) -> PrecisionReal:
-    """alpha * r^(sp-1)/(sp-1)! * sum_{i=0..n_d-sp+1} (-1)^i r^i / i!"""
-    power = from_int(1, p)
-    for _ in range(sp - 1):
-        power = rmul(power, r, p)
-    lead = rdiv_int(rmul(alpha, power, p), math.factorial(sp - 1), p)
-    return rmul(lead, truncated_exp(rneg(r), n_d - sp + 1, p), p)
 
 
 def _smallest_root(coeffs, p: int, what: str) -> PrecisionReal:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hamspec.extraction import ExtractionResult, SingularSystemError
-from hamspec.filter_pipeline import DegenerateScheduleError, system_columns
+from hamspec.filter_pipeline import DegenerateScheduleError, _cascade, system_columns
 from hamspec.graph import Graph
 from hamspec.numerics import (
     C_ZERO,
@@ -16,6 +17,8 @@ from hamspec.numerics import (
     NormalizedSeries,
     PrecisionComplex,
     PrecisionReal,
+    _quads,
+    _series,
     cadd,
     cmul,
     csup,
@@ -181,6 +184,15 @@ def reference_truncated_exp(x, m: int, p: int):
     return acc
 
 
+def exp_series(lam, m: int, p: int):
+    """Series of e^{lam t}: coefficient k is lam^k by repeated rounded
+    cmul, so exact while lam^k fits p bits."""
+    coeffs = [PrecisionComplex(from_int(1, p), R_ZERO)]
+    for _ in range(m):
+        coeffs.append(cmul(coeffs[-1], lam, p))
+    return NormalizedSeries(coeffs, p)
+
+
 def exp_fraction(x: Fraction, terms: int = 300) -> Fraction:
     """e^x by series with enough terms to be an oracle for |x| <= 32."""
     return trunc_exp_fraction(x, terms)
@@ -196,6 +208,17 @@ def bisect_fraction(fn, lo: Fraction, hi: Fraction, iters: int) -> Fraction:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def ruleu_lhs(alpha, r, sp: int, n_d: int, p: int):
+    """The step-time equation's left side at r, rounded at p bits:
+    alpha * r^(sp-1)/(sp-1)! * sum_{i=0..n_d-sp+1} (-1)^i r^i / i!,
+    which is 1 at a solved r_sp up to rounding."""
+    power = from_int(1, p)
+    for _ in range(sp - 1):
+        power = rmul(power, r, p)
+    lead = rdiv_int(rmul(alpha, power, p), math.factorial(sp - 1), p)
+    return rmul(lead, reference_truncated_exp(rneg(r), n_d - sp + 1, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +266,13 @@ def reference_step(series, r, m, p):
     return NormalizedSeries(
         [cadd(c, adj if i % 2 == 0 else cneg(adj), p) for i, c in enumerate(shifted)], p
     )
+
+
+def integrator_cascade(series, m: int):
+    """filter_pipeline._cascade on a series: the zero-state response of
+    y' + y = u truncated to degree m, out_k = sum_{d<k} (-1)^(k-1-d) u_d."""
+    p = series.precision
+    return _series(_cascade(_quads(series, p), m, p), p)
 
 
 def reference_pipeline(f_series, sched, prof, dump=None):

@@ -38,7 +38,6 @@ from hamspec.schedule import (
     desk_profile,
     full_scale_profile,
     profile_ok,
-    ruleu_lhs,
     validate_profile,
 )
 from hamspec.walk_oracle import (
@@ -47,7 +46,14 @@ from hamspec.walk_oracle import (
     oracle_series,
     walk_spectrum,
 )
-from conftest import FOUR_CLUSTER, complete_graph, cycle_graph, path_graph, trunc_exp_fraction
+from conftest import (
+    FOUR_CLUSTER,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    ruleu_lhs,
+    trunc_exp_fraction,
+)
 
 RESULTS_FILE = os.path.join(os.path.dirname(__file__), "..", "results", "claim_experiment.json")
 

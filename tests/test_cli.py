@@ -10,11 +10,10 @@ import pytest
 
 from hamspec import cli, grid, schedule, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
-from hamspec.filter_pipeline import integrator_cascade
 from hamspec.graph import load_graph
 from hamspec.numerics import series_from_text, series_to_text
 from hamspec.schedule import desk_profile, full_scale_profile, profile_to_text
-from conftest import complete_graph
+from conftest import complete_graph, integrator_cascade
 
 P2 = "n 2\ne 1 2\n"
 FOUR_CLUSTER = "n 4\ne 1 2\ne 1 3\ne 2 3\ne 1 4\ne 4 3\n"
@@ -403,6 +402,24 @@ class TestCheckProfile:
         assert code == 0
         assert "FAIL r_1_gt_n_d" in stdout
         assert "profile INVALID" in stdout
+
+    @pytest.mark.parametrize("scale", ["c=-1099511627776", "log2_c=nan", "log2_c=inf"])
+    def test_scale_must_be_positive_and_finite(self, files, capsys, scale):
+        # profile files come from outside the program: the scale is a
+        # positive c, or when c is unset a positive finite log2_c
+        tmp, g2, _, prof = files
+        bad = tmp / "scale.profile"
+        bad.write_text(re.sub(r"^c=\d+$", scale, prof.read_text(), flags=re.M))
+        code, stdout, _ = run_cli(capsys, "check-profile", str(bad), "--n", "2")
+        assert code == 0
+        assert stdout.splitlines() == [
+            "FAIL positive slack=0 (all parameters must be positive and finite)",
+            "profile INVALID",
+        ]
+        for command in ("run", "encode"):
+            code, stdout, err = run_cli(capsys, command, str(g2), "--profile", str(bad))
+            assert code == 1 and stdout == ""
+            assert err.startswith("error: [validate] profile fails validation: positive ("), err
 
 
 class TestRun:

@@ -18,6 +18,7 @@ from hamspec.filter_pipeline import run_filter, run_pipeline, run_pseudo_steps
 from hamspec.graph import load_graph
 from hamspec.grid import grid_series
 from hamspec.numerics import (
+    C_ZERO,
     NormalizedSeries,
     PrecisionComplex,
     PrecisionReal,
@@ -26,7 +27,6 @@ from hamspec.numerics import (
     cmul,
     from_fraction,
     from_int,
-    zero_series,
 )
 from hamspec.schedule import build_schedule, desk_profile
 from conftest import (
@@ -89,7 +89,8 @@ class TestNearestInteger:
 class TestExtract:
     def test_zero_output_is_exactly_zero(self, p2_run):
         prof, sched, _, phi01, phi11 = p2_run
-        res = extract_nh(zero_series(prof.n_d, prof.p_2), phi01, phi11, sched, prof.p_2)
+        zero = NormalizedSeries([C_ZERO] * (prof.n_d + 1), prof.p_2)
+        res = extract_nh(zero, phi01, phi11, sched, prof.p_2)
         assert res.k0.is_zero() and res.z1.is_zero()
         assert res.n_h_rounded == 0
         assert res.round_distance.is_zero()

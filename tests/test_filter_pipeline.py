@@ -11,7 +11,6 @@ from hamspec.filter_pipeline import (
     _step,
     decay_series,
     filter_step,
-    integrator_cascade,
     run_filter,
     run_pipeline,
     run_pseudo_steps,
@@ -28,20 +27,18 @@ from hamspec.numerics import (
     cadd,
     cfrom_int,
     cmul_int,
-    cone,
     const_series,
     from_fraction,
     from_int,
-    round_to,
     series_eval,
     taylor_table,
-    zero_series,
 )
 from hamspec.schedule import build_schedule, desk_profile, solve_schedule
 from conftest import (
     cneg,
     complete_graph,
     cycle_graph,
+    integrator_cascade,
     reference_pipeline,
     reference_step,
     trunc_exp_fraction,
@@ -140,7 +137,7 @@ class TestFilterStep:
 
     def test_zero_input(self):
         p = 128
-        out = filter_step(zero_series(8, p), from_fraction(Fraction(1, 3), p), 8, p)
+        out = filter_step(NormalizedSeries([C_ZERO] * 9, p), from_fraction(Fraction(1, 3), p), 8, p)
         assert all(c.is_zero() for c in out.coeffs)
 
     def test_output_vanishes_at_step_time(self):
@@ -312,7 +309,7 @@ class TestStepCaches:
         p, m = 256, 16
         u = random_series(random.Random(5), m, p)
         narrow = from_fraction(Fraction(5, 11), 64)
-        wide = round_to(narrow, 1024)
+        wide = PrecisionReal(narrow.mantissa << 960, narrow.exponent - 960)
         assert wide.mantissa != narrow.mantissa and wide == narrow
         cold = (series_eval(u, narrow).bits(), filter_step(u, narrow, m, p).bits())
         warm = (series_eval(u, wide).bits(), filter_step(u, wide, m, p).bits())
@@ -404,14 +401,14 @@ class TestPipeline:
     def test_zero_pipeline(self):
         prof = desk_profile(4)
         sched = build_schedule(prof)
-        out = run_pipeline(zero_series(prof.n_d1, prof.p_2), sched, prof)
+        out = run_pipeline(NormalizedSeries([C_ZERO] * (prof.n_d1 + 1), prof.p_2), sched, prof)
         assert all(c.is_zero() for c in out.coeffs)
 
     def test_rejects_wrong_degree(self):
         prof = desk_profile(4)
         sched = build_schedule(prof)
         with pytest.raises(ValueError):
-            run_pipeline(zero_series(16, prof.p_2), sched, prof)
+            run_pipeline(NormalizedSeries([C_ZERO] * 17, prof.p_2), sched, prof)
 
     def test_step_one_runs_at_full_degree_then_truncates(self):
         prof = desk_profile(4)
@@ -466,9 +463,9 @@ class TestProductionPath:
     def test_rejects_a_series_below_n_d_minus_2(self):
         prof = desk_profile(4)
         sched = build_schedule(prof)
-        run_filter(zero_series(prof.n_d - 2, prof.p_2), sched, prof)
+        run_filter(NormalizedSeries([C_ZERO] * (prof.n_d - 1), prof.p_2), sched, prof)
         with pytest.raises(ValueError, match="n_d - 2"):
-            run_filter(zero_series(prof.n_d - 3, prof.p_2), sched, prof)
+            run_filter(NormalizedSeries([C_ZERO] * (prof.n_d - 2), prof.p_2), sched, prof)
 
     def test_dump_keeps_bits_and_holds_n_d_coefficients_at_step_one(self):
         prof = desk_profile(5)
@@ -485,7 +482,7 @@ class TestProductionPath:
     def test_constant_column_is_the_response_to_a_unit_constant(self):
         prof = desk_profile(4)
         sched = build_schedule(prof)
-        o = run_filter(const_series(cone(prof.p_2), prof.n_d - 2, prof.p_2), sched, prof)
+        o = run_filter(const_series(cfrom_int(1, 0, prof.p_2), prof.n_d - 2, prof.p_2), sched, prof)
         (phi00, phi10), _ = system_columns(sched, prof.p_2)
         assert (phi00, phi10) == o.coeffs[:2]
 

@@ -12,7 +12,6 @@ from hamspec.numerics import (
     R_ZERO,
     SeriesConfigError,
     cfrom_int,
-    exp_series,
     from_fraction,
     from_hex,
     from_int,
@@ -26,7 +25,6 @@ from hamspec.numerics import (
     rmul_int,
     rneg,
     rsub,
-    series_add,
     series_eval,
     series_from_text,
     series_mul,
@@ -34,11 +32,10 @@ from hamspec.numerics import (
     taylor_table,
     to_decimal,
     to_hex,
-    truncated_exp,
-    zero_series,
 )
 from conftest import (
     exp_fraction,
+    exp_series,
     reference_truncated_exp,
     round_nearest_even_fraction,
     trunc_exp_fraction,
@@ -256,36 +253,6 @@ class TestSerialization:
         assert to_decimal(R_ZERO) == "0"
 
 
-class TestSeriesAdd:
-    def test_disjoint_supports(self):
-        p = 64
-        a = NormalizedSeries([cfrom_int(1, 0, p), cfrom_int(0, 0, p)], p)
-        b = NormalizedSeries([cfrom_int(0, 0, p), cfrom_int(1, 0, p)], p)
-        s = series_add(a, b)
-        assert [c.re.to_fraction() for c in s.coeffs] == [1, 1]
-
-    def test_zero_identity(self):
-        p = 64
-        a = exp_series(cfrom_int(0, 3, p), 6, p)
-        assert series_add(a, zero_series(6, p)) == a
-
-    def test_exponential_sum_coefficients(self):
-        # coefficients of e^{2t} + e^{3t}: 2^k + 3^k, exact at small k
-        p = 128
-        m = 10
-        s = series_add(exp_series(cfrom_int(2, 0, p), m, p), exp_series(cfrom_int(3, 0, p), m, p))
-        for k in range(m + 1):
-            assert s.coeffs[k].re.to_fraction() == 2 ** k + 3 ** k
-            assert s.coeffs[k].im.is_zero()
-
-    def test_mismatch_errors(self):
-        p = 64
-        with pytest.raises(SeriesConfigError):
-            series_add(zero_series(3, p), zero_series(4, p))
-        with pytest.raises(SeriesConfigError):
-            series_add(zero_series(3, p), zero_series(3, 128))
-
-
 class TestSeriesMul:
     def test_exponential_product_law(self):
         p = 128
@@ -301,6 +268,14 @@ class TestSeriesMul:
         a = exp_series(cfrom_int(1, 1, p), 8, p)
         one = NormalizedSeries([cfrom_int(1, 0, p)] + [cfrom_int(0, 0, p)] * 8, p)
         assert series_mul(a, one, 8) == a
+
+    def test_config_errors(self):
+        # an empty series, and operands at two precisions
+        with pytest.raises(SeriesConfigError):
+            NormalizedSeries([], 64)
+        a = exp_series(cfrom_int(1, 0, 64), 3, 64)
+        with pytest.raises(SeriesConfigError):
+            series_mul(a, a.reround(128), 3)
 
     def test_binomial_weight(self):
         # t * t = 2 * t^2/2!: normalized coefficient picks up binom(2,1)
@@ -411,6 +386,9 @@ class TestSeriesEval:
 
 
 class TestExpSeries:
+    """conftest.exp_series, the reference the series tests compare against:
+    powers lam^k by rounded cmul, exact on small complex integers."""
+
     def test_zero_rate(self):
         p = 64
         s = exp_series(cfrom_int(0, 0, p), 5, p)
@@ -436,7 +414,7 @@ class TestTruncatedExp:
         # absolute error scales with the largest term of the alternating sum
         p = 192
         for m, x in ((8, Fraction(2)), (8, Fraction(-2)), (64, Fraction(-16)), (5, Fraction(1, 3))):
-            got = truncated_exp(from_fraction(x, p), m, p).to_fraction()
+            got = taylor_table(from_fraction(x, p), m, p)[1].to_fraction()
             want = trunc_exp_fraction(x, m)
             term = Fraction(1)
             peak = Fraction(1)

@@ -12,7 +12,6 @@ from hamspec.numerics import (
     taylor_table,
     to_decimal,
     to_hex,
-    truncated_exp,
 )
 from hamspec.schedule import (
     NoRootError,
@@ -25,7 +24,6 @@ from hamspec.schedule import (
     profile_from_text,
     profile_ok,
     profile_to_text,
-    ruleu_lhs,
     solve_schedule,
     solve_r_mu_plus_1,
     solve_r_sp,
@@ -36,6 +34,7 @@ from conftest import (
     pow2,
     round_nearest_even_fraction,
     rounding_midpoints,
+    ruleu_lhs,
     trunc_exp_fraction,
 )
 
@@ -155,7 +154,7 @@ class TestSolveClosing:
         n_d = 8
         r_mu = from_int(2, p)
         r = solve_r_mu_plus_1(r_mu, n_d, p)
-        beta = truncated_exp(r_mu, n_d, p).to_fraction()
+        beta = taylor_table(r_mu, n_d, p)[1].to_fraction()
         got = trunc_exp_fraction(r.to_fraction(), n_d) / r.to_fraction()
         assert abs(got - beta) <= Fraction(2) ** -128 * beta
 
