@@ -9,10 +9,10 @@ from hamspec import grid
 from hamspec.filter_pipeline import run_pipeline
 from hamspec.graph import Graph, hamiltonian_frequency, vertex_numbers
 from hamspec.grid import grid_intermediate, grid_series
-from hamspec.numerics import from_int, taylor_table
+from hamspec.numerics import cadd, cfrom_int, from_int, taylor_table
 from hamspec.schedule import build_schedule, desk_profile
 from hamspec.walk_oracle import matrix_walk_count, oracle_series, walk_spectrum
-from conftest import FOUR_CLUSTER, _connected, complete_graph, cycle_graph, path_graph
+from conftest import FOUR_CLUSTER, _connected, complete_graph, cycle_graph, exp_series, path_graph
 
 
 def encode_profile(n, **kw):
@@ -180,6 +180,25 @@ class TestHead:
 
 
 class TestIntermediates:
+    def test_depth_one_is_oscillator_bank(self):
+        prof = encode_profile(4)
+        wires = grid_intermediate(FOUR_CLUSTER, prof, 1)
+        nums = vertex_numbers(4)
+        for l, w in enumerate(wires, start=1):
+            assert w == exp_series(cfrom_int(0, nums[l - 1], prof.p_1), 32, prof.p_1)
+
+    def test_depth_two_neighbor_sum(self):
+        # vertex 2's depth-2 wire: (e^{i4t} + e^{i64t}) * e^{i16t}
+        prof = encode_profile(4)
+        wires = grid_intermediate(FOUR_CLUSTER, prof, 2)
+        w2 = wires[1]
+        # two 2-walks end at vertex 2: (1,2) with W=20 and (3,2) with W=80
+        p = prof.p_1
+        a = exp_series(cfrom_int(0, 20, p), 32, p)
+        b = exp_series(cfrom_int(0, 80, p), 32, p)
+        expect = tuple(cadd(x, y, p).bits() for x, y in zip(a.coeffs, b.coeffs))
+        assert w2.bits() == expect
+
     def test_depth_walk_counts(self):
         # constant coefficient of the wire sum at depth d = number of d-walks
         prof = encode_profile(4)
@@ -197,12 +216,10 @@ class TestIntermediates:
 
     def test_every_wire_matches_enumerated_walk_sums(self, monkeypatch):
         # wire l at depth d is exactly sum of e^{iWt} over d-walks ending
-        # at l; rebuild that sum from explicit enumeration and compare bits.
-        # Depth 1 is the oscillator bank e^{i n^l t}; at depth 2 vertex 2's
-        # wire is e^{i20t} + e^{i80t}, from the walks (1,2) and (3,2)
+        # at l; rebuild that sum from explicit enumeration and compare bits
         from collections import Counter
 
-        from hamspec.numerics import cfrom_int, cmul, cadd, cmul_int
+        from hamspec.numerics import cmul, cmul_int
 
         g = FOUR_CLUSTER
         nums = vertex_numbers(g.n)
@@ -210,8 +227,7 @@ class TestIntermediates:
         # depth 1 at n_d1 = 4, depths 2..4 come from moment shifts instead
         assert grid._route(4, 16) == (4, False)
         monkeypatch.setattr(grid, "_route", lambda n, m: (1, False) if m == 4 else (n, False))
-        cases = [(32, 1), (32, 2), (16, 2), (16, 3), (16, 4), (4, 2), (4, 3), (4, 4)]
-        for m, depth in cases:
+        for m, depth in ((16, 2), (16, 3), (16, 4), (4, 2), (4, 3), (4, 4)):
             prof = encode_profile(4, n_d1=m)
             p = prof.p_1
             walks = [[v] for v in range(1, g.n + 1)]
