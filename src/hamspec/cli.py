@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import extraction, filter_pipeline, grid, schedule, walk_oracle
 from .graph import Graph, load_graph
-from .numerics import series_from_text, series_to_text, to_decimal
+from .numerics import load_series, series_to_text, to_decimal
 from .schedule import PipelineProfile, ProfileError, desk_profile
 
 VERDICT_MATCH = "MATCH"
@@ -154,57 +154,10 @@ def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
     return extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2)
 
 
-def _encode_key(profile: PipelineProfile) -> str:
-    """The header field `encode` adds to its output: the scale c, beyond
-    the (n_d1, p_1) that the header's m and p carry."""
-    return f"c={profile.c}"
-
-
-def _schedule_key(profile: PipelineProfile) -> str:
-    """The header fields `filter` adds to its output: the schedule's key
-    beyond the (n_d, p_2) that the header's m and p carry."""
-    return f"n_d1={profile.n_d1} r_1={profile.r_1} r_mu={profile.r_mu}"
-
-
-def _with_key(text: str, key: str) -> str:
-    """series_to_text output with key appended to its header line."""
-    return text.replace("\n", f" {key}\n", 1)
-
-
-def _read_series(path: str, profile: PipelineProfile, filtered: bool):
-    """The series in a file, refused unless it is what the command reads:
-    an encoded series of degree n_d1 at p_1 bits whose header records this
-    profile's c (filter), or a series of degree n_d at p_2 bits whose
-    header records this profile's schedule key (extract)."""
-    with open(path) as fh:
-        head, _, body = fh.read().partition("\n")
-    words = head.split()
-    series = series_from_text(" ".join(words[:3]) + "\n" + body)
-    m, p, key = series.degree_bound, series.precision, " ".join(words[3:])
-    if not filtered:
-        if m != profile.n_d1:
-            raise ValueError(
-                f"input series degree {m} != n_d1 {profile.n_d1}: filter takes an encoded series"
-            )
-        if p != profile.p_1:
-            raise ValueError(f"series has p={p}; an encoded series has p_1={profile.p_1}")
-        if key != _encode_key(profile):
-            raise ValueError(
-                f"series was encoded under {key or 'an unrecorded c'}; "
-                f"the profile has {_encode_key(profile)}"
-            )
-        return series
-    if (m, p) != (profile.n_d, profile.p_2):
-        raise ValueError(
-            f"series has (m, p) = ({m}, {p}); a filtered series has "
-            f"(n_d, p_2) = ({profile.n_d}, {profile.p_2})"
-        )
-    if key != _schedule_key(profile):
-        raise ValueError(
-            f"series was filtered under {key or 'an unrecorded schedule key'}; "
-            f"the profile has {_schedule_key(profile)}"
-        )
-    return series
+def _schedule_key(profile: PipelineProfile) -> dict:
+    """The header fields `filter` writes on its output and `extract`
+    expects: the schedule's key beyond the (n_d, p_2) that m and p carry."""
+    return {"n_d1": profile.n_d1, "r_1": profile.r_1, "r_mu": profile.r_mu}
 
 
 def _step_dumper(dump_dir: str | None):
@@ -301,10 +254,7 @@ def _cmd_encode(args) -> int:
     g = _staged({}, "parse", load_graph, args.graph)
     resolve = functools.partial(_resolve_profile, args)
     profile, _ = _staged({}, "validate", _validated, resolve, g.n)
-    text = _staged(
-        {}, "encode",
-        lambda: _with_key(series_to_text(grid.grid_series(g, profile)), _encode_key(profile)),
-    )
+    text = _staged({}, "encode", lambda: series_to_text(grid.grid_series(g, profile), c=profile.c))
     _staged({}, "write", _write_out, args, text)
     return 0
 
@@ -312,10 +262,12 @@ def _cmd_encode(args) -> int:
 def _cmd_filter(args) -> int:
     resolve = functools.partial(_resolve_profile, args)
     profile, sched = _staged({}, "validate", _validated, resolve, args.n)
-    f_series = _staged({}, "parse", _read_series, args.series, profile, False)
+    f_series = _staged(
+        {}, "parse", lambda: load_series(args.series, m=profile.n_d1, p=profile.p_1, c=profile.c)
+    )
     dump = _step_dumper(args.dump_steps)
     out = _staged({}, "filter", filter_pipeline.run_filter, f_series, sched, profile, dump)
-    text = _with_key(series_to_text(out), _schedule_key(profile))
+    text = series_to_text(out, **_schedule_key(profile))
     _staged({}, "write", _write_out, args, text)
     return 0
 
@@ -323,7 +275,10 @@ def _cmd_filter(args) -> int:
 def _cmd_extract(args) -> int:
     resolve = functools.partial(_resolve_profile, args)
     profile, sched = _staged({}, "validate", _validated, resolve, args.n)
-    o_series = _staged({}, "parse", _read_series, args.series, profile, True)
+    key = _schedule_key(profile)
+    o_series = _staged(
+        {}, "parse", lambda: load_series(args.series, m=profile.n_d, p=profile.p_2, **key)
+    )
     result = _staged({}, "extract", _extract, o_series, sched, profile)
     for k, v in _extraction_block(result).items():
         print(f"{k}={v}")
@@ -389,15 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_encode)
 
-    p = sub.add_parser("filter", help="series file -> filtered series file")
+    p = sub.add_parser("filter", help="encoded series file -> cascade output series file")
     p.add_argument("series")
     p.add_argument("--n", type=int, help="vertex count for the default profile")
     p.add_argument("--dump-steps", help="directory for per-step series dumps")
     _add_common(p)
     p.set_defaults(fn=_cmd_filter)
 
-    p = sub.add_parser("extract", help="filtered series file -> two-channel solve")
-    p.add_argument("series", help="filtered output series file")
+    p = sub.add_parser("extract", help="cascade output series file -> two-channel solve")
+    p.add_argument("series", help="the series file filter wrote")
     p.add_argument("--n", type=int, help="vertex count for the default profile")
     p.add_argument("--profile", help=PROFILE_HELP)
     p.set_defaults(fn=_cmd_extract)

@@ -519,26 +519,38 @@ def _eval(coeffs: list, factors: tuple, p: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def series_to_text(a: NormalizedSeries) -> str:
-    lines = [f"series m={a.degree_bound} p={a.precision}"]
+def series_to_text(a: NormalizedSeries, **keys) -> str:
+    """The series file: a header `series m=<m> p=<p>` plus one
+    `key=<int>` field per keyword, then `<k> <re> <im>` per coefficient."""
+    fields = {"m": a.degree_bound, "p": a.precision, **keys}
+    lines = ["series " + " ".join(f"{k}={v}" for k, v in fields.items())]
     for k, c in enumerate(a.coeffs):
         lines.append(f"{k} {to_hex(c.re)} {to_hex(c.im)}")
     return "\n".join(lines) + "\n"
 
 
-def series_from_text(text: str) -> NormalizedSeries:
+def series_from_text(text: str, **expect) -> NormalizedSeries:
+    """The series in a series file. Given expect, the header's fields must
+    be exactly expect's, m and p among them, each with its value; the
+    refusal names the first field that differs, m and p checked first."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty series file")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "series":
-        raise ValueError(f"bad series header: {lines[0]!r}")
     try:
-        m = int(head[1].removeprefix("m="))
-        p = int(head[2].removeprefix("p="))
-    except ValueError as exc:
+        fields = {key: int(value) for key, value in (word.split("=") for word in head[1:])}
+        if head[0] != "series" or len(fields) != len(head) - 1:
+            raise ValueError("not a series header")
+        m, p = fields["m"], fields["p"]
+    except (ValueError, KeyError) as exc:
         raise ValueError(f"bad series header: {lines[0]!r}") from exc
-    coeffs = [None] * (m + 1)
+    if expect:
+        for key in dict.fromkeys(("m", "p", *expect, *fields)):
+            got, want = (f"{key}={d[key]}" if key in d else f"no {key}" for d in (fields, expect))
+            if got != want:
+                raise ValueError(f"series header has {got}, expected {want}")
+    # by index, not a list of m + 1 slots: the header's m is not trusted
+    coeffs = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -546,9 +558,15 @@ def series_from_text(text: str) -> NormalizedSeries:
         k = int(parts[0])
         if not 0 <= k <= m:
             raise ValueError(f"coefficient index {k} out of range 0..{m}")
-        if coeffs[k] is not None:
+        if k in coeffs:
             raise ValueError(f"coefficient index {k} appears twice")
         coeffs[k] = PrecisionComplex(from_hex(parts[1], p), from_hex(parts[2], p))
-    if None in coeffs:
-        raise ValueError(f"coefficient index {coeffs.index(None)} missing (need 0..{m})")
-    return NormalizedSeries(coeffs, p)
+    if len(coeffs) <= m:
+        missing = next(k for k in range(m + 1) if k not in coeffs)
+        raise ValueError(f"coefficient index {missing} missing (need 0..{m})")
+    return NormalizedSeries([coeffs[k] for k in range(m + 1)], p)
+
+
+def load_series(path, **expect) -> NormalizedSeries:
+    with open(path, "r", encoding="ascii") as fh:
+        return series_from_text(fh.read(), **expect)

@@ -135,6 +135,10 @@ def profile_from_text(text: str, n: int | None = None) -> PipelineProfile:
         key, val = key.strip(), val.strip()
         if key not in _PROFILE_KEYS:
             raise ProfileError(f"line {lineno}: unknown profile key {key!r}")
+        if key in values:
+            raise ProfileError(f"line {lineno}: duplicate {key!r} line")
+        if key in ("c", "log2_c") and ("c" in values or "log2_c" in values):
+            raise ProfileError(f"line {lineno}: a profile gives c or log2_c, not both")
         try:
             values[key] = float(val) if key == "log2_c" else int(val)
         except ValueError:

@@ -11,7 +11,7 @@ import pytest
 from hamspec import cli, grid, schedule, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
 from hamspec.graph import load_graph
-from hamspec.numerics import series_from_text, series_to_text
+from hamspec.numerics import load_series, series_to_text
 from hamspec.schedule import desk_profile, full_scale_profile, profile_to_text
 from conftest import complete_graph, integrator_cascade
 
@@ -45,9 +45,8 @@ class TestEncode:
         code, _, _ = run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(out))
         assert code == 0
         # the header records the profile's c after (m, p)
-        head, body = out.read_text().split("\n", 1)
-        assert head == "series m=64 p=512 c=1099511627776"
-        series = series_from_text("series m=64 p=512\n" + body)
+        assert out.read_text().startswith("series m=64 p=512 c=1099511627776\n")
+        series = load_series(out, m=64, p=512, c=2 ** 40)
         assert series.degree_bound == 64
         assert series.coeffs[0].re.to_fraction() == 2
 
@@ -112,11 +111,11 @@ class TestFilterPseudoExtract:
         text = (dump / "step_001.series").read_text()
         prof = desk_profile(5)
         assert len(text.splitlines()) == 1 + prof.n_d
-        f = series_from_text(enc.read_text().replace(" c=1099511627776", "", 1)).reround(prof.p_2)
+        f = load_series(enc).reround(prof.p_2)
         assert text == series_to_text(integrator_cascade(f, prof.n_d - 1))
         # the filtered file adds the schedule key to the last step's header
-        last = (dump / "step_011.series").read_text()
-        assert flt.read_text() == last.replace("\n", " n_d1=64 r_1=16 r_mu=2\n", 1)
+        last = load_series(dump / "step_011.series")
+        assert flt.read_text() == series_to_text(last, n_d1=64, r_1=16, r_mu=2)
 
     def test_filter_refuses_a_series_below_the_encoded_degree(self, tmp_path, capsys):
         # the file contract is the encoder's degree n_d1; run's own shorter
@@ -127,7 +126,7 @@ class TestFilterPseudoExtract:
         enc.write_text(series_to_text(head))
         code, stdout, err = run_cli(capsys, "filter", str(enc), "--n", "4")
         assert code == 1 and stdout == ""
-        assert err.startswith("error: [parse] input series degree 6 != n_d1 64")
+        assert err == "error: [parse] series header has m=6, expected m=64\n"
 
     def test_filter_refuses_a_series_encoded_under_another_c_or_p(self, tmp_path, capsys):
         # C4 encoded with c = 2^30 is not the desk profile's input (c = 2^40):
@@ -139,23 +138,25 @@ class TestFilterPseudoExtract:
         assert enc.read_text().startswith("series m=64 p=512 c=1073741824\n")
         code, stdout, err = run_cli(capsys, "filter", str(enc), "--n", "4")
         assert code == 1 and stdout == ""
-        assert err == (
-            "error: [parse] series was encoded under c=1073741824; "
-            "the profile has c=1099511627776\n"
-        )
+        assert err == "error: [parse] series header has c=1073741824, expected c=1099511627776\n"
         # a series whose header records no c is refused too
         text = enc.read_text()
-        enc.write_text(text.replace(" c=1073741824\n", "\n", 1))
+        enc.write_text(series_to_text(load_series(enc)))
         code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(c30))
         assert code == 1 and stdout == ""
-        assert err.startswith("error: [parse] series was encoded under an unrecorded c; ")
+        assert err == "error: [parse] series header has no c, expected c=1073741824\n"
+        # and one whose header records a key filter does not expect
+        enc.write_text(series_to_text(load_series(enc), c=2 ** 30, r_mu=2))
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(c30))
+        assert code == 1 and stdout == ""
+        assert err == "error: [parse] series header has r_mu=2, expected no r_mu\n"
         # and one at another p_1
         p1 = tmp_path / "p1.profile"
         p1.write_text(profile_to_text(desk_profile(4, c=2 ** 30, p_1=384)))
         enc.write_text(text)
         code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(p1))
         assert code == 1 and stdout == ""
-        assert err.startswith("error: [parse] series has p=512; an encoded series has p_1=384")
+        assert err == "error: [parse] series header has p=512, expected p=384\n"
         assert run_cli(capsys, "filter", str(enc), "--profile", str(c30))[0] == 0
 
     def test_extract_rejects_unfiltered_series(self, files, capsys):
@@ -164,7 +165,7 @@ class TestFilterPseudoExtract:
         run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
         code, stdout, err = run_cli(capsys, "extract", str(enc), "--profile", str(prof), "--n", "2")
         assert code == 1 and stdout == ""
-        assert "(64, 512)" in err and "(8, 256)" in err
+        assert err == "error: [parse] series header has m=64, expected m=8\n"
 
     def test_extract_refuses_a_series_filtered_under_another_profile(self, tmp_path, capsys):
         # (m, p) = (n_d, p_2) agree; only the header's schedule key tells
@@ -176,12 +177,21 @@ class TestFilterPseudoExtract:
         assert run_cli(capsys, "filter", str(enc), "--profile", str(r_mu3), "--out", str(flt))[0] == 0
         code, stdout, err = run_cli(capsys, "extract", str(flt), "--n", "4")
         assert code == 1 and stdout == ""
-        assert err.startswith("error: [parse] series was filtered under n_d1=64 r_1=16 r_mu=3; ")
+        assert err == "error: [parse] series header has r_mu=3, expected r_mu=2\n"
         # a series whose header records no key is refused too
-        flt.write_text(flt.read_text().replace(" n_d1=64 r_1=16 r_mu=3\n", "\n", 1))
+        flt.write_text(series_to_text(load_series(flt)))
         code, stdout, err = run_cli(capsys, "extract", str(flt), "--n", "4")
         assert code == 1 and stdout == ""
-        assert err.startswith("error: [parse] series was filtered under an unrecorded schedule key")
+        assert err == "error: [parse] series header has no n_d1, expected n_d1=64\n"
+
+    def test_filter_reads_a_series_after_a_leading_blank_line(self, tmp_path, capsys):
+        # blank lines carry nothing: the header is the first line with text
+        enc, flt, blank = tmp_path / "f.series", tmp_path / "o.series", tmp_path / "b.series"
+        assert run_cli(capsys, "encode", str(GRAPHS / "c4.graph"), "--out", str(enc))[0] == 0
+        blank.write_text("\n" + enc.read_text())
+        assert run_cli(capsys, "filter", str(enc), "--n", "4", "--out", str(flt))[0] == 0
+        code, stdout, err = run_cli(capsys, "filter", str(blank), "--n", "4")
+        assert (code, err) == (0, "") and stdout == flt.read_text()
 
     def test_filter_rejects_truncated_series(self, files, capsys):
         tmp, g2, _, prof = files
@@ -403,6 +413,15 @@ class TestCheckProfile:
         assert "FAIL r_1_gt_n_d" in stdout
         assert "profile INVALID" in stdout
 
+    def test_ambiguous_profile_refused(self, files, capsys):
+        # a scale given as both c and log2_c was read as c, log2_c dropped
+        tmp, _, _, prof = files
+        both = tmp / "both.profile"
+        both.write_text(prof.read_text() + "log2_c=40\n")
+        code, stdout, err = run_cli(capsys, "check-profile", str(both), "--n", "4")
+        assert code == 1 and stdout == ""
+        assert err == "error: [validate] line 8: a profile gives c or log2_c, not both\n"
+
     @pytest.mark.parametrize("scale", ["c=-1099511627776", "log2_c=nan", "log2_c=inf"])
     def test_scale_must_be_positive_and_finite(self, files, capsys, scale):
         # profile files come from outside the program: the scale is a
@@ -539,3 +558,12 @@ class TestReadme:
         for argv in readme_commands():
             code, _, err = run_cli(capsys, *argv)
             assert code == 0, (argv, err)
+
+    def test_library_example_counts_the_paths(self, capsys):
+        # the python block under "## Library", run as a reader would paste it
+        block = README.read_text().split("## Library", 1)[1].split("```python\n", 1)[1]
+        namespace = {}
+        exec(block.split("```", 1)[0], namespace)
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == 2
+        assert int(printed[1]) == walk_oracle.count_hamiltonian_paths_dp(namespace["g"])

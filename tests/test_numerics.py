@@ -237,6 +237,31 @@ class TestSerialization:
             series_from_text("series m=2 p=64\n0 0x1p+0 0x0p+0\n2 0x1p+0 0x0p+0\n")
         with pytest.raises(ValueError, match="index 0 appears twice"):
             series_from_text("series m=1 p=64\n0 0x1p+0 0x0p+0\n0 0x1p+1 0x0p+0\n1 0x0p+0 0x0p+0\n")
+        # the header's m is not an allocation: a huge m with one line is a
+        # missing index, not a MemoryError with no message
+        with pytest.raises(ValueError, match=r"^coefficient index 1 missing \(need 0..1000000000000\)$"):
+            series_from_text("series m=1000000000000 p=512 c=1099511627776\n0 0x1p+0 0x0p+0\n")
+        for head in ("series m=1 p=64 c", "series m=1 p=64 c=x", "series m=1 c=2", "series m=1 p=64 m=1"):
+            with pytest.raises(ValueError, match="bad series header"):
+                series_from_text(head + "\n0 0x1p+0 0x0p+0\n1 0x1p+0 0x0p+0\n")
+
+    def test_series_header_keys(self):
+        s = NormalizedSeries([cfrom_int(1, 0, 64), cfrom_int(0, 1, 64)], 64)
+        text = series_to_text(s, n_d1=64, r_mu=2)
+        assert text.splitlines()[0] == "series m=1 p=64 n_d1=64 r_mu=2"
+        # without expect any key=<int> fields pass; with it, exactly expect's
+        assert series_from_text(text).bits() == s.bits()
+        assert series_from_text(text, m=1, p=64, n_d1=64, r_mu=2).bits() == s.bits()
+        refusals = [
+            (dict(m=2, p=32, n_d1=64, r_mu=2), "has m=1, expected m=2"),  # m, then p, first
+            (dict(m=1, p=32, n_d1=64, r_mu=2), "has p=64, expected p=32"),
+            (dict(m=1, p=64, n_d1=64, r_mu=3), "has r_mu=2, expected r_mu=3"),
+            (dict(m=1, p=64, n_d1=64, r_mu=2, r_1=16), "has no r_1, expected r_1=16"),
+            (dict(m=1, p=64, n_d1=64), "has r_mu=2, expected no r_mu"),
+        ]
+        for expect, message in refusals:
+            with pytest.raises(ValueError, match=f"^series header {message}$"):
+                series_from_text(text, **expect)
 
     def test_hex_parse_errors(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,18 @@ def test_no_runtime_dependencies():
     assert outside == []
 
 
+def test_cli_opens_files_only_to_write():
+    # each file format has one reader, in its own module (load_graph,
+    # load_profile, load_series); the command layer writes its outputs
+    modes = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            mode = node.args[1] if len(node.args) > 1 else None
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+            modes.append(mode.value if isinstance(mode, ast.Constant) else "r")
+    assert modes and all(set(mode) & set("wax") for mode in modes), modes
+
+
 def test_top_level_names():
     # the README's Library example and the benchmark's names; the rest is
     # reached through the submodules importing hamspec loads

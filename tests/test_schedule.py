@@ -364,6 +364,18 @@ class TestProfileFiles:
         with pytest.raises(ProfileError, match="line 1"):
             profile_from_text("bogus=1\n")
 
+    def test_duplicate_key(self):
+        # the graph and series formats refuse a repeat too; a second c
+        # line used to win silently
+        with pytest.raises(ProfileError, match="^line 3: duplicate 'c' line$"):
+            profile_from_text("n=4\nc=4\nc=8\n")
+
+    def test_c_and_log2_c_refused(self):
+        # log2_c next to c was dropped without a word, in either order
+        for text in ("c=4\nlog2_c=2\n", "log2_c=2\nc=4\n"):
+            with pytest.raises(ProfileError, match="^line 2: a profile gives c or log2_c, not both$"):
+                profile_from_text(text)
+
     def test_missing_keys(self):
         with pytest.raises(ProfileError, match="missing"):
             profile_from_text("n=4\nc=4\n")
