@@ -84,11 +84,11 @@ class RunReport:
 
 
 def _oracle_block(g: Graph, limit: int) -> dict:
-    """Exact walk and Hamiltonian path counts, without enumerating either:
-    n_p from an adjacency power, the directed count from the bitmask DP."""
-    directed = walk_oracle.count_hamiltonian_paths_dp(g, limit)  # refuses n > limit
+    """Exact walk and Hamiltonian path counts from one inclusion-exclusion
+    pass, enumerating neither; refuses n > limit."""
+    n_p, directed = walk_oracle.walk_and_path_counts(g, limit)
     return {
-        "n_p": walk_oracle.matrix_walk_count(g),
+        "n_p": n_p,
         "n_h_directed": directed,
         "n_h_undirected": directed // 2 if g.n > 1 else 1,
     }

@@ -533,17 +533,17 @@ def series_from_text(text: str, **expect) -> NormalizedSeries:
     """The series in a series file. Given expect, the header's fields must
     be exactly expect's, m and p among them, each with its value; the
     refusal names the first field that differs, m and p checked first."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty series file")
-    head = lines[0].split()
+    head = lines[0][1].split()
     try:
         fields = {key: int(value) for key, value in (word.split("=") for word in head[1:])}
         if head[0] != "series" or len(fields) != len(head) - 1:
             raise ValueError("not a series header")
         m, p = fields["m"], fields["p"]
     except (ValueError, KeyError) as exc:
-        raise ValueError(f"bad series header: {lines[0]!r}") from exc
+        raise ValueError(f"bad series header: {lines[0][1]!r}") from exc
     if expect:
         for key in dict.fromkeys(("m", "p", *expect, *fields)):
             got, want = (f"{key}={d[key]}" if key in d else f"no {key}" for d in (fields, expect))
@@ -551,16 +551,22 @@ def series_from_text(text: str, **expect) -> NormalizedSeries:
                 raise ValueError(f"series header has {got}, expected {want}")
     # by index, not a list of m + 1 slots: the header's m is not trusted
     coeffs = {}
-    for ln in lines[1:]:
-        parts = ln.split()
+    for lineno, ln in lines[1:]:
+        parts, field = ln.split(), "k"
         if len(parts) != 3:
-            raise ValueError(f"bad series line: {ln!r}")
-        k = int(parts[0])
-        if not 0 <= k <= m:
-            raise ValueError(f"coefficient index {k} out of range 0..{m}")
-        if k in coeffs:
-            raise ValueError(f"coefficient index {k} appears twice")
-        coeffs[k] = PrecisionComplex(from_hex(parts[1], p), from_hex(parts[2], p))
+            raise ValueError(f"line {lineno}: bad series line: {ln!r}")
+        try:
+            k = int(parts[0])
+            if not 0 <= k <= m:
+                raise ValueError(f"coefficient index {k} out of range 0..{m}")
+            if k in coeffs:
+                raise ValueError(f"coefficient index {k} appears twice")
+            field = "re"
+            re = from_hex(parts[1], p)
+            field = "im"
+            coeffs[k] = PrecisionComplex(re, from_hex(parts[2], p))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: field {field}: {exc}") from exc
     if len(coeffs) <= m:
         missing = next(k for k in range(m + 1) if k not in coeffs)
         raise ValueError(f"coefficient index {missing} missing (need 0..{m})")

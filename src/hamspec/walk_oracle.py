@@ -1,10 +1,8 @@
 """Exact ground truth: walk counts, Hamiltonian path counts, spectra.
 
-Two routes to each count, kept independent so they cross-check each other.
-The report's counts enumerate nothing: n_p is the entry sum of A^(n-1)
-(`matrix_walk_count`, n-1 rounds of neighbour sums, O(n |E|)) and the
-directed path count is a DP over (visited set, last vertex)
-(`count_hamiltonian_paths_dp`, O(2^n n^2)).
+The report's counts enumerate nothing: `walk_and_path_counts` gives n_p
+and the directed path count from one pass of Karp's inclusion-exclusion
+(Oper. Res. Lett. 1982), every vertex subset a lane of one Python int.
 The references enumerate every n-walk (~n^n of them; `enumerate_n_walks`,
 `walk_spectrum`, `total_walks`) and every vertex ordering (n!;
 `count_hamiltonian_paths`). The spectrum and the direct-sum series exist
@@ -16,6 +14,7 @@ polynomial-pipeline code paths it is used to verify.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from itertools import permutations
 
@@ -33,7 +32,8 @@ def _check_limit(g: Graph, limit: int):
     if g.n > limit:
         raise OracleLimitError(
             f"graph has n={g.n} > oracle limit {limit}; raise the limit explicitly "
-            f"(the path DP takes ~2^n n^2 steps, the walk spectrum ~n^n walks)"
+            f"(the path count keeps ~3n ints of 2^n lanes of up to {_lane_width(g.n, g.n - 1)} "
+            f"bits and makes (n-1)(2|E|+n) sums of them, the walk spectrum ~n^n walks)"
         )
 
 
@@ -73,31 +73,6 @@ def count_hamiltonian_paths(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     return count
 
 
-def count_hamiltonian_paths_dp(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
-    """Directed count by the Held-Karp DP over (visited bitmask, last vertex).
-
-    ways[mask][v] counts the directed paths that visit exactly the vertices
-    in mask and end at v; O(2^n n^2) steps. Counts what
-    `count_hamiltonian_paths` counts, n=1 included, without its n! scan.
-    """
-    _check_limit(g, limit)
-    n = g.n
-    nbr_mask = [sum(1 << (u - 1) for u in g.neighbors(v)) for v in range(1, n + 1)]
-    ways = [[0] * n for _ in range(1 << n)]
-    for v in range(n):
-        ways[1 << v][v] = 1
-    for mask in range(1, 1 << n):
-        for v, w in enumerate(ways[mask]):
-            if not w:
-                continue
-            free = nbr_mask[v] & ~mask
-            while free:
-                bit = free & -free
-                free ^= bit
-                ways[mask | bit][bit.bit_length() - 1] += w
-    return sum(ways[-1])
-
-
 def walk_spectrum(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
     """Multiplicity of each walk-number over all n-walks."""
     numbers = vertex_numbers(g.n)
@@ -111,13 +86,49 @@ def total_walks(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     return sum(walk_spectrum(g, limit).values())
 
 
-def matrix_walk_count(g: Graph) -> int:
-    """1^T A^{n-1} 1 by n-1 neighbour sums over exact integers; independent
-    route to n_p. v_l counts the walks of the current length that end at l."""
-    v = [1] * g.n
-    for _ in range(g.n - 1):
-        v = [sum(v[j - 1] for j in g.neighbors(l)) for l in range(1, g.n + 1)]
-    return sum(v)
+def _lane_width(n: int, degree: int) -> int:
+    """Bits per lane: room for n degree^(n-1), which bounds every count."""
+    return (n * max(degree, 1) ** (n - 1)).bit_length()
+
+
+@functools.lru_cache(maxsize=16)
+def _lanes(n: int, w: int) -> tuple:
+    """(ones, fulls) for 2^n lanes of w bits; lane s stands for the subset
+    holding vertex l iff bit l-1 of s is set. ones has a 1 in every lane,
+    fulls[l-1] all w bits of each lane holding l."""
+    lane = (1 << w) - 1
+    fulls, every = [], lane  # every: all bits of the lanes built so far
+    for k in range(n):
+        span = w << k  # lanes 0..2^k-1 are built; above them, vertex k+1
+        fulls = [x | x << span for x in fulls] + [every << span]
+        every |= every << span
+    return every // lane, tuple(fulls)
+
+
+def walk_and_path_counts(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple:
+    """(n_p, directed Hamiltonian path count) by one inclusion-exclusion pass.
+
+    v[l-1] holds, per subset S, the walks inside S that end at l: 1 where S
+    holds l, then n-1 rounds of neighbour sums masked to the lanes holding
+    l. Lane S of their total is w(S), the n-vertex walks inside S; lane V
+    is n_p. Folding out vertex u turns lane S into lane S+u less lane S, the
+    walks that also visit u: never negative, so no lane borrows. The last
+    lane counts the walks that visit every vertex, sum_S (-1)^(n-|S|) w(S):
+    the directed paths (1 for n=1).
+    """
+    _check_limit(g, limit)
+    n = g.n
+    rows = [[j - 1 for j in g.neighbors(l)] for l in range(1, n + 1)]
+    w = _lane_width(n, max(map(len, rows)))
+    ones, fulls = _lanes(n, w)
+    v = [ones & full for full in fulls]
+    for _ in range(n - 1):
+        v = [sum([v[j] for j in row]) & full for row, full in zip(rows, fulls)]
+    x = sum(v)
+    n_p = x >> (w << n) - w
+    for k in reversed(range(n)):
+        x = (x >> (w << k)) - (x & (1 << (w << k)) - 1)
+    return n_p, x
 
 
 def check_visit_pair_uniqueness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT):

@@ -202,6 +202,25 @@ class TestFilterPseudoExtract:
         assert code == 1 and stdout == ""
         assert "index 19 missing" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda words: ["x", *words[1:]], "line 3: field k: invalid literal for int()"),
+            (lambda words: [words[0], "0xq", words[2]], "line 3: field re: bad hex float literal"),
+        ],
+        ids=["index", "hex"],
+    )
+    def test_filter_names_the_bad_line_and_field(self, files, capsys, edit, message):
+        tmp, g2, _, prof = files
+        enc = tmp / "f.series"
+        run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
+        lines = enc.read_text().splitlines()
+        lines[2] = " ".join(edit(lines[2].split()))
+        enc.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2")
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: [parse] {message}")
+
 
 class TestProfileRefusals:
     def test_run_names_the_step_without_a_root(self, files, capsys):
@@ -566,4 +585,4 @@ class TestReadme:
         exec(block.split("```", 1)[0], namespace)
         printed = capsys.readouterr().out.split()
         assert len(printed) == 2
-        assert int(printed[1]) == walk_oracle.count_hamiltonian_paths_dp(namespace["g"])
+        assert int(printed[1]) == walk_oracle.count_hamiltonian_paths(namespace["g"])

@@ -230,6 +230,11 @@ class TestSerialization:
             series_from_text("series m=1 p=64\n3 0x1p+0 0x0p+0\n")
         with pytest.raises(ValueError, match="series line"):
             series_from_text("series m=1 p=64\n0 0x1p+0\n")
+        # a bad field names its line, blank lines counted, and the field
+        with pytest.raises(ValueError, match=r"^line 3: field k: invalid literal for int\(\)"):
+            series_from_text("series m=1 p=64\n\nx 0x1p+0 0x0p+0\n")
+        with pytest.raises(ValueError, match=r"^line 3: field im: bad hex float literal: '1\.5'$"):
+            series_from_text("series m=1 p=64\n0 0x1p+0 0x0p+0\n1 0x0p+0 1.5\n")
         with pytest.raises(ValueError, match="empty"):
             series_from_text("\n\n")
         # every index 0..m exactly once: a truncated file and a repeated line

@@ -1,6 +1,8 @@
 """Enumeration ground truth: counts, spectra, uniqueness, direct series."""
 
 import random
+from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -9,14 +11,14 @@ from hamspec.walk_oracle import (
     OracleLimitError,
     check_visit_pair_uniqueness,
     count_hamiltonian_paths,
-    count_hamiltonian_paths_dp,
     enumerate_n_walks,
-    matrix_walk_count,
     oracle_series,
     total_walks,
+    walk_and_path_counts,
     walk_spectrum,
 )
-from conftest import FOUR_CLUSTER, complete_graph, path_graph
+from hamspec import walk_oracle
+from conftest import FOUR_CLUSTER, complete_graph, cycle_graph, path_graph
 
 
 class TestEnumerate:
@@ -28,10 +30,10 @@ class TestEnumerate:
         assert list(enumerate_n_walks(Graph(2, []))) == []
 
     def test_four_cluster_walk_count(self):
-        # exhaustive enumeration, cross-checked against the A^(n-1) total
+        # exhaustive enumeration, cross-checked against the lane pass
         walks = list(enumerate_n_walks(FOUR_CLUSTER))
         assert len(walks) == 66
-        assert matrix_walk_count(FOUR_CLUSTER) == 66
+        assert walk_and_path_counts(FOUR_CLUSTER) == (66, 12)
 
     def test_lexicographic_order(self):
         walks = list(enumerate_n_walks(path_graph(3)))
@@ -71,12 +73,17 @@ def near_complete(n, seed):
 LARGE = [complete_graph(6), complete_graph(7), near_complete(6, 1), near_complete(7, 2)]
 
 
+def references(g, limit=7):
+    """(n_p, directed path count) by enumeration and the permutation scan."""
+    return total_walks(g, limit), count_hamiltonian_paths(g, limit)
+
+
 class TestHamiltonianDP:
-    """The Held-Karp DP against the permutation scan."""
+    """Karp's inclusion-exclusion pass against the permutation scan."""
 
     def test_corpus(self, corpus):
         for g in corpus:
-            assert count_hamiltonian_paths_dp(g) == count_hamiltonian_paths(g)
+            assert walk_and_path_counts(g)[1] == count_hamiltonian_paths(g)
 
     @pytest.mark.parametrize(
         "g",
@@ -90,11 +97,56 @@ class TestHamiltonianDP:
         ],
     )
     def test_small_and_large(self, g):
-        assert count_hamiltonian_paths_dp(g) == count_hamiltonian_paths(g)
+        assert walk_and_path_counts(g)[1] == count_hamiltonian_paths(g)
 
     def test_limit_refusal(self):
         with pytest.raises(OracleLimitError, match="oracle limit"):
-            count_hamiltonian_paths_dp(path_graph(5), limit=4)
+            walk_and_path_counts(path_graph(5), limit=4)
+
+
+class TestWalkAndPathCounts:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_labelled_graph(self, n):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            assert walk_and_path_counts(g) == references(g), g
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_seeded_random_graphs(self, n):
+        rng = random.Random(7000 + n)
+        pairs = list(combinations(range(1, n + 1), 2))
+        for _ in range(4):
+            density = rng.uniform(0.3, 0.8)
+            g = Graph(n, [e for e in pairs if rng.random() < density])
+            assert walk_and_path_counts(g) == references(g), g
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_complete_graph_closed_form(self, n):
+        assert walk_and_path_counts(complete_graph(n), 10) == (n * (n - 1) ** (n - 1), factorial(n))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_cycle_closed_form(self, n):
+        assert walk_and_path_counts(cycle_graph(n), 10) == (n * 2 ** (n - 1), 2 * n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_path_graph_has_two_directed_paths(self, n):
+        assert walk_and_path_counts(path_graph(n), 10)[1] == 2
+
+    def test_edge_cases(self):
+        assert walk_and_path_counts(Graph(1, [])) == (1, 1)
+        assert walk_and_path_counts(Graph(4, [])) == (0, 0)
+        # two triangles: walks in each, no path through both
+        two_triangles = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+        assert walk_and_path_counts(two_triangles) == (2 * 3 * 2 ** 5, 0)
+
+    def test_limit_refuses_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lanes built above the limit")
+
+        monkeypatch.setattr(walk_oracle, "_lanes", refuse)
+        with pytest.raises(OracleLimitError, match="oracle limit 9"):
+            walk_and_path_counts(complete_graph(10), limit=9)
 
 
 class TestSpectrum:
@@ -128,12 +180,12 @@ class TestCorpusInvariants:
 
     def test_matrix_count_matches_enumeration(self, corpus):
         for g in [*corpus, Graph(1, [])]:
-            assert total_walks(g) == matrix_walk_count(g)
-        assert matrix_walk_count(Graph(1, [])) == 1
+            assert walk_and_path_counts(g)[0] == total_walks(g)
+        assert walk_and_path_counts(Graph(1, []))[0] == 1
 
     @pytest.mark.parametrize("g", LARGE)
     def test_matrix_count_matches_enumeration_n6_7(self, g):
-        assert total_walks(g) == matrix_walk_count(g)
+        assert walk_and_path_counts(g)[0] == total_walks(g)
 
 
 class TestOracleSeries:
