@@ -18,12 +18,19 @@ rounding. Both run steps 2..n_d+3 through _tail_steps.
 
 Every step runs in one kernel, _step, on raw coefficients: a list of
 (re_m, re_e, im_m, im_e) integer tuples, each part a p-bit mantissa and
-exponent as in PrecisionReal. Every addition, product and quotient rounds
-through numerics' _add, _round and _round_quotient, in the order the
-object-level primitives would take, so the bits are theirs. _step pins
-only coefficients 0..keep, since the pin changes each coefficient on its
-own, and a cascade at degree n_d reads only u_0..u_{n_d-1}: the tail
-keeps coefficients 0..n_d-1 in steps 2..n_d+2 and all of them in the last
+exponent as in PrecisionReal, or (0, 0). The kernel is one pass over
+k=1..m that forms the cascade value out_k and rounds out_k f_k into the
+evaluation sums in the same iteration; the quotients by tr_m(e^{-r}) and
+the pin follow. Every addition, product and quotient rounds through
+numerics' _add_p, _round and _round_quotient, in the order the
+object-level primitives would take, so the bits are theirs. _add_p is
+_add for operands in that p-bit form: _quads puts every part in it on
+entry, and every kernel result, out of _round or _round_quotient or a
+negation, keeps it. The bare step 1 of run_filter is the same pass
+without the evaluation and the pin. _step pins only coefficients
+0..keep, since the pin changes each coefficient on its own, and a
+cascade at degree n_d reads only u_0..u_{n_d-1}: the tail keeps
+coefficients 0..n_d-1 in steps 2..n_d+2 and all of them in the last
 step, and run_pipeline keeps 0..n_d-1 of step 1, or every coefficient of
 every step when a dump callback asks for the full output. A series is
 converted to raw coefficients once per pipeline and back once.
@@ -38,9 +45,8 @@ from .numerics import (
     PrecisionComplex,
     PrecisionReal,
     R_ZERO,
-    _add,
+    _add_p,
     _complex,
-    _eval,
     _quads,
     _round,
     _round_quotient,
@@ -58,52 +64,52 @@ class DegenerateScheduleError(ArithmeticError):
     """The truncated decay tr_m(e^{-r}) vanished; the adjustment divides by it."""
 
 
-def _cascade(coeffs: list, m: int, p: int) -> list:
-    """Zero-state response of y' + y = u truncated to degree m, on raw
-    coefficients: out_k = sum_{d=0..k-1} (-1)^(k-1-d) u_d, accumulated in
-    ascending d.
-
-    Computed as out_k = u_{k-1} - out_{k-1} (u_d = 0 beyond the series),
-    rounded as the sum (-out_{k-1}) + u_{k-1}, which is bit-identical to
-    the ascending sum: out_k's partial sums are exactly the negations of
-    out_{k-1}'s, because negation is exact and round-to-nearest-even is
-    symmetric in sign, so only the last addition differs. Zero inputs are
-    skipped, as in the sum, so a zero part of u_{k-1} negates that part of
-    out_{k-1} without rounding."""
-    acc = ZERO
-    out = [acc]
-    for um, ue, vm, ve in coeffs[:m]:
-        am, ae, bm, be = acc
-        acc = (_add(-am, ae, um, ue, p) if um else (-am, ae)) + (
-            _add(-bm, be, vm, ve, p) if vm else (-bm, be)
-        )
-        out.append(acc)
-    while len(out) <= m:  # u_d = 0 beyond the series
-        am, ae, bm, be = out[-1]
-        out.append((-am, ae, -bm, be))
-    return out
-
-
-def _step(coeffs: list, r: PrecisionReal, m: int, p: int, keep: int) -> list:
+def _step(coeffs: list, r: PrecisionReal | None, m: int, p: int, keep: int) -> list:
     """One step at degree m on raw coefficients; returns the pinned
-    coefficients 0..keep. The pin adj = -(w / tr_m(e^{-r})) is added to
-    even and subtracted from odd coefficients."""
-    shifted = _cascade(coeffs, m, p)
-    factors, _, q = taylor_table(r, m, p)
-    wm, we, zm, ze = _eval(shifted, factors, p)
-    if not q.mantissa:
-        raise DegenerateScheduleError(
-            f"truncated decay vanished at r={r.to_float()} with degree {m}"
-        )
-    wm, we = _round_quotient(wm, q.mantissa, we - q.exponent, p)
-    zm, ze = _round_quotient(zm, q.mantissa, ze - q.exponent, p)
-    out = []
-    for i, (cm, ce, dm, de) in enumerate(shifted[: keep + 1]):
-        if i & 1:
-            out.append(_add(cm, ce, wm, we, p) + _add(dm, de, zm, ze, p))
-        else:
-            out.append(_add(cm, ce, -wm, we, p) + _add(dm, de, -zm, ze, p))
-    return out
+    coefficients 0..keep. One pass over k = 1..m forms the cascade value
+    out_k = u_{k-1} - out_{k-1} (u_d = 0 beyond the series) and rounds
+    out_k f_k into the sums w (real parts) and z (imaginary parts), against
+    taylor_table(r, m, p)'s factors. The pin adj = -((w, z) / tr_m(e^{-r}))
+    is then added to even and subtracted from odd coefficients. With r None
+    the step is the bare cascade, neither evaluated nor pinned.
+
+    out_k is rounded as the sum (-out_{k-1}) + u_{k-1}, which is
+    bit-identical to the ascending sum sum_{d<k} (-1)^(k-1-d) u_d: out_k's
+    partial sums are exactly the negations of out_{k-1}'s, because negation
+    is exact and round-to-nearest-even is symmetric in sign, so only the
+    last addition differs. Zero inputs are skipped, as in the sum, so a
+    zero part of u_{k-1} negates that part of out_{k-1} without rounding."""
+    factors = ()
+    if r is not None:
+        factors, _, q = taylor_table(r, m, p)
+        qm, qe = q.mantissa, q.exponent
+        if not qm:
+            raise DegenerateScheduleError(
+                f"truncated decay vanished at r={r.to_float()} with degree {m}"
+            )
+    am = ae = bm = be = wm = we = zm = ze = 0
+    out = [ZERO]
+    for k, (um, ue, vm, ve) in enumerate(coeffs[:m] + [ZERO] * (m - len(coeffs)), 1):
+        am, ae = _add_p(-am, ae, um, ue, p) if um else (-am, ae)
+        bm, be = _add_p(-bm, be, vm, ve, p) if vm else (-bm, be)
+        out.append((am, ae, bm, be))
+        if factors:
+            f = factors[k]
+            if am:
+                tm, te = _round(am * f.mantissa, ae + f.exponent, p)
+                wm, we = _add_p(wm, we, tm, te, p)
+            if bm:
+                tm, te = _round(bm * f.mantissa, be + f.exponent, p)
+                zm, ze = _add_p(zm, ze, tm, te, p)
+    if not factors:
+        return out[: keep + 1]
+    wm, we = _round_quotient(wm, qm, we - qe, p)
+    zm, ze = _round_quotient(zm, qm, ze - qe, p)
+    for i in range(keep + 1):
+        wm, zm = -wm, -zm  # adj = -(w, z) at even i, +(w, z) at odd i
+        cm, ce, dm, de = out[i]
+        out[i] = _add_p(cm, ce, wm, we, p) + _add_p(dm, de, zm, ze, p)
+    return out[: keep + 1]
 
 
 def filter_step(
@@ -141,7 +147,7 @@ def run_filter(
 
 def _unpinned(coeffs: list, sched: StepSchedule, n_d: int, p: int, dump) -> list:
     """run_filter on raw coefficients u_0..u_{n_d-2}."""
-    j = _cascade(coeffs, n_d - 1, p)
+    j = _step(coeffs, None, n_d - 1, p, n_d - 1)
     if dump:
         dump(1, _series(j, p))
     return _tail_steps(j, sched, n_d, p, dump)

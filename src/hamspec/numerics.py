@@ -13,7 +13,10 @@ primitive (``radd``, ``rmul``, ``rdiv``, ``from_int``, ...)
 is a one-line wrapper that builds a PrecisionReal from the pair. Hot loops
 (the filter step, ``series_eval``) call the pair kernels directly on raw
 coefficients, (re_m, re_e, im_m, im_e) tuples, so they build no object per
-operation and round exactly as the primitives would.
+operation and round exactly as the primitives would. ``_quads`` rounds every
+part to p bits, so each is a p-bit mantissa or (0, 0), and the rounding
+kernels keep that form; on such operands the filter step adds through
+``_add_p``, which is ``_add`` with the widths read off the exponents.
 
 Every truncated exponential is a read of one memo, ``taylor_table(x, m,
 p)``: the factors x^k/k! by the rounded recurrence, tr_m(e^x) and
@@ -157,6 +160,36 @@ def _add(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
     if ae <= be:
         return _round(am + (bm << (be - ae)), ae, p)
     return _round((am << (ae - be)) + bm, be, p)
+
+
+def _add_p(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
+    """_add on kernel operands, each a p-bit mantissa or (0, 0): with
+    ta = ae + p and tb = be + p its case analysis reads the exponents alone,
+    and a zero operand returns the other one unchanged. _round is inlined;
+    a test holds _add_p to _round of the exact sum."""
+    if not am:
+        return bm, be
+    if not bm:
+        return am, ae
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    d = ae - be
+    if d > p + 2:  # b wholly below a's p+3 bits: a sticky bit, as in _add
+        v, e = (am << 3) + (1 if bm > 0 else -1), ae - 3
+    else:
+        v, e = (am << d) + bm, be
+    shift = v.bit_length() - p
+    if shift <= 0:
+        return (v << -shift, e + shift) if v else (0, 0)
+    keep = v >> shift
+    rem = v - (keep << shift)
+    half = 1 << (shift - 1)
+    if rem > half or (rem == half and keep & 1):
+        keep += 1
+    if keep.bit_length() > p:
+        keep >>= 1
+        shift += 1
+    return keep, e + shift
 
 
 def from_int(v: int, p: int) -> PrecisionReal:
@@ -429,10 +462,9 @@ class NormalizedSeries:
 
 
 def _quads(a: NormalizedSeries, p: int) -> list:
-    """a's coefficients as raw (re_m, re_e, im_m, im_e) tuples, rounded to
-    p bits unless a is at precision p already."""
-    if a.precision == p:
-        return [(c.re.mantissa, c.re.exponent, c.im.mantissa, c.im.exponent) for c in a.coeffs]
+    """a's coefficients as raw (re_m, re_e, im_m, im_e) tuples, each part
+    rounded to p bits: a p-bit mantissa or (0, 0), as _add_p takes them.
+    _round is the identity on a part that is so already."""
     return [
         _round(c.re.mantissa, c.re.exponent, p) + _round(c.im.mantissa, c.im.exponent, p)
         for c in a.coeffs

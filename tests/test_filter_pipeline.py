@@ -97,6 +97,28 @@ def edge_series(rng, m, p):
     )
 
 
+def channel_cases(u):
+    """Inputs that leave parts of the kernel idle, from u's coefficients:
+    real parts only with every odd coefficient zero (the form C4's and K4's
+    encoded series take), imaginary parts only, and a run of zero
+    coefficients in the middle. The last input holds parts off the
+    kernel's p-bit form: a zero with a nonzero exponent, and a mantissa
+    narrower than p at u_0, which the cascade's first sum returns as it is,
+    with a p-bit part 2p places below it at u_1, which the second sum would
+    fold into a sticky bit were the narrow part not widened on entry."""
+    cs, p = u.coeffs, u.precision
+    n = len(cs)
+    narrow = PrecisionReal(3, 0)
+    head = [
+        PrecisionComplex(narrow, PrecisionReal(0, 7)),
+        PrecisionComplex(PrecisionReal(1 << (p - 1), -2 * p), narrow),
+    ]
+    real = [C_ZERO if k & 1 else PrecisionComplex(c.re, R_ZERO) for k, c in enumerate(cs)]
+    imag = [PrecisionComplex(R_ZERO, c.im) for c in cs]
+    gap = [C_ZERO if n // 3 <= k <= 2 * n // 3 else c for k, c in enumerate(cs)]
+    return [NormalizedSeries(s, p) for s in (real, imag, gap, head)]
+
+
 def step_time(rng, p):
     return from_fraction(Fraction(rng.randrange(1, 4000), rng.choice((7, 64, 997))), p)
 
@@ -244,11 +266,14 @@ class TestKernelBits:
     @pytest.mark.parametrize("m", [0, 1, 8, 64])
     def test_filter_step_matches_reference(self, p, m):
         rng = random.Random(1000 * p + m)
+        cases = []
         for trial in range(4):
             # the last trial's input sits at another precision (reround path)
             q = p + 37 if trial == 3 else p
             u = edge_series(rng, rng.choice((m, m + 3, max(m - 2, 0))), q)
-            r = step_time(rng, p)
+            cases.append((u, step_time(rng, p)))
+        cases += [(u, step_time(rng, p)) for u in channel_cases(edge_series(rng, m + 1, p))]
+        for u, r in cases:
             try:
                 want = reference_step(u, r, m, p)
             except DegenerateScheduleError:

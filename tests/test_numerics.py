@@ -11,6 +11,9 @@ from hamspec.numerics import (
     PrecisionReal,
     R_ZERO,
     SeriesConfigError,
+    _add,
+    _add_p,
+    _round,
     cfrom_int,
     from_fraction,
     from_hex,
@@ -163,6 +166,42 @@ class TestRounding:
             b = PrecisionReal(rng.choice((1, -1)) * (1 << (p - 1)), -(2 * p - 1))
             x = a.to_fraction() + b.to_fraction()
             assert radd(a, b, p).bits() == round_nearest_even_fraction(x, p)
+
+    @pytest.mark.parametrize("p", [24, 53, 256])
+    def test_add_p_matches_add_on_p_bit_operands(self, p):
+        # _add_p reads widths off the exponents and inlines _round: on p-bit
+        # operands and (0, 0) it must give _add's pair, and _round's of the
+        # exact sum, in either order
+        rng = random.Random(p)
+        top = (1 << p) - 1
+        half = 1 << (p - 1)
+
+        def mant():
+            return rng.choice((1, -1)) * rng.randrange(half, top + 1)
+
+        cases = [
+            ((mant(), 5), (mant(), 5)),  # equal exponents
+            ((mant(), 0), (mant(), -p - 2)),  # the last gap summed exactly
+            ((mant(), 0), (mant(), -p - 3)),  # the first gap folded to a sticky bit
+            ((top, 0), (-half, -p - 2)),
+            ((-top, 0), (half, -p - 3)),
+            ((half, 0), (-top, -p - 1)),  # a borrow that only the summed gap rounds right
+            ((top, 9), (-top, 9)),  # exact cancellation to (0, 0)
+            ((top, 0), (half, -p)),  # a tie that carries up to 2^p
+            ((-top, 0), (-half, -p)),  # a negative sum that floors to -2^p
+            ((mant(), 3), (0, 0)),
+            ((0, 0), (mant(), -3)),
+            ((0, 0), (0, 0)),
+        ]
+        for _ in range(500):
+            ea = rng.randrange(-4 * p, 4 * p)
+            gap = rng.choice((rng.randrange(0, p + 6), rng.randrange(0, 3 * p)))
+            cases.append(((mant(), ea), (mant(), ea - gap * rng.choice((1, -1)))))
+        for (am, ae), (bm, be) in cases:
+            low = min(ae, be)
+            want = _round((am << (ae - low)) + (bm << (be - low)), low, p)
+            assert _add_p(am, ae, bm, be, p) == _add_p(bm, be, am, ae, p) == want
+            assert _add(am, ae, bm, be, p) == want
 
     def test_compare_exact(self):
         p = 48
