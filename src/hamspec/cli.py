@@ -149,9 +149,19 @@ def _validated(profile, n: int | None) -> tuple:
 
 
 def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
-    """The pseudo-steps' columns (a per-profile memo hit), then the solve."""
+    """The pseudo-steps' columns (a per-profile memo hit), then the solve.
+    Refuses an n_h_rounded longer than Python converts to decimal
+    (sys.get_int_max_str_digits), which both reports print."""
     phi01, phi11 = filter_pipeline.run_pseudo_steps(sched, profile)
-    return extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2)
+    result = extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2)
+    try:
+        str(result.n_h_rounded)
+    except ValueError:
+        raise ValueError(
+            f"n_h_rounded, k0_re = {to_decimal(result.k0.re, 5)} rounded, has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits, too many to print"
+        ) from None
+    return result
 
 
 def _schedule_key(profile: PipelineProfile) -> dict:
@@ -161,9 +171,10 @@ def _schedule_key(profile: PipelineProfile) -> dict:
 
 
 def _step_dumper(dump_dir: str | None):
-    """A run_pipeline dump callback writing step_<sp>.series files into
-    dump_dir, or None without a directory. The directory is made at the
-    first dump, so that failing to make it fails the filter stage."""
+    """The run_filter dump callback of `run` and `filter`, writing
+    step_<sp>.series files into dump_dir, or None without a directory.
+    The directory is made at the first dump, so that failing to make it
+    fails the filter stage."""
     if not dump_dir:
         return None
 

@@ -6,34 +6,32 @@ cascade out[d+1+i] += u[d] * (-1)^i; (2) evaluate the response at the
 step's time r, and add the multiple of e^{-t} that zeroes it there. The
 added term is a homogeneous solution, so the output still solves the ODE.
 
-Two paths run the steps. run_filter, the production path that `hamspec
-run` and `hamspec filter` take, leaves step 1 unpinned: step 1's pin adds
-A*e^{-t}, A = -w/tr_{n_d1}(e^{-r_1}), and on the coefficients 0..n_d-1 the
-tail reads that is exactly the decay column's input, so by linearity the
-pin moves only the decay amplitude z1, never k0. Step 1 is then the bare
-cascade of u_0..u_{n_d-2}, truncated to the n_d coefficients the tail
-reads. run_pipeline is the paper-literal pinned reference: step 1 at
-degree n_d1 with its pin, whose ~2^3000 terms cancel and leave k0 to
-rounding. Both run steps 2..n_d+3 through _tail_steps.
+Every path is one loop, _run, over a step plan [(r, m), ...]: each step
+at time r (None for a bare cascade) and degree m. Steps 2..n_d+3 run at
+degree n_d. run_filter, the production path of `hamspec run` and `hamspec
+filter`, makes step 1 the bare cascade of u_0..u_{n_d-2}: step 1's pin
+adds A*e^{-t}, A = -w/tr_{n_d1}(e^{-r_1}), which on the coefficients
+0..n_d-1 the tail reads is exactly the decay column's input, so by
+linearity it moves only the decay amplitude z1, never k0. run_pipeline
+is the paper-literal pinned reference: step 1 at degree n_d1 with its
+pin, whose ~2^3000 terms cancel and leave k0 to rounding.
 
 Every step runs in one kernel, _step, on raw coefficients: a list of
 (re_m, re_e, im_m, im_e) integer tuples, each part a p-bit mantissa and
 exponent as in PrecisionReal, or (0, 0). The kernel is one pass over
 k=1..m that forms the cascade value out_k and rounds out_k f_k into the
 evaluation sums in the same iteration; the quotients by tr_m(e^{-r}) and
-the pin follow. Every addition, product and quotient rounds through
-numerics' _add_p, _round and _round_quotient, in the order the
-object-level primitives would take, so the bits are theirs. _add_p is
-_add for operands in that p-bit form: _quads puts every part in it on
-entry, and every kernel result, out of _round or _round_quotient or a
-negation, keeps it. The bare step 1 of run_filter is the same pass
-without the evaluation and the pin. _step pins only coefficients
-0..keep, since the pin changes each coefficient on its own, and a
-cascade at degree n_d reads only u_0..u_{n_d-1}: the tail keeps
-coefficients 0..n_d-1 in steps 2..n_d+2 and all of them in the last
-step, and run_pipeline keeps 0..n_d-1 of step 1, or every coefficient of
-every step when a dump callback asks for the full output. A series is
-converted to raw coefficients once per pipeline and back once.
+the pin follow, and a bare step skips both. Every addition, product and
+quotient rounds through numerics' _add_p, _round and _round_quotient, in
+the order the object-level primitives would take, so the bits are
+theirs. _add_p is _add for operands in that p-bit form: _quads puts
+every part in it on entry, and every kernel result, out of _round or
+_round_quotient or a negation, keeps it. The pin changes each
+coefficient on its own, so _step pins only coefficients 0..keep, and
+_run sets keep from the plan: a step pins what the next step's cascade
+reads, 0..m_next-1, and the last step, or every step when a dump
+callback asks for the full output, pins all of its own. A series is
+converted to raw coefficients once per run and back once.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .numerics import (
     PrecisionReal,
     R_ZERO,
     _add_p,
-    _complex,
     _quads,
     _round,
     _round_quotient,
@@ -112,13 +109,32 @@ def _step(coeffs: list, r: PrecisionReal | None, m: int, p: int, keep: int) -> l
     return out[: keep + 1]
 
 
+def _run(series: NormalizedSeries, steps: list, p: int, dump=None) -> NormalizedSeries:
+    """The plan's steps in order on the series at precision p, each
+    pinning what the next step reads and the last (or, with `dump`,
+    every) step all of its own; dump(sp, series) follows step sp, the
+    plan's first entry being step 1."""
+    coeffs = _quads(series, p)
+    for sp, (r, m) in enumerate(steps, 1):
+        keep = m if dump or sp == len(steps) else steps[sp][1] - 1
+        coeffs = _step(coeffs, r, m, p, keep)
+        if dump:
+            dump(sp, _series(coeffs, p))
+    return _series(coeffs, p)
+
+
+def _tail(sched: StepSchedule) -> list:
+    """The plan of steps 2..n_d+3, each at degree n_d."""
+    return [(r, sched.n_d) for r in sched.times[2:]]
+
+
 def filter_step(
     series: NormalizedSeries, r_sp: PrecisionReal, m: int, p: int
 ) -> NormalizedSeries:
     """One step at degree m: cascade, then pin the output to zero at r_sp.
     The evaluation factors at r_sp and tr_m(e^{-r_sp}) are one entry of
     numerics.taylor_table, solved once per process per (r_sp, m, p)."""
-    return _series(_step(_quads(series, p), r_sp, m, p, m), p)
+    return _run(series, [(r_sp, m)], p)
 
 
 def run_filter(
@@ -127,30 +143,20 @@ def run_filter(
     profile: PipelineProfile,
     dump=None,
 ) -> NormalizedSeries:
-    """The production path, steps 1..n_d+3 without step 1's pin.
-
-    Step 1 is the bare cascade of u_0..u_{n_d-2}, truncated to its n_d
-    coefficients 0..n_d-1, all that the cascade of step 2 reads; the
-    series may have any degree from n_d - 2 up, and grid_series gives it
-    at n_d - 2. The pin it leaves out would add A*e^{-t}, which the tail
-    carries into the decay column alone, so k0 is the pinned reference's
-    in exact arithmetic and z1 is the pinned z1 less A. `dump`, if given,
-    is called with (step_index, series) after every step; step 1's series
+    """The production path, steps 1..n_d+3 without step 1's pin. Step 1
+    is the bare cascade of u_0..u_{n_d-2} at degree n_d - 1; the series
+    may have any degree from n_d - 2 up, and grid_series gives it at
+    n_d - 2. k0 is the pinned reference's in exact arithmetic, and z1 is
+    the pinned z1 less step 1's pin amplitude A. `dump`, if given, is
+    called with (step_index, series) after every step; step 1's series
     has n_d coefficients."""
-    n_d, p = profile.n_d, profile.p_2
+    n_d = profile.n_d
     if u_series.degree_bound < n_d - 2:
         raise ValueError(
             f"input series degree {u_series.degree_bound} < n_d - 2 = {n_d - 2}"
         )
-    return _series(_unpinned(_quads(u_series.truncate(n_d - 2), p), sched, n_d, p, dump), p)
-
-
-def _unpinned(coeffs: list, sched: StepSchedule, n_d: int, p: int, dump) -> list:
-    """run_filter on raw coefficients u_0..u_{n_d-2}."""
-    j = _step(coeffs, None, n_d - 1, p, n_d - 1)
-    if dump:
-        dump(1, _series(j, p))
-    return _tail_steps(j, sched, n_d, p, dump)
+    plan = [(None, n_d - 1)] + _tail(sched)
+    return _run(u_series.truncate(n_d - 2), plan, profile.p_2, dump)
 
 
 def run_pipeline(
@@ -159,32 +165,16 @@ def run_pipeline(
     profile: PipelineProfile,
     dump=None,
 ) -> NormalizedSeries:
-    """The paper-literal pinned reference, steps 1..n_d+3. Step 1 runs at
-    degree n_d1 with its pin; its output is then truncated to coefficients
-    0..n_d-1, all that a cascade at degree n_d reads, and the remaining
-    steps run at degree n_d. `dump`, if given, is called with
+    """The paper-literal pinned reference, steps 1..n_d+3, step 1 at
+    degree n_d1 with its pin. `dump`, if given, is called with
     (step_index, series) after every step; step 1's series has all
     n_d1 + 1 coefficients. run_filter is the production path."""
-    n_d, n_d1, p = profile.n_d, profile.n_d1, profile.p_2
+    n_d1 = profile.n_d1
     if f_series.degree_bound != n_d1:
         raise ValueError(
             f"input series degree {f_series.degree_bound} != n_d1 {n_d1}"
         )
-    j = _step(_quads(f_series, p), sched.times[1], n_d1, p, n_d1 if dump else n_d - 1)
-    if dump:
-        dump(1, _series(j, p))
-    return _series(_tail_steps(j[:n_d], sched, n_d, p, dump), p)
-
-
-def _tail_steps(coeffs: list, sched: StepSchedule, n_d: int, p: int, dump) -> list:
-    """Steps 2..n_d+3 at degree n_d on raw coefficients that stand for step
-    1's output; `dump` as in run_pipeline."""
-    for sp in range(2, n_d + 4):
-        keep = n_d if dump or sp == n_d + 3 else n_d - 1
-        coeffs = _step(coeffs, sched.times[sp], n_d, p, keep)
-        if dump:
-            dump(sp, _series(coeffs, p))
-    return coeffs
+    return _run(f_series, [(sched.times[1], n_d1)] + _tail(sched), profile.p_2, dump)
 
 
 def decay_series(m: int, p: int) -> NormalizedSeries:
@@ -207,11 +197,10 @@ def system_columns(sched: StepSchedule, p: int):
     """Both columns of the extraction's two-channel system,
     ((phi00, phi10), (phi01, phi11)): the constant and linear coefficients
     of run_filter's output for a unit constant, whose step 1 makes it
-    1 - e^{-t}, and of what steps 2..n_d+3 make of e^{-t}.
-    n_d = step_count - 3. Solved once per process per (schedule, p); a
-    DegenerateScheduleError is raised, not cached."""
-    n_d = sched.step_count - 3
-    unit = [_round(1, 0, p) + (0, 0)]
-    constant = _unpinned(unit, sched, n_d, p, None)
-    decay = _tail_steps(_quads(decay_series(n_d, p), p), sched, n_d, p, None)
-    return tuple((_complex(j[0]), _complex(j[1])) for j in (constant, decay))
+    1 - e^{-t}, and of what steps 2..n_d+3 make of e^{-t}. Solved once
+    per process per (schedule, p); a DegenerateScheduleError is raised,
+    not cached."""
+    n_d, tail = sched.n_d, _tail(sched)
+    constant = _run(decay_series(0, p), [(None, n_d - 1)] + tail, p)  # the unit
+    decay = _run(decay_series(n_d, p), tail, p)
+    return tuple(j.coeffs[:2] for j in (constant, decay))

@@ -83,15 +83,15 @@ class Constraint:
 
 @dataclass(frozen=True, eq=False)
 class StepSchedule:
-    """times[sp] is the zero-output time of step sp (index 0 unused)."""
+    """times[sp] is step sp's zero-output time, sp = 1..n_d+3."""
 
     times: tuple
     alpha: PrecisionReal
     beta: PrecisionReal
 
     @property
-    def step_count(self) -> int:
-        return len(self.times) - 1
+    def n_d(self) -> int:
+        return len(self.times) - 4
 
 
 def desk_profile(n: int, **overrides) -> PipelineProfile:
@@ -388,15 +388,42 @@ def solve_schedule(p: int, n_d: int, n_d1: int, r_1: int, r_mu: int) -> StepSche
     alpha = 1/tr_{n_d1}(e^{-r_1}) off the taylor_table entry step 1
     divides by (the gain step 1 realizes); times[n_d+2] = r_mu;
     times[n_d+3] from the closing equation. beta = tr_{n_d}(e^{r_mu}) is
-    the entry step n_d+2 reads. A NoRootError is raised, not cached.
+    the entry step n_d+2 reads. A NoRootError is raised, not cached; when
+    a step-time equation fails, its message says whether the p-bit alpha
+    is to blame (_alpha_note).
     """
-    r_1 = from_int(r_1, p)
-    alpha = rdiv(from_int(1, p), taylor_table(r_1, n_d1, p)[2], p)
-    times = [None, r_1]
-    for sp in range(2, n_d + 2):
-        times.append(solve_r_sp(alpha, sp, n_d, p))
+    alpha = _alpha(r_1, n_d1, p)
+    times = [None, from_int(r_1, p)]
+    try:
+        times += [solve_r_sp(alpha, sp, n_d, p) for sp in range(2, n_d + 2)]
+    except NoRootError as exc:
+        raise NoRootError(f"{exc}{_alpha_note(p, n_d, n_d1, r_1)}") from None
     r_mu = from_int(r_mu, p)
     times.append(r_mu)
     times.append(solve_r_mu_plus_1(r_mu, n_d, p))
     beta = taylor_table(r_mu, n_d, p)[1]
     return StepSchedule(times=tuple(times), alpha=alpha, beta=beta)
+
+
+def _alpha(r_1: int, n_d1: int, p: int) -> PrecisionReal:
+    """alpha = 1/tr_{n_d1}(e^{-r_1}) at p bits."""
+    return rdiv(from_int(1, p), taylor_table(from_int(r_1, p), n_d1, p)[2], p)
+
+
+def _alpha_note(p: int, n_d: int, n_d1: int, r_1: int) -> str:
+    """On a failed step-time equation: alpha again at a width w that
+    carries tr_{n_d1}(e^{-r_1})'s cancellation (terms up to e^{r_1}
+    summing to about e^{-r_1}) and its n_d1 roundings. If every step-time
+    equation has a root with that alpha, the note says the p-bit rounding
+    failed; otherwise the method fails at this key, and it is empty."""
+    w = p + 2 * math.ceil(r_1 * LOG2_E) + n_d1.bit_length() + 8
+    alpha = _alpha(r_1, n_d1, w)
+    try:
+        for sp in range(2, n_d + 2):
+            solve_r_sp(alpha, sp, n_d, p)
+    except NoRootError:
+        return ""
+    return (
+        f"; at {w} bits alpha = {to_decimal(alpha, 5)}, and with it steps 2..{n_d + 1} "
+        f"solve: p_2={p} bits cannot hold alpha, the rounding failed"
+    )

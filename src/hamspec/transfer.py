@@ -50,7 +50,7 @@ def transfer(sched: StepSchedule) -> tuple:
     """(l, m): k0 = sum_k l_k a_k and z1 = sum_k m_k a_k over k = 0..n_d-2,
     once per process per schedule. Step 1 turns a unit a_j into
     (-1)^(k-1-j) at k > j, its bare cascade."""
-    n_d = sched.step_count - 3
+    n_d = sched.n_d
     times = [t.to_fraction() for t in sched.times[2:]]
     responses = [
         _tail([(-1) ** (k - 1 - j) if k > j else 0 for k in range(n_d)], times, n_d)

@@ -221,6 +221,30 @@ class TestFilterPseudoExtract:
         assert (code, stdout) == (1, "")
         assert err.startswith(f"error: [parse] {message}")
 
+    @pytest.mark.parametrize("log2_c, ok", [(2400, True), (3000, False)])
+    def test_a_k0_too_long_to_print_fails_in_extract(self, tmp_path, capsys, log2_c, ok):
+        # at c = 2^3000 the 3-path's k0 is ~1e5372: its nearest integer has
+        # more digits than Python converts, so run and extract refuse it at
+        # [extract]; at c = 2^2400 it prints
+        graph = GRAPHS / "p3.graph"
+        prof = tmp_path / "big.profile"
+        prof.write_text(profile_to_text(desk_profile(3, c=2 ** log2_c)))
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        assert run_cli(capsys, "encode", str(graph), "--profile", str(prof), "--out", str(enc))[0] == 0
+        argv = ("filter", str(enc), "--profile", str(prof), "--out", str(flt))
+        assert run_cli(capsys, *argv)[0] == 0
+        for argv in (
+            ("run", str(graph), "--profile", str(prof)),
+            ("run", str(graph), "--profile", str(prof), "--json"),
+            ("extract", str(flt), "--profile", str(prof)),
+        ):
+            code, stdout, err = run_cli(capsys, *argv)
+            if ok:
+                assert code == 0 and err == "" and "n_h_rounded" in stdout, argv
+            else:
+                assert code == 1 and stdout == "", argv
+                assert err.startswith("error: [extract] n_h_rounded, k0_re = -8.7329e+5372 "), argv
+
 
 class TestProfileRefusals:
     def test_run_names_the_step_without_a_root(self, files, capsys):
@@ -237,6 +261,24 @@ class TestProfileRefusals:
         code, stdout, err = run_cli(capsys, "run", str(g2), "--profile", str(bad))
         assert code == 1 and stdout == ""
         assert err.startswith("error: [validate] profile fails validation: schedule_solved (step 5: ")
+        # alpha = 21.77 is exact here: the method fails, not the rounding
+        assert "rounding" not in lines[-2] and "rounding" not in err
+
+    def test_check_profile_says_when_p_2_cannot_hold_alpha(self, files, capsys):
+        # the desk key's alpha is 8.886e6; at p_2 = 16 it rounds to -0.191,
+        # and step 2 has no root; the PASS lines are those at p_2 = 256
+        tmp, g2, _, prof = files
+        bad = tmp / "narrow.profile"
+        bad.write_text(prof.read_text().replace("p_2=256", "p_2=16"))
+        lines = run_cli(capsys, "check-profile", str(bad), "--n", "2")[1].splitlines()
+        good = run_cli(capsys, "check-profile", str(prof), "--n", "2")[1].splitlines()
+        assert lines[:-2] == good[:-2] and lines[-1] == "profile INVALID"
+        assert lines[-2] == (
+            "FAIL schedule_solved slack=0 (step 2: P(r) = alpha*r^1/1!*tr_7(e^-r) - 1 "
+            "with alpha = -1.9132614135742187500e-1 has no sign change in (0, 1]; "
+            "at 79 bits alpha = 8.8861e+6, and with it steps 2..9 solve: "
+            "p_2=16 bits cannot hold alpha, the rounding failed)"
+        )
 
     def test_check_profile_refuses_a_full_scale_profile_unsolved(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

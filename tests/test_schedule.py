@@ -17,6 +17,7 @@ from hamspec.schedule import (
     NoRootError,
     PipelineProfile,
     ProfileError,
+    _alpha,
     _smallest_root,
     build_schedule,
     desk_profile,
@@ -121,6 +122,35 @@ class TestSolveRsp:
     def test_bad_step_index(self):
         with pytest.raises(ValueError):
             solve_r_sp(from_int(10, 128), 1, 8, 128)
+
+
+class TestAlphaRounding:
+    @pytest.mark.parametrize("p", [16, 24, 32, 40])
+    def test_refusal_blames_the_rounding(self, p):
+        # the p-bit alpha of the desk key is far from 8.886e6 at these p;
+        # the message gives the wide alpha and says the rounding failed
+        with pytest.raises(NoRootError) as info:
+            solve_schedule(p, 8, 64, 16, 2)
+        msg = str(info.value)
+        assert "no sign change in (0, 1]; at " in msg
+        assert msg.endswith(f"p_2={p} bits cannot hold alpha, the rounding failed")
+        wide = Fraction(msg.split(" bits alpha = ")[1].split(",")[0])
+        exact = 1 / trunc_exp_fraction(Fraction(-16), 64)
+        assert abs(wide - exact) < Fraction(1, 10**4) * exact
+
+    @pytest.mark.parametrize("n_d, n_d1, r_1", [(8, 64, 24), (12, 96, 24)])
+    def test_refusal_blames_the_method(self, n_d, n_d1, r_1):
+        # alpha is exact to 2^-150 here (21.77 and 2.6489e10), and still
+        # a step-time equation has no root: the message is the step's own
+        p = 256
+        alpha = _alpha(r_1, n_d1, p)
+        exact = 1 / trunc_exp_fraction(Fraction(-r_1), n_d1)
+        assert abs(alpha.to_fraction() - exact) < Fraction(2) ** -150 * exact
+        with pytest.raises(NoRootError) as info:
+            solve_schedule(p, n_d, n_d1, r_1, 2)
+        msg = str(info.value)
+        assert msg.endswith(f"with alpha = {to_decimal(alpha)} has no sign change in (0, 1]")
+        assert "rounding" not in msg
 
 
 class TestSolveClosing:
