@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import extraction, filter_pipeline, grid, schedule, walk_oracle
@@ -66,6 +66,20 @@ class RunReport:
             d["timings_ms"] = self.timings_ms
         return d
 
+    def to_json(self, timings: bool = True) -> str:
+        """json.dumps(self.to_json_dict(timings), indent=2) plus a newline,
+        written for the report's shape (blocks that are flat dicts, a
+        string or None) without json's pure-Python indent encoder."""
+        blocks = []
+        for name, block in self.to_json_dict(timings).items():
+            if isinstance(block, dict) and block:
+                kv = (f"{encode_basestring_ascii(k)}: {_json_scalar(v)}" for k, v in block.items())
+                value = "{\n    " + ",\n    ".join(kv) + "\n  }"
+            else:
+                value = _json_scalar(block)
+            blocks.append(f"  {encode_basestring_ascii(name)}: {value}")
+        return "{\n" + ",\n".join(blocks) + "\n}\n"
+
     def to_text(self, timings: bool = True) -> str:
         """One `[block] key=value ...` line per block of to_json_dict."""
         d = self.to_json_dict(timings=False)
@@ -81,6 +95,15 @@ class RunReport:
                 "[timings] " + " ".join(f"{k}={v:.1f}" for k, v in self.timings_ms.items())
             )
         return "\n".join(lines) + "\n"
+
+
+def _json_scalar(value) -> str:
+    """A str, int, float or None (the report holds no bool) as json.dumps
+    writes it: strings by json's C encoder, numbers (and an empty
+    block's {}) by repr."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return "null" if value is None else repr(value)
 
 
 def _oracle_block(g: Graph, limit: int) -> dict:
@@ -326,7 +349,7 @@ def _cmd_run(args) -> int:
     )
     timings = not args.no_timings
     if args.json:
-        text = json.dumps(report.to_json_dict(timings=timings), indent=2) + "\n"
+        text = report.to_json(timings=timings)
     else:
         text = report.to_text(timings=timings)
     if args.out:  # before stdout, so that a failed write prints no report
@@ -342,7 +365,8 @@ def _add_common(sub):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process; its `subcommands`
+    maps each command to the command's own parser."""
     ap = argparse.ArgumentParser(
         prog="hamspec",
         description="Count Hamiltonian paths by frequency encoding plus filter cascade, "
@@ -387,11 +411,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-limit", type=int, default=walk_oracle.DEFAULT_ORACLE_LIMIT)
     _add_common(p)
     p.set_defaults(fn=_cmd_run)
+    ap.subcommands = sub.choices
     return ap
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv) in about half the time for a known
+    command. The full parser hands all after the command to the command's
+    own parser (its help and errors included), then refuses leftovers; so
+    a known command goes to its parser directly, and only leftovers, an
+    unknown command, a leading `-h` and an empty argv take the full one,
+    whose usage and error texts stay `hamspec`'s."""
+    ap = build_parser()
+    sub = ap.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return ap.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except StageError as exc:

@@ -23,16 +23,20 @@ middle; Horowitz and Sahni, JACM 1974): an n-walk splits in one way into
 two h-walks ending at the same l, so with A_l the moments of
 Y = 2W - n^l - a_h over those, S_k = 2^-k sum_l sum_j C(k,j) A_l,j A_l,k-j.
 
-The route (d0, fold) minimizes one operation count, C(2n-1, n) m for
-d0 = n, else n C(n+d0-2, d0-1) m plus m^2 / 2 + 40 per shift and m^2 per
-square. The 40 prices a shift's fixed cost per call (its passes, slices
-and divisions), which dominates at small m: a shift took 5.3 us at m = 6
-and 392 us at m = 64, and a square 0.56x and ~2x a shift (timeit, 2-vCPU
-x86). At the desk degree m = 64: d0 = n for n <= 6, d0 = 3 folded for
+The route (d0, fold) minimizes one operation count, keyed on (n, m, |E|):
+min(C(2n-1, n), n (2|E|/n)^(n-1)) m for d0 = n, else n C(n+d0-2, d0-1) m
+plus m^2 / 2 + 40 per shift and m^2 per square. The second term of the
+min estimates a sparse graph's smaller spectrum without counting its
+walks. The 40 prices a shift's fixed cost per call (its passes, slices
+and divisions), which dominates at small m: a shift took 5.3 us at
+m = 6 and 392 us at m = 64, and a square 0.56x and ~2x a shift (timeit,
+2-vCPU x86). At the desk degree m = 64: d0 = n for n <= 6, and for
+n = 7, 8 up to |E| = n (the cycle); with more edges d0 = 3 folded for
 n = 7 (7 shifts, 7 squares), d0 = 3 for n = 8 (40 shifts). At m = 6,
-the degree `hamspec run` encodes at (n_d - 2): d0 = n for n <= 4, d0 = 2
-folded for n = 5 and 7, d0 = 2 for n = 6 and 8. Every route gives the
-same integers, and none enumerates walks.
+the degree `hamspec run` encodes at (n_d - 2): d0 = n for n <= 4, for
+n = 5, 6 up to |E| = n and for n = 7, 8 up to |E| = n - 1 (a tree);
+with more edges d0 = 2 folded for n = 5 and 7, d0 = 2 for n = 6 and 8.
+Every route gives the same integers, and none enumerates walks.
 """
 
 from __future__ import annotations
@@ -110,15 +114,17 @@ def _fold(wires: list, m: int) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _route(n: int, m: int) -> tuple:
+def _route(n: int, m: int, edges: int) -> tuple:
     """The (d0, fold) with the fewest operations, the first listed on a tie:
-    unfolded for d0 = 1..n, then folded (odd n) for d0 = 1..h-1."""
+    unfolded for d0 = 1..n, then folded (odd n) for d0 = 1..h-1. d0 = n
+    is priced by its keys: at most C(2n-1, n), and about n (2|E|/n)^(n-1),
+    the n-walks were every degree the average (exact on regular graphs)."""
     h = (n + 1) // 2
 
     def cost(route):
         d0, fold = route
         if d0 == n:
-            return comb(2 * n - 1, n) * m
+            return min(comb(2 * n - 1, n), n * (2 * edges / n) ** (n - 1)) * m
         shifts = (h if fold else n) - d0
         return n * comb(n + d0 - 2, d0 - 1) * m + n * (shifts * (m * m / 2 + 40) + fold * m * m)
 
@@ -184,7 +190,7 @@ def grid_intermediate(g: Graph, profile: PipelineProfile, depth: int) -> list:
     if not 1 <= depth <= g.n:
         raise ValueError(f"depth {depth} outside 1..{g.n}")
     m = profile.n_d1
-    d0, _ = _route(g.n, m)
+    d0, _ = _route(g.n, m, g.edge_count())
     wires = _wires(g, m, depth, d0)
     if depth <= d0:
         wires = [_power_sums(w, m) for w in wires]
@@ -202,4 +208,4 @@ def grid_series(g: Graph, profile: PipelineProfile, m: int | None = None) -> Nor
     c = profile.require_c()
     if m is None:
         m = profile.n_d1
-    return _round_moments(_moments(g, m, *_route(g.n, m)), c, profile.p_1)
+    return _round_moments(_moments(g, m, *_route(g.n, m, g.edge_count())), c, profile.p_1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -123,7 +124,12 @@ def full_scale_profile(n: int) -> PipelineProfile:
 _PROFILE_KEYS = tuple(f.name for f in fields(PipelineProfile))
 
 
+@functools.lru_cache(maxsize=64)
 def profile_from_text(text: str, n: int | None = None) -> PipelineProfile:
+    """The profile a key=value text gives, for the graph's n if one is
+    given. Memoized per process on (text, n): the profile is frozen, so
+    a run that reads the same file per graph parses it once per n.
+    Errors are not cached."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,6 +148,13 @@ def profile_from_text(text: str, n: int | None = None) -> PipelineProfile:
         try:
             values[key] = float(val) if key == "log2_c" else int(val)
         except ValueError:
+            digits = val.lstrip("+-")
+            if key != "log2_c" and digits.isdecimal():  # only the length can fail
+                raise ProfileError(
+                    f"line {lineno}: {key} has {len(digits)} digits, more than the "
+                    f"{sys.get_int_max_str_digits()} that Python reads from a string "
+                    "(sys.get_int_max_str_digits)"
+                )
             raise ProfileError(f"line {lineno}: bad value for {key}: {val!r}")
     if n is not None:
         if "n" in values and values["n"] != n:

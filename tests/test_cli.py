@@ -4,11 +4,12 @@ import json
 import re
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
-from hamspec import cli, grid, schedule, walk_oracle
+from hamspec import cli, extraction, grid, schedule, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
 from hamspec.graph import load_graph
 from hamspec.numerics import load_series, series_to_text
@@ -501,6 +502,23 @@ class TestCheckProfile:
             assert code == 1 and stdout == ""
             assert err.startswith("error: [validate] profile fails validation: positive ("), err
 
+    def test_c_beyond_the_int_string_limit_is_named_not_echoed(self, files, capsys):
+        tmp, _, _, prof = files
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            c = str(2 ** 15000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        big = tmp / "big.profile"
+        big.write_text(re.sub(r"^c=\d+$", f"c={c}", prof.read_text(), flags=re.M))
+        code, stdout, err = run_cli(capsys, "check-profile", str(big), "--n", "4")
+        assert code == 1 and stdout == ""
+        assert err == (
+            f"error: [validate] line 5: c has 4516 digits, more than the {limit} that "
+            "Python reads from a string (sys.get_int_max_str_digits)\n"
+        )
+
 
 class TestRun:
     def test_p2_report(self, files, capsys):
@@ -594,6 +612,64 @@ class TestRun:
         stages = ("parse", "validate", "oracle", "encode", "filter", "extract")
         assert list(report.timings_ms) == [f"{stage}_ms" for stage in stages]
 
+    def test_profile_file_is_read_on_every_call(self, files, capsys):
+        # the parsed profile is memoized on the file's text, not its path
+        _, _, g4, prof = files
+        argv = ("run", str(g4), "--profile", str(prof), "--json", "--no-timings")
+        first = json.loads(run_cli(capsys, *argv)[1])
+        prof.write_text(prof.read_text().replace("p_2=256", "p_2=320"))
+        second = json.loads(run_cli(capsys, *argv)[1])
+        assert (first["profile"]["p_2"], second["profile"]["p_2"]) == (256, 320)
+        assert first["extraction"] != second["extraction"]
+
+
+class TestJsonReport:
+    """RunReport.to_json writes json.dumps(to_json_dict(), indent=2) with
+    the C string encoder; `run --json` prints it."""
+
+    def run_json(self, capsys, graph, prof, *flags):
+        argv = ("run", str(graph), "--profile", str(prof), "--json", *flags)
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        return stdout
+
+    @pytest.mark.parametrize(
+        "timings, limit", [(False, 7), (True, 7), (False, 3)],
+        ids=["plain", "timings", "oracle-omitted"],
+    )
+    def test_bytes_equal_json_dumps(self, files, capsys, timings, limit):
+        _, _, g4, prof = files
+        report = run_experiment(str(g4), desk_profile(4), oracle_limit=limit)
+        assert report.to_json(timings) == json.dumps(report.to_json_dict(timings), indent=2) + "\n"
+        flags = ["--oracle-limit", str(limit)] + ([] if timings else ["--no-timings"])
+        stdout = self.run_json(capsys, g4, prof, *flags)
+        d = json.loads(stdout)
+        assert ("timings_ms" in d, d["oracle"] is None) == (timings, limit < 4)
+        assert stdout == json.dumps(d, indent=2) + "\n"
+
+    def test_singular_system_block(self, files, capsys, monkeypatch):
+        _, _, g4, prof = files
+
+        def singular(*args):
+            raise extraction.SingularSystemError("determinant is zero")
+
+        monkeypatch.setattr(cli, "_extract", singular)
+        stdout = self.run_json(capsys, g4, prof, "--no-timings")
+        d = json.loads(stdout)
+        assert d["extraction"] == {"error": "singular-system"}
+        assert stdout == json.dumps(d, indent=2) + "\n"
+
+    def test_file_name_escapes(self, files, capsys):
+        tmp, _, g4, prof = files
+        odd = tmp / 'quote"back\\slash \u00e9.graph'
+        shutil.copy(g4, odd)
+        stdout = self.run_json(capsys, odd, prof, "--no-timings")
+        d = json.loads(stdout)
+        assert d["graph"]["file"] == odd.name
+        assert stdout == json.dumps(d, indent=2) + "\n"
+        assert '"quote\\"back\\\\slash \\u00e9.graph"' in stdout
+
+
 
 def readme_commands() -> list:
     """The argv of each line of the README's command-line block."""
@@ -628,3 +704,48 @@ class TestReadme:
         printed = capsys.readouterr().out.split()
         assert len(printed) == 2
         assert int(printed[1]) == walk_oracle.count_hamiltonian_paths(namespace["g"])
+
+
+ARGV_CASES = [
+    ["run", "g", "--bogus"],
+    ["run"],
+    ["run", "g", "--oracle-limit", "x"],
+    ["run", "g", "--js"],
+    ["run", "g", "--json", "--no-timings", "--profile", "p"],
+    ["oracle", "g", "--spectrum", "extra"],
+    ["bogus", "g"],
+    [],
+    ["-h"],
+    ["run", "-h"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr, Namespace) of one argv parse; the exit
+    code is None when the parse returned."""
+    try:
+        args, code = parse(list(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err, args
+
+
+class TestArgv:
+    @pytest.mark.parametrize(
+        "argv", readme_commands() + ARGV_CASES, ids=lambda argv: " ".join(argv) or "empty"
+    )
+    def test_parse_matches_the_full_parser(self, capsys, argv):
+        # main parses with cli.parse_args: a known command's own parser,
+        # with every error, help text and leftover through the full one
+        want = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert parse_outcome(capsys, cli.parse_args, argv) == want
+        if want[0] is not None:
+            assert parse_outcome(capsys, main, argv)[:3] == want[:3]
+        else:
+            assert want[3].command == argv[0]
+
+    def test_a_known_command_skips_the_full_parser(self, monkeypatch):
+        monkeypatch.setattr(build_parser(), "parse_args", None)
+        args = cli.parse_args(["run", "g", "--json", "--profile", "p"])
+        assert (args.command, args.graph, args.json, args.profile) == ("run", "g", True, "p")

@@ -154,7 +154,7 @@ class TestRoutes:
         # the op-count model's choice, one shift per wire per depth after
         # d0 and one square per wire at the fold: 7 shifts and 7 squares
         # on K7, none on K6 and 40 shifts on K8 at the desk profile
-        assert grid._route(n, m) == route
+        assert grid._route(n, m, n * (n - 1) // 2) == route
         d0, fold = route
         shifts, squares = [], []
         shift, fold_wires = grid._shift, grid._fold
@@ -163,6 +163,26 @@ class TestRoutes:
         grid_series(complete_graph(n), desk_profile(n, n_d1=m))
         assert len(shifts) == (((n + 1) // 2 if fold else n) - d0) * n
         assert len(squares) == (n if fold else 0)
+
+    @pytest.mark.parametrize(
+        "g, m, route",
+        [
+            (cycle_graph(5), 6, (5, False)),
+            (complete_graph(5), 6, (2, True)),
+            (cycle_graph(7), 64, (7, False)),
+            (complete_graph(7), 64, (3, True)),
+        ],
+        ids=["C5-6", "K5-6", "C7-64", "K7-64"],
+    )
+    def test_sparse_graphs_skip_the_fold(self, monkeypatch, g, m, route):
+        # d0 = n is priced by n (2|E|/n)^(n-1) where that is below
+        # C(2n-1, n): the cycles' 2-regular walks beat the fold, K_n's do not
+        assert grid._route(g.n, m, g.edge_count()) == route
+        squares = []
+        fold_wires = grid._fold
+        monkeypatch.setattr(grid, "_fold", lambda w, m: squares.extend(w) or fold_wires(w, m))
+        grid_series(g, desk_profile(g.n), m)
+        assert len(squares) == (g.n if route[1] else 0)
 
 
 HEAD_GRAPHS = dict(ROUTE_GRAPHS, C8=cycle_graph(8))
@@ -225,8 +245,10 @@ class TestIntermediates:
         nums = vertex_numbers(g.n)
         # at n_d1 = 16 the wavefront stays on spectra; forced to switch at
         # depth 1 at n_d1 = 4, depths 2..4 come from moment shifts instead
-        assert grid._route(4, 16) == (4, False)
-        monkeypatch.setattr(grid, "_route", lambda n, m: (1, False) if m == 4 else (n, False))
+        assert grid._route(4, 16, g.edge_count()) == (4, False)
+        monkeypatch.setattr(
+            grid, "_route", lambda n, m, edges: (1, False) if m == 4 else (n, False)
+        )
         for m, depth in ((16, 2), (16, 3), (16, 4), (4, 2), (4, 3), (4, 4)):
             prof = encode_profile(4, n_d1=m)
             p = prof.p_1

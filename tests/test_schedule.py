@@ -410,6 +410,14 @@ class TestProfileFiles:
         with pytest.raises(ProfileError, match="missing"):
             profile_from_text("n=4\nc=4\n")
 
+    def test_memo_per_text_and_n_caches_no_error(self):
+        text = "n_d=8\nn_d1=64\nr_1=16\nr_mu=2\nc=1024\n"
+        assert profile_from_text(text, n=3) is profile_from_text(text, n=3)
+        assert profile_from_text(text, n=4).n == 4
+        for _ in range(2):
+            with pytest.raises(ProfileError, match="needs n"):
+                profile_from_text(text)
+
     def test_log2_c_only_profile_rejects_series_work(self):
         prof = full_scale_profile(4)
         with pytest.raises(ProfileError, match="log2_c"):
