@@ -15,12 +15,11 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from typing import Callable
 
 from . import extraction, filter_pipeline, grid, schedule, walk_oracle
 from .graph import Graph, load_graph
-from .numerics import load_series, series_to_text, to_decimal
-from .schedule import PipelineProfile, ProfileError, desk_profile
+from .numerics import read_series, series_from_text, series_to_text, to_decimal
+from .schedule import PipelineProfile, desk_profile
 
 VERDICT_MATCH = "MATCH"
 VERDICT_MISMATCH = "MISMATCH"
@@ -142,32 +141,28 @@ def _schedule_digest(sched: schedule.StepSchedule) -> tuple:
     return tuple(d.items())
 
 
-def _staged(timings: dict, stage: str, fn, *args):
-    """fn(*args), its wall time recorded as timings[f"{stage}_ms"]; whatever
-    it raises comes out as StageError(stage), the one error main reports."""
+def _staged(timings: dict, stage: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its wall time recorded as timings[f"{stage}_ms"];
+    whatever it raises comes out as StageError(stage), the one error main
+    reports."""
     t0 = time.perf_counter()
     try:
-        out = fn(*args)
+        out = fn(*args, **kwargs)
     except Exception as exc:
         raise StageError(stage, exc) from exc
     timings[f"{stage}_ms"] = (time.perf_counter() - t0) * 1000.0
     return out
 
 
-def _resolve_profile(args, n: int | None) -> PipelineProfile:
-    if getattr(args, "profile", None):
-        return schedule.load_profile(args.profile, n=n)
-    if n is None:
-        raise ProfileError("no profile file and no graph to take n from")
-    return desk_profile(n)
-
-
-def _validated(profile, n: int | None) -> tuple:
-    """The profile (or profile(n), given a function of the vertex count)
-    and its schedule. build_schedule refuses every profile that
-    check-profile calls INVALID, naming the failed check."""
-    if callable(profile):
-        profile = profile(n)
+def _validated(profile: PipelineProfile | str | None, n: int) -> tuple:
+    """The profile for vertex count n and its schedule. `profile` is a
+    PipelineProfile, a profile file's path (whose n, if it has one, must
+    be n) or None for desk_profile(n). build_schedule refuses every
+    profile that check-profile calls INVALID, naming the failed check."""
+    if profile is None:
+        profile = desk_profile(n)
+    elif not isinstance(profile, PipelineProfile):
+        profile = schedule.load_profile(profile, n=n)
     return profile, schedule.build_schedule(profile)
 
 
@@ -187,26 +182,16 @@ def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
     return result
 
 
+def _encode_key(profile: PipelineProfile) -> dict:
+    """The header fields `encode` writes on its output and `filter`
+    expects beyond (m, p) = (n_d1, p_1): the vertex count and the scale."""
+    return {"n": profile.n, "c": profile.c}
+
+
 def _schedule_key(profile: PipelineProfile) -> dict:
     """The header fields `filter` writes on its output and `extract`
-    expects: the schedule's key beyond the (n_d, p_2) that m and p carry."""
-    return {"n_d1": profile.n_d1, "r_1": profile.r_1, "r_mu": profile.r_mu}
-
-
-def _step_dumper(dump_dir: str | None):
-    """The run_filter dump callback of `run` and `filter`, writing
-    step_<sp>.series files into dump_dir, or None without a directory.
-    The directory is made at the first dump, so that failing to make it
-    fails the filter stage."""
-    if not dump_dir:
-        return None
-
-    def dump(sp, series):
-        os.makedirs(dump_dir, exist_ok=True)
-        with open(os.path.join(dump_dir, f"step_{sp:03d}.series"), "w") as fh:
-            fh.write(series_to_text(series))
-
-    return dump
+    expects beyond (m, p) = (n_d, p_2): the vertex count and schedule key."""
+    return {"n": profile.n, "n_d1": profile.n_d1, "r_1": profile.r_1, "r_mu": profile.r_mu}
 
 
 def _write_out(args, text: str) -> None:
@@ -220,9 +205,8 @@ def _write_out(args, text: str) -> None:
 
 def run_experiment(
     graph_path: str,
-    profile: PipelineProfile | Callable[[int], PipelineProfile],
+    profile: PipelineProfile | str | None,
     oracle_limit: int = walk_oracle.DEFAULT_ORACLE_LIMIT,
-    dump_dir: str | None = None,
 ) -> RunReport:
     """parse -> validate -> oracle -> encode -> filter -> extract -> verdict,
     each stage timed, and its failure raised as StageError.
@@ -233,9 +217,8 @@ def run_experiment(
     run_filter, whose step 1 is unpinned: that is all k0 and z1 read.
     extract runs the pseudo-steps and the solve.
 
-    `profile` is a profile, or a function from the parsed graph's vertex
-    count to one, so that a caller who needs n to choose the profile does
-    not parse the file a second time.
+    `profile` is a profile, a profile file's path, or None for the desk
+    profile; validate reads or makes the last two for the graph's n.
     """
     timings = {}
     g = _staged(timings, "parse", load_graph, graph_path)
@@ -246,10 +229,7 @@ def run_experiment(
         oracle_block = _staged(timings, "oracle", _oracle_block, g, oracle_limit)
 
     f_series = _staged(timings, "encode", grid.grid_series, g, profile, profile.n_d - 2)
-    dump = _step_dumper(dump_dir)
-    o_series = _staged(
-        timings, "filter", filter_pipeline.run_filter, f_series, sched, profile, dump
-    )
+    o_series = _staged(timings, "filter", filter_pipeline.run_filter, f_series, sched, profile)
     try:
         result = _staged(timings, "extract", _extract, o_series, sched, profile)
     except StageError as exc:
@@ -286,20 +266,26 @@ def run_experiment(
 
 def _cmd_encode(args) -> int:
     g = _staged({}, "parse", load_graph, args.graph)
-    resolve = functools.partial(_resolve_profile, args)
-    profile, _ = _staged({}, "validate", _validated, resolve, g.n)
-    text = _staged({}, "encode", lambda: series_to_text(grid.grid_series(g, profile), c=profile.c))
+    profile, _ = _staged({}, "validate", _validated, args.profile, g.n)
+    text = _staged(
+        {}, "encode", lambda: series_to_text(grid.grid_series(g, profile), **_encode_key(profile))
+    )
     _staged({}, "write", _write_out, args, text)
     return 0
 
 
 def _cmd_filter(args) -> int:
-    resolve = functools.partial(_resolve_profile, args)
-    profile, sched = _staged({}, "validate", _validated, resolve, args.n)
-    f_series = _staged(
-        {}, "parse", lambda: load_series(args.series, m=profile.n_d1, p=profile.p_1, c=profile.c)
-    )
-    dump = _step_dumper(args.dump_steps)
+    text, head = _staged({}, "parse", read_series, args.series, "n")
+    profile, sched = _staged({}, "validate", _validated, args.profile, head["n"])
+    key = _encode_key(profile)
+    f_series = _staged({}, "parse", series_from_text, text, m=profile.n_d1, p=profile.p_1, **key)
+
+    def dump(sp, series):  # a directory that cannot be made fails the filter stage
+        os.makedirs(args.dump_steps, exist_ok=True)
+        with open(os.path.join(args.dump_steps, f"step_{sp:03d}.series"), "w") as fh:
+            fh.write(series_to_text(series))
+
+    dump = dump if args.dump_steps else None
     out = _staged({}, "filter", filter_pipeline.run_filter, f_series, sched, profile, dump)
     text = series_to_text(out, **_schedule_key(profile))
     _staged({}, "write", _write_out, args, text)
@@ -307,12 +293,10 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    resolve = functools.partial(_resolve_profile, args)
-    profile, sched = _staged({}, "validate", _validated, resolve, args.n)
+    text, head = _staged({}, "parse", read_series, args.series, "n")
+    profile, sched = _staged({}, "validate", _validated, args.profile, head["n"])
     key = _schedule_key(profile)
-    o_series = _staged(
-        {}, "parse", lambda: load_series(args.series, m=profile.n_d, p=profile.p_2, **key)
-    )
+    o_series = _staged({}, "parse", series_from_text, text, m=profile.n_d, p=profile.p_2, **key)
     result = _staged({}, "extract", _extract, o_series, sched, profile)
     for k, v in _extraction_block(result).items():
         print(f"{k}={v}")
@@ -341,12 +325,7 @@ def _cmd_check_profile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    report = run_experiment(
-        args.graph,
-        functools.partial(_resolve_profile, args),
-        oracle_limit=args.oracle_limit,
-        dump_dir=args.dump_steps,
-    )
+    report = run_experiment(args.graph, args.profile, oracle_limit=args.oracle_limit)
     timings = not args.no_timings
     if args.json:
         text = report.to_json(timings=timings)
@@ -381,14 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="encoded series file -> cascade output series file")
     p.add_argument("series")
-    p.add_argument("--n", type=int, help="vertex count for the default profile")
     p.add_argument("--dump-steps", help="directory for per-step series dumps")
     _add_common(p)
     p.set_defaults(fn=_cmd_filter)
 
     p = sub.add_parser("extract", help="cascade output series file -> two-channel solve")
     p.add_argument("series", help="the series file filter wrote")
-    p.add_argument("--n", type=int, help="vertex count for the default profile")
     p.add_argument("--profile", help=PROFILE_HELP)
     p.set_defaults(fn=_cmd_extract)
 
@@ -407,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--no-timings", action="store_true", help="omit the timings block")
-    p.add_argument("--dump-steps", help="directory for per-step series dumps")
     p.add_argument("--oracle-limit", type=int, default=walk_oracle.DEFAULT_ORACLE_LIMIT)
     _add_common(p)
     p.set_defaults(fn=_cmd_run)

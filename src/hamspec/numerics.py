@@ -561,21 +561,32 @@ def series_to_text(a: NormalizedSeries, **keys) -> str:
     return "\n".join(lines) + "\n"
 
 
+def series_header(text: str, *need: str) -> dict:
+    """The fields of a series file's header, its first line with text:
+    `series` then `key=<int>` words, m and p among them. A field named in
+    need that the header lacks is refused by name."""
+    line = next((ln for ln in text.splitlines() if ln.strip()), None)
+    if line is None:
+        raise ValueError("empty series file")
+    head = line.split()
+    try:
+        fields = {key: int(value) for key, value in (word.split("=") for word in head[1:])}
+        if head[0] != "series" or len(fields) != len(head) - 1 or not {"m", "p"} <= fields.keys():
+            raise ValueError("not a series header")
+    except ValueError as exc:
+        raise ValueError(f"bad series header: {line!r}") from exc
+    for key in need:
+        if key not in fields:
+            raise ValueError(f"series header has no {key}")
+    return fields
+
+
 def series_from_text(text: str, **expect) -> NormalizedSeries:
     """The series in a series file. Given expect, the header's fields must
     be exactly expect's, m and p among them, each with its value; the
     refusal names the first field that differs, m and p checked first."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
-        raise ValueError("empty series file")
-    head = lines[0][1].split()
-    try:
-        fields = {key: int(value) for key, value in (word.split("=") for word in head[1:])}
-        if head[0] != "series" or len(fields) != len(head) - 1:
-            raise ValueError("not a series header")
-        m, p = fields["m"], fields["p"]
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"bad series header: {lines[0][1]!r}") from exc
+    fields = series_header(text)
+    m, p = fields["m"], fields["p"]
     if expect:
         for key in dict.fromkeys(("m", "p", *expect, *fields)):
             got, want = (f"{key}={d[key]}" if key in d else f"no {key}" for d in (fields, expect))
@@ -583,6 +594,7 @@ def series_from_text(text: str, **expect) -> NormalizedSeries:
                 raise ValueError(f"series header has {got}, expected {want}")
     # by index, not a list of m + 1 slots: the header's m is not trusted
     coeffs = {}
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     for lineno, ln in lines[1:]:
         parts, field = ln.split(), "k"
         if len(parts) != 3:
@@ -605,6 +617,13 @@ def series_from_text(text: str, **expect) -> NormalizedSeries:
     return NormalizedSeries([coeffs[k] for k in range(m + 1)], p)
 
 
-def load_series(path, **expect) -> NormalizedSeries:
+def read_series(path, *need: str) -> tuple:
+    """A series file's text and its header's fields (series_header), for a
+    reader that takes from the header what the rest must match."""
     with open(path, "r", encoding="ascii") as fh:
-        return series_from_text(fh.read(), **expect)
+        text = fh.read()
+    return text, series_header(text, *need)
+
+
+def load_series(path, **expect) -> NormalizedSeries:
+    return series_from_text(read_series(path)[0], **expect)

@@ -233,7 +233,8 @@ def validate_profile(profile: PipelineProfile) -> list:
         "transient_tail_small",
         tail < -MARGIN_BITS,
         -MARGIN_BITS - tail,
-        f"log2(2^n_d n^n r_tail) = {tail:.6g} < {-MARGIN_BITS:.6g}",
+        f"log2(2^n_d n^n r_tail) = {tail:.6g} < {-MARGIN_BITS:.6g}, r_tail = (1/alpha)^n_d "
+        f"= 2^{log2_r_tail:.6g}, the design estimate of r_{n_d + 1}",
     )
 
     log2_omega = profile.log2_scale()
@@ -360,11 +361,13 @@ def profile_constraints(profile: PipelineProfile) -> list:
     validation-only, full-scale one) is refused unsolved."""
     constraints = validate_profile(profile)
     if profile_ok(constraints):
+        p_2, n_d = profile.p_2, profile.n_d
         passed, detail = False, "not solved: no integer c, so run refuses it"
         if profile.c:
             try:
-                solve_schedule(profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu)
-                passed, detail = True, f"{profile.n_d + 3} step times at p_2={profile.p_2}"
+                times = solve_schedule(p_2, n_d, profile.n_d1, profile.r_1, profile.r_mu).times
+                last = f"r_{n_d + 1} = {to_decimal(times[n_d + 1], 5)}"
+                passed, detail = True, f"{n_d + 3} step times at p_2={p_2}, solved {last}"
             except NoRootError as exc:
                 detail = str(exc)
         constraints.append(Constraint("schedule_solved", passed, 0.0, detail))

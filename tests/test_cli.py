@@ -45,9 +45,9 @@ class TestEncode:
         out = tmp / "p2.series"
         code, _, _ = run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(out))
         assert code == 0
-        # the header records the profile's c after (m, p)
-        assert out.read_text().startswith("series m=64 p=512 c=1099511627776\n")
-        series = load_series(out, m=64, p=512, c=2 ** 40)
+        # the header records the graph's n and the profile's c after (m, p)
+        assert out.read_text().startswith("series m=64 p=512 n=2 c=1099511627776\n")
+        series = load_series(out, m=64, p=512, n=2, c=2 ** 40)
         assert series.degree_bound == 64
         assert series.coeffs[0].re.to_fraction() == 2
 
@@ -64,8 +64,8 @@ class TestFilterPseudoExtract:
         enc = tmp / "f.series"
         flt = tmp / "o.series"
         assert run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))[0] == 0
-        assert run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2", "--out", str(flt))[0] == 0
-        code, stdout, _ = run_cli(capsys, "extract", str(flt), "--profile", str(prof), "--n", "2")
+        assert run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--out", str(flt))[0] == 0
+        code, stdout, _ = run_cli(capsys, "extract", str(flt), "--profile", str(prof))
         assert code == 0
         fields = dict(line.split("=", 1) for line in stdout.strip().splitlines())
         assert fields["n_h_rounded"] == "2"
@@ -78,11 +78,10 @@ class TestFilterPseudoExtract:
         # encodes at degree n_d - 2. Graphs with non-path walks have z1 != 0,
         # so a wrong decay column shows; on the 2-path z1 = 0
         graph = GRAPHS / f"{name}.graph"
-        n = str(load_graph(str(graph)).n)
         enc, flt = tmp_path / "f.series", tmp_path / "o.series"
         assert run_cli(capsys, "encode", str(graph), "--out", str(enc))[0] == 0
-        assert run_cli(capsys, "filter", str(enc), "--n", n, "--out", str(flt))[0] == 0
-        code, stdout, _ = run_cli(capsys, "extract", str(flt), "--n", n)
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
+        code, stdout, _ = run_cli(capsys, "extract", str(flt))
         assert code == 0
         report = json.loads(run_cli(capsys, "run", str(graph), "--json", "--no-timings")[1])
         assert stdout.splitlines() == [f"{k}={v}" for k, v in report["extraction"].items()]
@@ -93,7 +92,7 @@ class TestFilterPseudoExtract:
         run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
         dump = tmp / "steps"
         code, _, _ = run_cli(
-            capsys, "filter", str(enc), "--profile", str(prof), "--n", "2",
+            capsys, "filter", str(enc), "--profile", str(prof),
             "--out", str(tmp / "o.series"), "--dump-steps", str(dump),
         )
         assert code == 0
@@ -105,18 +104,37 @@ class TestFilterPseudoExtract:
         # the n_d coefficients 0..n_d-1 that step 2 reads, with no pin
         enc, flt, dump = tmp_path / "f.series", tmp_path / "o.series", tmp_path / "steps"
         assert run_cli(capsys, "encode", str(GRAPHS / "c5.graph"), "--out", str(enc))[0] == 0
-        code, _, _ = run_cli(
-            capsys, "filter", str(enc), "--n", "5", "--out", str(flt), "--dump-steps", str(dump)
-        )
+        code, _, _ = run_cli(capsys, "filter", str(enc), "--out", str(flt), "--dump-steps", str(dump))
         assert code == 0
         text = (dump / "step_001.series").read_text()
         prof = desk_profile(5)
         assert len(text.splitlines()) == 1 + prof.n_d
         f = load_series(enc).reround(prof.p_2)
         assert text == series_to_text(integrator_cascade(f, prof.n_d - 1))
-        # the filtered file adds the schedule key to the last step's header
+        # the filtered file adds n and the schedule key to the last step's header
         last = load_series(dump / "step_011.series")
-        assert flt.read_text() == series_to_text(last, n_d1=64, r_1=16, r_mu=2)
+        assert flt.read_text() == series_to_text(last, n=5, n_d1=64, r_1=16, r_mu=2)
+
+    @pytest.mark.parametrize("command", ["filter", "extract"])
+    def test_the_input_header_gives_n(self, tmp_path, capsys, command):
+        # filter and extract take n from their input's header: one without
+        # n is refused at [parse], naming it, and one whose n is not the
+        # profile file's at [validate]; C5's series is no n = 4 input
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        assert run_cli(capsys, "encode", str(GRAPHS / "c5.graph"), "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
+        assert flt.read_text().startswith("series m=8 p=256 n=5 n_d1=64 r_1=16 r_mu=2\n")
+        series = {"filter": enc, "extract": flt}[command]
+        n4 = tmp_path / "n4.profile"
+        n4.write_text(profile_to_text(desk_profile(4)))
+        code, stdout, err = run_cli(capsys, command, str(series), "--profile", str(n4))
+        assert code == 1 and stdout == ""
+        assert err == "error: [validate] profile n=4 does not match requested n=5\n"
+        head, body = series.read_text().split("\n", 1)
+        series.write_text(head.replace(" n=5", "") + "\n" + body)
+        code, stdout, err = run_cli(capsys, command, str(series))
+        assert code == 1 and stdout == ""
+        assert err == "error: [parse] series header has no n\n"
 
     def test_filter_refuses_a_series_below_the_encoded_degree(self, tmp_path, capsys):
         # the file contract is the encoder's degree n_d1; run's own shorter
@@ -124,8 +142,8 @@ class TestFilterPseudoExtract:
         enc = tmp_path / "f.series"
         assert run_cli(capsys, "encode", str(GRAPHS / "c4.graph"), "--out", str(enc))[0] == 0
         head = grid.grid_series(load_graph(str(GRAPHS / "c4.graph")), desk_profile(4), 6)
-        enc.write_text(series_to_text(head))
-        code, stdout, err = run_cli(capsys, "filter", str(enc), "--n", "4")
+        enc.write_text(series_to_text(head, n=4))
+        code, stdout, err = run_cli(capsys, "filter", str(enc))
         assert code == 1 and stdout == ""
         assert err == "error: [parse] series header has m=6, expected m=64\n"
 
@@ -136,18 +154,18 @@ class TestFilterPseudoExtract:
         c30.write_text(profile_to_text(desk_profile(4, c=2 ** 30)))
         c4 = str(GRAPHS / "c4.graph")
         assert run_cli(capsys, "encode", c4, "--profile", str(c30), "--out", str(enc))[0] == 0
-        assert enc.read_text().startswith("series m=64 p=512 c=1073741824\n")
-        code, stdout, err = run_cli(capsys, "filter", str(enc), "--n", "4")
+        assert enc.read_text().startswith("series m=64 p=512 n=4 c=1073741824\n")
+        code, stdout, err = run_cli(capsys, "filter", str(enc))
         assert code == 1 and stdout == ""
         assert err == "error: [parse] series header has c=1073741824, expected c=1099511627776\n"
         # a series whose header records no c is refused too
         text = enc.read_text()
-        enc.write_text(series_to_text(load_series(enc)))
+        enc.write_text(series_to_text(load_series(enc), n=4))
         code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(c30))
         assert code == 1 and stdout == ""
         assert err == "error: [parse] series header has no c, expected c=1073741824\n"
         # and one whose header records a key filter does not expect
-        enc.write_text(series_to_text(load_series(enc), c=2 ** 30, r_mu=2))
+        enc.write_text(series_to_text(load_series(enc), n=4, c=2 ** 30, r_mu=2))
         code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(c30))
         assert code == 1 and stdout == ""
         assert err == "error: [parse] series header has r_mu=2, expected no r_mu\n"
@@ -164,7 +182,7 @@ class TestFilterPseudoExtract:
         tmp, g2, _, prof = files
         enc = tmp / "f.series"
         run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
-        code, stdout, err = run_cli(capsys, "extract", str(enc), "--profile", str(prof), "--n", "2")
+        code, stdout, err = run_cli(capsys, "extract", str(enc), "--profile", str(prof))
         assert code == 1 and stdout == ""
         assert err == "error: [parse] series header has m=64, expected m=8\n"
 
@@ -176,12 +194,12 @@ class TestFilterPseudoExtract:
         r_mu3.write_text(profile_to_text(desk_profile(4, r_mu=3)))
         assert run_cli(capsys, "encode", str(GRAPHS / "c4.graph"), "--out", str(enc))[0] == 0
         assert run_cli(capsys, "filter", str(enc), "--profile", str(r_mu3), "--out", str(flt))[0] == 0
-        code, stdout, err = run_cli(capsys, "extract", str(flt), "--n", "4")
+        code, stdout, err = run_cli(capsys, "extract", str(flt))
         assert code == 1 and stdout == ""
         assert err == "error: [parse] series header has r_mu=3, expected r_mu=2\n"
         # a series whose header records no key is refused too
-        flt.write_text(series_to_text(load_series(flt)))
-        code, stdout, err = run_cli(capsys, "extract", str(flt), "--n", "4")
+        flt.write_text(series_to_text(load_series(flt), n=4))
+        code, stdout, err = run_cli(capsys, "extract", str(flt))
         assert code == 1 and stdout == ""
         assert err == "error: [parse] series header has no n_d1, expected n_d1=64\n"
 
@@ -190,8 +208,8 @@ class TestFilterPseudoExtract:
         enc, flt, blank = tmp_path / "f.series", tmp_path / "o.series", tmp_path / "b.series"
         assert run_cli(capsys, "encode", str(GRAPHS / "c4.graph"), "--out", str(enc))[0] == 0
         blank.write_text("\n" + enc.read_text())
-        assert run_cli(capsys, "filter", str(enc), "--n", "4", "--out", str(flt))[0] == 0
-        code, stdout, err = run_cli(capsys, "filter", str(blank), "--n", "4")
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
+        code, stdout, err = run_cli(capsys, "filter", str(blank))
         assert (code, err) == (0, "") and stdout == flt.read_text()
 
     def test_filter_rejects_truncated_series(self, files, capsys):
@@ -199,7 +217,7 @@ class TestFilterPseudoExtract:
         enc = tmp / "f.series"
         run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
         enc.write_text("".join(enc.read_text().splitlines(keepends=True)[:20]))
-        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2")
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(prof))
         assert code == 1 and stdout == ""
         assert "index 19 missing" in err
 
@@ -218,7 +236,7 @@ class TestFilterPseudoExtract:
         lines = enc.read_text().splitlines()
         lines[2] = " ".join(edit(lines[2].split()))
         enc.write_text("\n".join(lines) + "\n")
-        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--n", "2")
+        code, stdout, err = run_cli(capsys, "filter", str(enc), "--profile", str(prof))
         assert (code, stdout) == (1, "")
         assert err.startswith(f"error: [parse] {message}")
 
@@ -358,10 +376,15 @@ class TestStagedErrors:
         zero, r24 = tmp / "zero.profile", tmp / "r24.profile"
         zero.write_text(prof.read_text().replace("p_1=512", "p_1=0"))
         r24.write_text(prof.read_text().replace("r_1=16", "r_1=24"))
+        # extract reads n off a well-formed header before it validates
+        enc, flt = tmp / "f.series", tmp / "o.series"
+        if command == "extract":
+            assert run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))[0] == 0
+            assert run_cli(capsys, "filter", str(enc), "--profile", str(prof), "--out", str(flt))[0] == 0
         argv = {
             "malformed graph": [str(bad_graph)],
-            "malformed series": [str(bad_series), "--n", "2"],
-            "p_1=0": [str(bad_series), "--profile", str(zero), "--n", "2"],
+            "malformed series": [str(bad_series)],
+            "p_1=0": [str(flt), "--profile", str(zero)],
             "n above the oracle limit": [str(g4), "--oracle-limit", "3"],
             "unsolvable profile": [str(g2), "--profile", str(r24)],
         }[bad]
@@ -381,7 +404,7 @@ class TestOneGate:
         # and run refuse at [validate], and they refuse before series work
         enc, flt = tmp_path / "f.series", tmp_path / "o.series"
         assert run_cli(capsys, "encode", str(GRAPHS / "c4.graph"), "--out", str(enc))[0] == 0
-        assert run_cli(capsys, "filter", str(enc), "--n", "4", "--out", str(flt))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
         prof = tmp_path / "p.profile"
         prof.write_text(
             {
@@ -465,7 +488,14 @@ class TestCheckProfile:
         assert code == 0
         assert "profile OK" in stdout
         assert stdout.count("PASS") >= 7
-        assert "PASS schedule_solved" in stdout
+        # the tail check names its figure, the design estimate, and the
+        # solve prints the root that estimate stands for, 55 decades above
+        lines = stdout.splitlines()
+        assert lines[4] == (
+            "PASS transient_tail_small slack=160.665 (log2(2^n_d n^n r_tail) = -168.665 < -8, "
+            "r_tail = (1/alpha)^n_d = 2^-184.665, the design estimate of r_9)"
+        )
+        assert lines[-2] == "PASS schedule_solved slack=0 (11 step times at p_2=256, solved r_9 = 5.0945e-1)"
 
     def test_broken_names_constraint(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.profile"
@@ -587,12 +617,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(g2), "--profile", str(wrong))
         assert code == 1 and "does not match" in err
 
-    def test_filter_without_n_or_profile_fails(self, files, capsys, tmp_path):
-        tmp, g2, _, prof = files
-        enc = tmp / "f.series"
-        run_cli(capsys, "encode", str(g2), "--profile", str(prof), "--out", str(enc))
-        code, _, err = run_cli(capsys, "filter", str(enc))
-        assert code == 1 and "profile" in err
+    def test_run_experiment_takes_a_profile_a_path_or_none(self, files):
+        # None is the desk profile, and a path is read for the graph's n
+        _, _, g4, prof = files
+        reports = [run_experiment(str(g4), p) for p in (desk_profile(4), str(prof), None)]
+        texts = {report.to_json(timings=False) for report in reports}
+        assert len(texts) == 1
 
     def test_run_parses_graph_once(self, files, capsys, monkeypatch):
         _, _, g4, _ = files
@@ -711,6 +741,7 @@ ARGV_CASES = [
     ["run"],
     ["run", "g", "--oracle-limit", "x"],
     ["run", "g", "--js"],
+    ["run", "g", "--dump-steps", "d"],
     ["run", "g", "--json", "--no-timings", "--profile", "p"],
     ["oracle", "g", "--spectrum", "extra"],
     ["bogus", "g"],

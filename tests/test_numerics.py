@@ -30,6 +30,7 @@ from hamspec.numerics import (
     rsub,
     series_eval,
     series_from_text,
+    series_header,
     series_mul,
     series_to_text,
     taylor_table,
@@ -296,6 +297,11 @@ class TestSerialization:
         # without expect any key=<int> fields pass; with it, exactly expect's
         assert series_from_text(text).bits() == s.bits()
         assert series_from_text(text, m=1, p=64, n_d1=64, r_mu=2).bits() == s.bits()
+        # the header alone, for a reader that takes a field from it first
+        assert series_header(text) == {"m": 1, "p": 64, "n_d1": 64, "r_mu": 2}
+        assert series_header(text, "r_mu") == series_header(text)
+        with pytest.raises(ValueError, match="^series header has no n$"):
+            series_header(text, "n_d1", "n")
         refusals = [
             (dict(m=2, p=32, n_d1=64, r_mu=2), "has m=1, expected m=2"),  # m, then p, first
             (dict(m=1, p=32, n_d1=64, r_mu=2), "has p=64, expected p=32"),

@@ -34,7 +34,7 @@ def test_no_runtime_dependencies():
 
 def test_cli_opens_files_only_to_write():
     # each file format has one reader, in its own module (load_graph,
-    # load_profile, load_series); the command layer writes its outputs
+    # load_profile, read_series); the command layer writes its outputs
     modes = []
     for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
