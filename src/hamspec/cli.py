@@ -156,13 +156,15 @@ def _staged(timings: dict, stage: str, fn, *args, **kwargs):
 
 def _validated(profile: PipelineProfile | str | None, n: int) -> tuple:
     """The profile for vertex count n and its schedule. `profile` is a
-    PipelineProfile, a profile file's path (whose n, if it has one, must
-    be n) or None for desk_profile(n). build_schedule refuses every
+    PipelineProfile for n, a profile file's path (whose n, if it has one,
+    must be n) or None for desk_profile(n). build_schedule refuses every
     profile that check-profile calls INVALID, naming the failed check."""
     if profile is None:
         profile = desk_profile(n)
     elif not isinstance(profile, PipelineProfile):
         profile = schedule.load_profile(profile, n=n)
+    elif profile.n != n:
+        raise schedule.ProfileError(f"profile n={profile.n} does not match graph n={n}")
     return profile, schedule.build_schedule(profile)
 
 
@@ -214,8 +216,8 @@ def run_experiment(
     validate refuses every profile that check-profile calls INVALID, the
     schedule solve included, before any series work, and returns the
     schedule. The encoder stops at degree n_d - 2 and the filter is
-    run_filter, whose step 1 is unpinned: that is all k0 and z1 read.
-    extract runs the pseudo-steps and the solve.
+    run_filter, whose step 1 is unpinned, returning only c0 and c1: that
+    is all k0 and z1 read. extract runs the pseudo-steps and the solve.
 
     `profile` is a profile, a profile file's path, or None for the desk
     profile; validate reads or makes the last two for the graph's n.
@@ -229,7 +231,9 @@ def run_experiment(
         oracle_block = _staged(timings, "oracle", _oracle_block, g, oracle_limit)
 
     f_series = _staged(timings, "encode", grid.grid_series, g, profile, profile.n_d - 2)
-    o_series = _staged(timings, "filter", filter_pipeline.run_filter, f_series, sched, profile)
+    o_series = _staged(
+        timings, "filter", filter_pipeline.run_filter, f_series, sched, profile, reads=2
+    )
     try:
         result = _staged(timings, "extract", _extract, o_series, sched, profile)
     except StageError as exc:

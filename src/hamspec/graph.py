@@ -24,14 +24,14 @@ class Graph:
             norm.add((min(a, b), max(a, b)))
         self.n = n
         self.edges = frozenset(norm)
-        adj = {l: [] for l in range(1, n + 1)}
+        adj = {}  # only vertices with an edge, so no work scales with n alone
         for (a, b) in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
         self._adj = {l: tuple(sorted(v)) for l, v in adj.items()}
 
     def neighbors(self, l: int) -> tuple:
-        return self._adj[l]
+        return self._adj.get(l, ())
 
     def edge_count(self) -> int:
         return len(self.edges)

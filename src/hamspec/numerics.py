@@ -13,10 +13,11 @@ primitive (``radd``, ``rmul``, ``rdiv``, ``from_int``, ...)
 is a one-line wrapper that builds a PrecisionReal from the pair. Hot loops
 (the filter step, ``series_eval``) call the pair kernels directly on raw
 coefficients, (re_m, re_e, im_m, im_e) tuples, so they build no object per
-operation and round exactly as the primitives would. ``_quads`` rounds every
-part to p bits, so each is a p-bit mantissa or (0, 0), and the rounding
-kernels keep that form; on such operands the filter step adds through
-``_add_p``, which is ``_add`` with the widths read off the exponents.
+operation and round exactly as the primitives would. ``_quads`` puts every
+part in p-bit form, a p-bit mantissa or (0, 0), rounding only the parts
+not in it already, and the rounding kernels keep that form; on such
+operands the filter step adds through ``_add_p``, which is ``_add`` with
+the widths read off the exponents.
 
 Every truncated exponential is a read of one memo, ``taylor_table(x, m,
 p)``: the factors x^k/k! by the rounded recurrence, tr_m(e^x) and
@@ -277,28 +278,36 @@ def taylor_table(x: PrecisionReal, m: int, p: int) -> tuple:
     return tuple(factors), up, down
 
 
+@functools.lru_cache(maxsize=256)
+def _pow10(g: int) -> int:
+    return 10**g
+
+
 def to_decimal(a: PrecisionReal, digits: int = 20) -> str:
-    """Exact-integer-math decimal rendering, deterministic."""
+    """Exact-integer-math decimal rendering, deterministic: |a| rounded
+    half up to `digits` significant digits."""
     if not a.mantissa:
         return "0"
-    mag = abs(a.mantissa)
-    top = a.exponent + mag.bit_length() - 1
-    dec = math.floor(top * 0.3010299956639812)
-    # scaled = round(|a| * 10^(digits-1-dec)) with exact integer arithmetic
+    mag, e = abs(a.mantissa), a.exponent
+    dec = math.floor((e + mag.bit_length() - 1) * 0.3010299956639812)
+    lo, hi = _pow10(digits - 1), _pow10(digits)
+    # q = round(|a| * 10^(digits-1-dec)) with exact integer arithmetic
     while True:
         g = digits - 1 - dec
-        num = mag * (10 ** g if g >= 0 else 1) * (1 << a.exponent if a.exponent >= 0 else 1)
-        den = (10 ** -g if g < 0 else 1) * (1 << -a.exponent if a.exponent < 0 else 1)
+        num, den = (mag * _pow10(g), 1) if g >= 0 else (mag, _pow10(-g))
+        if e >= 0:
+            num <<= e
+        else:
+            den <<= -e
         q, rem = divmod(num, den)
         if 2 * rem >= den:
             q += 1
-        if q >= 10 ** digits:
+        if q >= hi:
             dec += 1
-            continue
-        if q < 10 ** (digits - 1):
+        elif q < lo:
             dec -= 1
-            continue
-        break
+        else:
+            break
     s = str(q)
     body = s[0] + "." + s[1:] if digits > 1 else s
     sign = "-" if a.mantissa < 0 else ""
@@ -464,11 +473,17 @@ class NormalizedSeries:
 def _quads(a: NormalizedSeries, p: int) -> list:
     """a's coefficients as raw (re_m, re_e, im_m, im_e) tuples, each part
     rounded to p bits: a p-bit mantissa or (0, 0), as _add_p takes them.
-    _round is the identity on a part that is so already."""
-    return [
-        _round(c.re.mantissa, c.re.exponent, p) + _round(c.im.mantissa, c.im.exponent, p)
-        for c in a.coeffs
-    ]
+    A part that is so already, or zero, passes through as _round would
+    return it; only the rest is rounded."""
+    out = []
+    for c in a.coeffs:
+        x, y = c.re, c.im
+        xm, xe, ym, ye = x.mantissa, x.exponent, y.mantissa, y.exponent
+        out.append(
+            ((xm, xe) if xm.bit_length() == p else _round(xm, xe, p) if xm else (0, 0))
+            + ((ym, ye) if ym.bit_length() == p else _round(ym, ye, p) if ym else (0, 0))
+        )
+    return out
 
 
 def _complex(q: tuple) -> PrecisionComplex:

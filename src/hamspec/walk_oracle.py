@@ -15,6 +15,7 @@ polynomial-pipeline code paths it is used to verify.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from itertools import permutations
 
@@ -30,9 +31,12 @@ class OracleLimitError(RuntimeError):
 
 def _check_limit(g: Graph, limit: int):
     if g.n > limit:
+        # _lane_width(n, n - 1) from log2, without forming n (n-1)^(n-1)
+        n = g.n
+        width = int(math.log2(n) + (n - 1) * math.log2(max(n - 1, 1))) + 1
         raise OracleLimitError(
-            f"graph has n={g.n} > oracle limit {limit}; raise the limit explicitly "
-            f"(the path count keeps ~3n ints of 2^n lanes of up to {_lane_width(g.n, g.n - 1)} "
+            f"graph has n={n} > oracle limit {limit}; raise the limit explicitly "
+            f"(the path count keeps ~3n ints of 2^n lanes of up to about {width} "
             f"bits and makes (n-1)(2|E|+n) sums of them, the walk spectrum ~n^n walks)"
         )
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hamspec.extraction import ExtractionResult, SingularSystemError
-from hamspec.filter_pipeline import DegenerateScheduleError, _step, system_columns
+from hamspec.filter_pipeline import DegenerateScheduleError, _compile, _step, system_columns
 from hamspec.graph import Graph
 from hamspec.numerics import (
     C_ZERO,
@@ -269,11 +269,11 @@ def reference_step(series, r, m, p):
 
 
 def integrator_cascade(series, m: int):
-    """filter_pipeline._step's bare cascade (r None) on a series: the
-    zero-state response of y' + y = u truncated to degree m,
-    out_k = sum_{d<k} (-1)^(k-1-d) u_d."""
+    """filter_pipeline._step's bare cascade (a step compiled with r None)
+    on a series: the zero-state response of y' + y = u truncated to
+    degree m, out_k = sum_{d<k} (-1)^(k-1-d) u_d."""
     p = series.precision
-    return _series(_step(_quads(series, p), None, m, p, m), p)
+    return _series(_step(_quads(series, p), _compile(None, m, p), p, m), p)
 
 
 def reference_pipeline(f_series, sched, prof, dump=None):

@@ -1,10 +1,13 @@
 """Command surface: every subcommand, file flows, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 import shlex
 import shutil
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -617,6 +620,14 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(g2), "--profile", str(wrong))
         assert code == 1 and "does not match" in err
 
+    def test_a_profile_for_another_n_is_refused_before_the_oracle(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_oracle_block", lambda *args: calls.append(args))
+        with pytest.raises(cli.StageError) as info:
+            run_experiment(str(GRAPHS / "c5.graph"), desk_profile(4))
+        assert info.value.stage == "validate" and calls == []
+        assert "profile n=4 does not match graph n=5" in str(info.value)
+
     def test_run_experiment_takes_a_profile_a_path_or_none(self, files):
         # None is the desk profile, and a path is read for the graph's n
         _, _, g4, prof = files
@@ -651,6 +662,67 @@ class TestRun:
         second = json.loads(run_cli(capsys, *argv)[1])
         assert (first["profile"]["p_2"], second["profile"]["p_2"]) == (256, 320)
         assert first["extraction"] != second["extraction"]
+
+
+def family_graphs() -> dict:
+    """P_n, C_n, K_n and the star S_n for n = 2..7, as graph file texts."""
+    out = {}
+    for n in range(2, 8):
+        path = [(i, i + 1) for i in range(1, n)]
+        families = {
+            "P": path,
+            "C": path + [(n, 1)],
+            "K": [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+            "S": [(1, j) for j in range(2, n + 1)],
+        }
+        for name, edges in families.items():
+            out[f"{name}{n}.graph"] = f"n {n}\n" + "".join(f"e {a} {b}\n" for a, b in edges)
+    return out
+
+
+class TestSameBytes:
+    """The sha256 of `run --json --no-timings` over the six graphs/ files
+    and family_graphs(), in that order. A change that alters a report's
+    bytes (say, by making them more exact) updates the digest and says so
+    in CHANGES.md."""
+
+    DIGEST = "f2e6049dd0e31ae3e8d5ee8ad09c399f876ff9c271440c0c39fbe3c7b9d5dc0d"
+
+    def test_run_reports_keep_their_bytes(self, tmp_path, capsys):
+        texts = {p.name: p.read_text() for p in sorted(GRAPHS.glob("*.graph"))}
+        texts.update(family_graphs())
+        h = hashlib.sha256()
+        for name, text in texts.items():
+            graph = tmp_path / name
+            graph.write_text(text)
+            code, out, err = run_cli(capsys, "run", str(graph), "--json", "--no-timings")
+            assert (code, err) == (0, "")
+            h.update(out.encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestHugeGraphs:
+    """A graph file whose n line is huge is refused before any work that
+    grows with n: by the profile checks at [validate], or at [oracle]."""
+
+    @pytest.mark.parametrize("n", [10**7, 10**20])
+    @pytest.mark.parametrize(
+        "command, stage", [("run", "validate"), ("encode", "validate"), ("oracle", "oracle")]
+    )
+    def test_refused_fast_and_small(self, tmp_path, capsys, n, command, stage):
+        graph = tmp_path / "huge.graph"
+        graph.write_text(f"n {n}\ne 1 2\n")
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, command, str(graph))
+        seconds = time.perf_counter() - t0
+        tracemalloc.start()
+        try:
+            assert run_cli(capsys, command, str(graph))[:2] == (code, "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and err.startswith(f"error: [{stage}] ")
+        assert seconds < 0.1 and peak < 50 * 2**20
 
 
 class TestJsonReport:

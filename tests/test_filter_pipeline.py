@@ -8,6 +8,7 @@ import pytest
 
 from hamspec.filter_pipeline import (
     DegenerateScheduleError,
+    _compile,
     _step,
     decay_series,
     filter_step,
@@ -24,6 +25,7 @@ from hamspec.numerics import (
     PrecisionReal,
     R_ZERO,
     _quads,
+    _round,
     cadd,
     cfrom_int,
     cmul_int,
@@ -289,16 +291,30 @@ class TestKernelBits:
         for keep in (0, 1, 7, m):
             u = edge_series(rng, m, p)
             r = step_time(rng, p)
-            got = _step(_quads(u, p), r, m, p, keep)
+            got = _step(_quads(u, p), _compile(r, m, p), p, keep)
             assert got == _quads(reference_step(u, r, m, p), p)[: keep + 1]
 
+    @pytest.mark.parametrize("p", [24, 53, 256])
+    def test_quads_equals_per_part_rounding(self, p):
+        # parts at p bits pass through; wider and narrower ones, and zeros
+        # with a nonzero exponent, are rounded as _round rounds them
+        rng = random.Random(3 * p)
+        for q in (p - 7, p, p + 37):
+            u = edge_series(rng, 12, q)
+            for v in (u, *channel_cases(u)):
+                want = [
+                    _round(c.re.mantissa, c.re.exponent, p) + _round(c.im.mantissa, c.im.exponent, p)
+                    for c in v.coeffs
+                ]
+                assert _quads(v, p) == want
+
     def test_vanished_decay_raises_in_kernel(self):
-        # m=1, r=1: the truncated decay 1 - r vanishes, whatever is kept
+        # m=1, r=1: the truncated decay 1 - r vanishes; compiling the step refuses it
         p = 53
         u = _quads(NormalizedSeries([cfrom_int(3, -1, p), cfrom_int(2, 5, p)], p), p)
         for keep in (0, 1):
             with pytest.raises(DegenerateScheduleError):
-                _step(u, from_int(1, p), 1, p, keep)
+                _step(u, _compile(from_int(1, p), 1, p), p, keep)
 
     @pytest.mark.parametrize("p_2", [53, 256])
     def test_run_pipeline_matches_reference(self, p_2):
@@ -484,6 +500,20 @@ class TestProductionPath:
                 assert run_filter(f, sched, prof).bits() == self.reference(f, sched, prof).bits()
             # the encoded file's degree n_d1: only its head is read
             assert run_filter(grid_series(g, prof), sched, prof).bits() == run_filter(head, sched, prof).bits()
+
+    @pytest.mark.parametrize("p_2", [53, 256])
+    def test_two_coefficient_output_has_the_full_outputs_bits(self, p_2):
+        # run's path: the last step pins and returns only c0 and c1
+        rng = random.Random(7 * p_2)
+        prof = desk_profile(4, p_2=p_2)
+        sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
+        inputs = [edge_series(rng, prof.n_d - 2, q) for q in (prof.p_1, p_2) for _ in range(4)]
+        inputs += [random_series(rng, prof.n_d - 2, p_2) for _ in range(4)]
+        for f in inputs:
+            full = run_filter(f, sched, prof)
+            two = run_filter(f, sched, prof, reads=2)
+            assert two.degree_bound == 1
+            assert two.bits() == full.bits()[:2]
 
     def test_rejects_a_series_below_n_d_minus_2(self):
         prof = desk_profile(4)

@@ -90,6 +90,11 @@ class TestGraphModel:
         assert four_cluster.neighbors(1) == (2, 3, 4)
         assert four_cluster.neighbors(4) == (1, 3)
 
+    def test_a_vertex_without_edges_has_no_neighbors(self):
+        g = parse_graph("n 10000000\ne 2 5\n")
+        assert g.neighbors(2) == (5,) and g.neighbors(5) == (2,)
+        assert g.neighbors(1) == () and g.neighbors(10000000) == ()
+
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
             Graph(0, [])

@@ -1,5 +1,6 @@
 """Kernel arithmetic against exact rational references, plus series algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -326,6 +327,40 @@ class TestSerialization:
         assert to_decimal(from_int(2, 64), 5) == "2.0000e+0"
         assert to_decimal(from_fraction(Fraction(-1, 8), 64), 4) == "-1.250e-1"
         assert to_decimal(R_ZERO) == "0"
+
+    @pytest.mark.parametrize("digits", [1, 5, 20, 25])
+    def test_decimal_rendering_is_the_exact_rounding(self, digits):
+        # against |x| rounded half up at `digits` significant digits in
+        # Fractions; the nines round up to the next power of ten, and the
+        # integers ending in 5 one digit below `digits` are exact ties
+        def exact(x: Fraction) -> str:
+            mag, dec = abs(x), 0
+            while mag >= 10 ** (dec + 1):
+                dec += 1
+            while mag < Fraction(10) ** dec:
+                dec -= 1
+            y = mag * Fraction(10) ** (digits - 1 - dec)
+            q = math.floor(y + Fraction(1, 2))
+            if q == 10**digits:
+                q, dec = 10 ** (digits - 1), dec + 1
+            s = str(q)
+            body = s[0] + "." + s[1:] if digits > 1 else s
+            return f"{'-' if x < 0 else ''}{body}e{dec:+d}"
+
+        rng = random.Random(digits)
+        values = [
+            PrecisionReal(rng.choice((-1, 1)) * (rng.getrandbits(p - 1) | 1 << p - 1), e)
+            for p in (1, 8, 53, 256)
+            for e in (-400, -90, -60, -3, 0, 2, 40, 300)
+            for _ in range(3)
+        ]
+        nines = [Fraction(10**k - 1, 10**j) for k in (1, 5, 20, 26, 30) for j in (0, 3, 40)]
+        values += [from_fraction(x, 256) for x in nines]
+        values += [from_fraction(-x, 256) for x in nines]
+        ties = [10 * rng.randrange(10 ** (digits - 1), 10**digits) + 5 for _ in range(8)]
+        values += [from_int(t, 256) for t in ties] + [from_int(-t, 256) for t in ties]
+        for v in values:
+            assert to_decimal(v, digits) == exact(v.to_fraction())
 
 
 class TestSeriesMul:
