@@ -43,7 +43,7 @@ for name, (n, edges) in GRAPHS.items():
     d = report.to_json_dict(timings=False)
     d["graph"]["file"] = name
     reports[name] = d
-    rec = d["extraction"].get("n_h_rounded", "-")
+    rec = d["extraction"]["n_h_rounded"]
     rec_s = str(rec) if abs(int(rec)) < 10 ** 6 else f"~10^{len(str(abs(int(rec)))) - 1}"
     print(
         f"{name:>14} {d['oracle']['n_p']:>5} {d['oracle']['n_h_directed']:>6} "

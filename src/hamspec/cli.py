@@ -2,8 +2,10 @@
 
 Subcommands: encode, filter, extract, oracle, check-profile, run.
 The `run` verdict is data, not a test result: MATCH / MISMATCH /
-INCONCLUSIVE all exit 0; only operational failures exit nonzero, each
-raised by a stage as StageError and printed as `error: [stage] message`.
+INCONCLUSIVE all exit 0, as check-profile's OK / INVALID does; only
+operational failures exit nonzero, each raised by a stage as StageError
+and printed as `error: [stage] message`. encode, filter, extract and run
+refuse at [validate] every profile check-profile calls INVALID.
 """
 
 from __future__ import annotations
@@ -214,10 +216,11 @@ def run_experiment(
     each stage timed, and its failure raised as StageError.
 
     validate refuses every profile that check-profile calls INVALID, the
-    schedule solve included, before any series work, and returns the
-    schedule. The encoder stops at degree n_d - 2 and the filter is
-    run_filter, whose step 1 is unpinned, returning only c0 and c1: that
-    is all k0 and z1 read. extract runs the pseudo-steps and the solve.
+    schedule solve and its system check included, before any series
+    work, and returns the schedule. The encoder stops at degree n_d - 2
+    and the filter is run_filter, whose step 1 is unpinned, returning
+    only c0 and c1: that is all k0 and z1 read. extract runs the
+    pseudo-steps and the solve, whose system validate has checked.
 
     `profile` is a profile, a profile file's path, or None for the desk
     profile; validate reads or makes the last two for the graph's n.
@@ -234,16 +237,11 @@ def run_experiment(
     o_series = _staged(
         timings, "filter", filter_pipeline.run_filter, f_series, sched, profile, reads=2
     )
-    try:
-        result = _staged(timings, "extract", _extract, o_series, sched, profile)
-    except StageError as exc:
-        if not isinstance(exc.cause, extraction.SingularSystemError):
-            raise
-        result = None
+    result = _staged(timings, "extract", _extract, o_series, sched, profile)
 
     if oracle_block is None:
         verdict = VERDICT_UNVERIFIED
-    elif result is None or result.flags:
+    elif result.flags:
         verdict = VERDICT_INCONCLUSIVE
     elif result.n_h_rounded == oracle_block["n_h_directed"]:
         verdict = VERDICT_MATCH
@@ -257,7 +255,7 @@ def run_experiment(
         profile=profile,
         schedule_digest=dict(_schedule_digest(sched)),
         oracle=oracle_block,
-        extraction={"error": "singular-system"} if result is None else _extraction_block(result),
+        extraction=_extraction_block(result),
         verdict=verdict,
         timings_ms=timings,
     )
@@ -324,7 +322,7 @@ def _cmd_check_profile(args) -> int:
     for c in constraints:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name} slack={c.slack:.6g} ({c.detail})")
-    print("profile", "OK" if schedule.profile_ok(constraints) else "INVALID")
+    print("profile", "OK" if all(c.passed for c in constraints) else "INVALID")
     return 0
 
 

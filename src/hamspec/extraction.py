@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .filter_pipeline import system_columns
 from .numerics import (
@@ -40,13 +41,16 @@ from .numerics import (
     rabs,
     rcmp,
 )
-from .schedule import StepSchedule
+if TYPE_CHECKING:  # schedule imports this module to check a solved schedule
+    from .schedule import StepSchedule
 
 FLAG_LIMIT = PrecisionReal(1, -2)  # 1/4
 
 
 class SingularSystemError(ArithmeticError):
-    """The two-channel system's determinant is numerically zero."""
+    """The two-channel system's determinant is numerically zero. The
+    system depends on the profile alone, and profile_constraints refuses
+    a singular one, so extract_nh raises it only on other decay columns."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ def extract_nh(
     system_columns(sched, p)'s constant column; rounds Re(k0) to the
     nearest integer. Raises ValueError when a column is not real, and
     SingularSystemError when |det| falls below 2^(-p/2) times the largest
-    system coefficient (run should be marked inconclusive)."""
+    system coefficient."""
     c0, c1 = o.coeffs[0], o.coeffs[1]
     phi00, phi10, system = _system(phi01, phi11, sched, p)
     re, im = (

@@ -43,6 +43,7 @@ back once.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 from .numerics import (
     NormalizedSeries,
@@ -58,7 +59,8 @@ from .numerics import (
     rneg,
     taylor_table,
 )
-from .schedule import PipelineProfile, StepSchedule
+if TYPE_CHECKING:  # schedule imports this module to check a solved schedule
+    from .schedule import PipelineProfile, StepSchedule
 
 ZERO = (0, 0, 0, 0)  # a raw zero coefficient
 
@@ -153,8 +155,8 @@ def filter_step(
     series: NormalizedSeries, r_sp: PrecisionReal, m: int, p: int
 ) -> NormalizedSeries:
     """One step at degree m: cascade, then pin the output to zero at r_sp.
-    The evaluation factors at r_sp and tr_m(e^{-r_sp}) are one entry of
-    numerics.taylor_table, solved once per process per (r_sp, m, p)."""
+    The evaluation factors at r_sp and tr_m(e^{-r_sp}) are
+    numerics.taylor_table(r_sp, m, p), solved on every call."""
     return _run(series, [_compile(r_sp, m, p)], p)
 
 

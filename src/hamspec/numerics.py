@@ -19,10 +19,10 @@ not in it already, and the rounding kernels keep that form; on such
 operands the filter step adds through ``_add_p``, which is ``_add`` with
 the widths read off the exponents.
 
-Every truncated exponential is a read of one memo, ``taylor_table(x, m,
-p)``: the factors x^k/k! by the rounded recurrence, tr_m(e^x) and
+Every truncated exponential comes from one function, ``taylor_table(x,
+m, p)``: the factors x^k/k! by the rounded recurrence, tr_m(e^x) and
 tr_m(e^{-x}). A filter step's evaluation factors and decay, and the
-schedule's alpha and beta, are entries of it.
+schedule's alpha and beta, are read off it.
 
 Series are stored with normalized coefficients: ``coeffs[k]`` holds
 ``a_k`` in ``sum a_k t^k / k!``, which turns integration into an index
@@ -259,15 +259,13 @@ def rmax(a: PrecisionReal, b: PrecisionReal) -> PrecisionReal:
     return a if rcmp(a, b) >= 0 else b
 
 
-@functools.lru_cache(maxsize=64)
 def taylor_table(x: PrecisionReal, m: int, p: int) -> tuple:
     """(factors, tr_m(e^x), tr_m(e^{-x})) at p bits: the factors are f_0 = 1
     and f_k = f_{k-1} x/k, each step rounded; both sums add them ascending.
 
     The recurrence at -x gives exactly (-1)^k f_k, since correct rounding is
     symmetric in sign, so tr_m(e^{-x}) alternates adding and subtracting the
-    same factors. The key is x's value: every operation is correctly
-    rounded, so x rounded at another precision gives the same bits."""
+    same factors."""
     f = from_int(1, p)
     factors, up, down = [f], f, f
     for k in range(1, m + 1):
@@ -542,7 +540,7 @@ def series_mul(a: NormalizedSeries, b: NormalizedSeries, m: int) -> NormalizedSe
 
 def series_eval(a: NormalizedSeries, t0: PrecisionReal) -> PrecisionComplex:
     """sum a_k t0^k/k!, ascending k, against the factors f_k = f_{k-1} t0/k
-    of taylor_table(t0, degree, precision), solved once per key."""
+    of taylor_table(t0, degree, precision)."""
     p = a.precision
     return _complex(_eval(_quads(a, p), taylor_table(t0, a.degree_bound, p)[0], p))
 

@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from .extraction import SingularSystemError, _system
+from .filter_pipeline import DegenerateScheduleError, system_columns
 from .numerics import PrecisionReal, from_int, from_ratio, rdiv, taylor_table, to_decimal
 
 LOG2_E = math.log2(math.e)
@@ -257,10 +259,6 @@ def validate_profile(profile: PipelineProfile) -> list:
     return out
 
 
-def profile_ok(constraints) -> bool:
-    return all(c.passed for c in constraints)
-
-
 # ---------------------------------------------------------------------------
 # Root solving
 # ---------------------------------------------------------------------------
@@ -356,43 +354,39 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
 def profile_constraints(profile: PipelineProfile) -> list:
     """validate_profile's records and, once they all pass, the exact
     `schedule_solved` record: whether solve_schedule finds every step
-    time. This decides whether a profile can run; require_valid raises on
-    it and check-profile prints it. A profile without an integer c (a
-    validation-only, full-scale one) is refused unsolved."""
+    time, and the schedule's own system_columns pass the extraction's
+    real/determinant check. All of it depends on the profile alone and is
+    memoized per schedule, so a missing root, a vanished decay or a
+    singular system fails here once, never per graph. This decides whether
+    a profile can run; build_schedule raises on it and check-profile
+    prints it. A profile without an integer c (a validation-only,
+    full-scale one) is refused unsolved."""
     constraints = validate_profile(profile)
-    if profile_ok(constraints):
+    if all(c.passed for c in constraints):
         p_2, n_d = profile.p_2, profile.n_d
         passed, detail = False, "not solved: no integer c, so run refuses it"
         if profile.c:
             try:
-                times = solve_schedule(p_2, n_d, profile.n_d1, profile.r_1, profile.r_mu).times
-                last = f"r_{n_d + 1} = {to_decimal(times[n_d + 1], 5)}"
+                sched = solve_schedule(p_2, n_d, profile.n_d1, profile.r_1, profile.r_mu)
+                _system(*system_columns(sched, p_2)[1], sched, p_2)
+                last = f"r_{n_d + 1} = {to_decimal(sched.times[n_d + 1], 5)}"
                 passed, detail = True, f"{n_d + 3} step times at p_2={p_2}, solved {last}"
-            except NoRootError as exc:
+            except (NoRootError, DegenerateScheduleError, SingularSystemError) as exc:
                 detail = str(exc)
         constraints.append(Constraint("schedule_solved", passed, 0.0, detail))
     return constraints
 
 
 @functools.lru_cache(maxsize=64)
-def require_valid(profile: PipelineProfile) -> None:
-    """Raise ProfileError naming every profile_constraints check the
-    profile fails, with its detail; a pass is memoized per profile, a
-    failure raises on every call."""
+def build_schedule(profile: PipelineProfile) -> StepSchedule:
+    """The profile's schedule at precision p_2, or a ProfileError naming
+    each profile_constraints check it fails, with its detail. Memoized per
+    profile, as validation reads n and c too; the solve is shared per
+    (p_2, n_d, n_d1, r_1, r_mu) through solve_schedule. Errors are not cached."""
     failed = [c for c in profile_constraints(profile) if not c.passed]
     if failed:
         why = "; ".join(f"{c.name} ({c.detail})" for c in failed)
         raise ProfileError(f"profile fails validation: {why}")
-
-
-def build_schedule(profile: PipelineProfile) -> StepSchedule:
-    """Validate the profile, then return its schedule at precision p_2.
-
-    Validation depends on n and c as well, so it is memoized per profile;
-    it includes the solve, which depends only on (p_2, n_d, n_d1, r_1,
-    r_mu) and is shared through solve_schedule's cache.
-    """
-    require_valid(profile)
     return solve_schedule(profile.p_2, profile.n_d, profile.n_d1, profile.r_1, profile.r_mu)
 
 
@@ -406,7 +400,8 @@ def solve_schedule(p: int, n_d: int, n_d1: int, r_1: int, r_mu: int) -> StepSche
     times[n_d+3] from the closing equation. beta = tr_{n_d}(e^{r_mu}) is
     the entry step n_d+2 reads. A NoRootError is raised, not cached; when
     a step-time equation fails, its message says whether the p-bit alpha
-    is to blame (_alpha_note).
+    is to blame (_alpha_note). profile_constraints, not the solve, checks
+    the two-channel system, so the reference paths take any p's schedule.
     """
     alpha = _alpha(r_1, n_d1, p)
     times = [None, from_int(r_1, p)]

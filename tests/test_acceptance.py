@@ -37,7 +37,6 @@ from hamspec.schedule import (
     build_schedule,
     desk_profile,
     full_scale_profile,
-    profile_ok,
     validate_profile,
 )
 from hamspec.walk_oracle import (
@@ -187,7 +186,7 @@ def test_criterion_5_schedule_strictly_decreasing():
 def test_criterion_6_profile_validator():
     for n in (4, 8, 16):
         constraints = validate_profile(full_scale_profile(n))
-        assert profile_ok(constraints), [c for c in constraints if not c.passed]
+        assert all(c.passed for c in constraints), [c for c in constraints if not c.passed]
     broken = {
         "r_1_gt_n_d": desk_profile(4, r_1=8),
         "n_d1_gt_n_d": desk_profile(4, n_d1=8),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hamspec import cli, extraction, grid, schedule, walk_oracle
+from hamspec import cli, grid, schedule, walk_oracle
 from hamspec.cli import build_parser, main, run_experiment
 from hamspec.graph import load_graph
 from hamspec.numerics import load_series, series_to_text
@@ -443,6 +443,48 @@ class TestOneGate:
                 assert err.startswith("error: [validate] profile fails validation: "), argv
                 assert "schedule_solved" in err, argv
 
+    @pytest.mark.parametrize(
+        "key",
+        [dict(p_2=p_2, p_1=2 * p_2) for p_2 in (37, 38, 40, 41, 48, 67, 68, 256)]
+        + [dict(n_d=8, n_d1=64, r_1=24), dict(n_d=12, n_d1=96, r_1=24)],
+        ids=lambda key: ",".join(f"{k}={v}" for k, v in key.items()),
+    )
+    def test_the_gate_holds_by_construction(self, tmp_path, capsys, key):
+        # a profile check-profile calls OK runs every command on p3; one it
+        # calls INVALID, a singular two-channel system included, is refused
+        # by each at [validate], naming the same FAIL checks
+        graph = str(GRAPHS / "p3.graph")
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        assert run_cli(capsys, "encode", graph, "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
+        prof = tmp_path / "p.profile"
+        prof.write_text(profile_to_text(desk_profile(3, **key)))
+        lines = run_cli(capsys, "check-profile", str(prof))[1].splitlines()
+        fails = [re.fullmatch(r"FAIL (\S+) slack=\S+ \((.*)\)", line) for line in lines]
+        why = "; ".join(f"{m[1]} ({m[2]})" for m in fails if m)
+        if key.get("p_2") == 48:
+            assert lines[-2] == (
+                "FAIL schedule_solved slack=0 "
+                "(two-channel system determinant below 2^-24 of coefficient scale)"
+            )
+        valid = lines[-1] == "profile OK"
+        assert valid == (not why) and lines[-1] in ("profile OK", "profile INVALID")
+        commands = [
+            ["encode", graph, "--out", str(enc)],
+            ["filter", str(enc), "--out", str(flt)],
+            ["extract", str(flt)],
+            ["run", graph, "--json", "--no-timings"],
+        ]
+        for argv in commands:
+            code, stdout, err = run_cli(capsys, *argv, "--profile", str(prof))
+            if valid:
+                assert (code, err) == (0, ""), argv
+            else:
+                assert (code, stdout) == (1, ""), argv
+                assert err == f"error: [validate] profile fails validation: {why}\n", argv
+        if valid:
+            assert "n_h_rounded" in json.loads(stdout)["extraction"]
+
 
 class TestOracle:
     def test_counts(self, files, capsys):
@@ -663,6 +705,25 @@ class TestRun:
         assert (first["profile"]["p_2"], second["profile"]["p_2"]) == (256, 320)
         assert first["extraction"] != second["extraction"]
 
+    def test_out_writes_the_report_it_prints(self, files, capsys):
+        # run writes the file first, then prints the same report
+        tmp, _, g4, prof = files
+        for flags in ([], ["--json"]):
+            out = tmp / "report.out"
+            argv = ("run", str(g4), "--profile", str(prof), "--no-timings", *flags)
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert (code, err) == (0, "")
+            assert out.read_text() == stdout == run_cli(capsys, *argv)[1]
+
+    def test_out_to_an_unwritable_path_prints_no_report(self, files, capsys):
+        tmp, _, g4, prof = files
+        out = tmp / "no such dir" / "report.out"
+        argv = ("run", str(g4), "--profile", str(prof), "--out", str(out))
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: [write] ") and "no such dir" in err
+        assert not out.parent.exists()
+
 
 def family_graphs() -> dict:
     """P_n, C_n, K_n and the star S_n for n = 2..7, as graph file texts."""
@@ -747,18 +808,6 @@ class TestJsonReport:
         stdout = self.run_json(capsys, g4, prof, *flags)
         d = json.loads(stdout)
         assert ("timings_ms" in d, d["oracle"] is None) == (timings, limit < 4)
-        assert stdout == json.dumps(d, indent=2) + "\n"
-
-    def test_singular_system_block(self, files, capsys, monkeypatch):
-        _, _, g4, prof = files
-
-        def singular(*args):
-            raise extraction.SingularSystemError("determinant is zero")
-
-        monkeypatch.setattr(cli, "_extract", singular)
-        stdout = self.run_json(capsys, g4, prof, "--no-timings")
-        d = json.loads(stdout)
-        assert d["extraction"] == {"error": "singular-system"}
         assert stdout == json.dumps(d, indent=2) + "\n"
 
     def test_file_name_escapes(self, files, capsys):

@@ -9,7 +9,7 @@ from hamspec import grid
 from hamspec.filter_pipeline import run_pipeline
 from hamspec.graph import Graph, hamiltonian_frequency, vertex_numbers
 from hamspec.grid import grid_intermediate, grid_series
-from hamspec.numerics import cadd, cfrom_int, from_int, taylor_table
+from hamspec.numerics import cadd, cfrom_int, from_int
 from hamspec.schedule import build_schedule, desk_profile
 from hamspec.walk_oracle import oracle_series, walk_and_path_counts, walk_spectrum
 from conftest import FOUR_CLUSTER, _connected, complete_graph, cycle_graph, exp_series, path_graph
@@ -328,7 +328,6 @@ class TestRounding:
 
 def clear_step_caches():
     grid._powers.cache_clear()
-    taylor_table.cache_clear()
 
 
 class TestDeterminism:
@@ -341,7 +340,7 @@ class TestDeterminism:
         clear_step_caches()
         third = grid_series(g, prof)
         assert one.bits() == again.bits() == third.bits()
-        # the filter's per-step caches: a cold and a warm pass agree
+        # through the filter: a pass on cold power tables and a warm pass agree
         desk = desk_profile(5)
         sched = build_schedule(desk)
         clear_step_caches()

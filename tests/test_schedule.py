@@ -23,7 +23,6 @@ from hamspec.schedule import (
     desk_profile,
     full_scale_profile,
     profile_from_text,
-    profile_ok,
     profile_to_text,
     solve_schedule,
     solve_r_mu_plus_1,
@@ -318,6 +317,7 @@ class TestBuildSchedule:
 
     def test_fresh_solve_equals_cached(self):
         cached = build_schedule(desk_profile(4))
+        build_schedule.cache_clear()
         solve_schedule.cache_clear()
         fresh = build_schedule(desk_profile(4))
         assert fresh is not cached
@@ -344,18 +344,18 @@ class TestValidator:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_paper_scale_profiles_pass(self, n):
         constraints = validate_profile(full_scale_profile(n))
-        assert profile_ok(constraints), [c for c in constraints if not c.passed]
+        assert all(c.passed for c in constraints), [c for c in constraints if not c.passed]
 
     def test_desk_profile_passes_with_slack(self):
         constraints = validate_profile(desk_profile(4))
-        assert profile_ok(constraints)
+        assert all(c.passed for c in constraints)
         by_name = {c.name: c for c in constraints}
         assert by_name["transient_tail_small"].slack > 100
         assert by_name["highfreq_transient_small"].slack > 10
 
     def test_broken_r1(self):
         constraints = validate_profile(desk_profile(4, r_1=8))
-        assert not profile_ok(constraints)
+        assert not all(c.passed for c in constraints)
         assert any(c.name == "r_1_gt_n_d" and not c.passed for c in constraints)
 
     def test_broken_degree_order(self):
