@@ -15,7 +15,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from . import extraction, filter_pipeline, grid, schedule, walk_oracle
@@ -39,32 +39,25 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @dataclass
 class RunReport:
-    graph_file: str
-    n: int
-    edge_count: int
-    profile: PipelineProfile
-    schedule_digest: dict
+    """A `run` verdict as the blocks it prints, in print order, built once
+    by run_experiment; oracle is None above the oracle limit."""
+
+    graph: dict
+    profile: dict
+    schedule: dict
     oracle: dict | None
     extraction: dict
     verdict: str
-    timings_ms: dict = field(default_factory=dict)
+    timings_ms: dict
 
     def to_json_dict(self, timings: bool = True) -> dict:
-        d = {
-            "graph": {"file": self.graph_file, "n": self.n, "edges": self.edge_count},
-            "profile": {k: getattr(self.profile, k) for k in PROFILE_KEYS},
-            "schedule": self.schedule_digest,
-            "oracle": self.oracle,
-            "extraction": self.extraction,
-            "verdict": self.verdict,
-        }
-        if timings:
-            d["timings_ms"] = self.timings_ms
+        d = dict(vars(self))
+        if not timings:
+            del d["timings_ms"]
         return d
 
     def to_json(self, timings: bool = True) -> str:
@@ -83,7 +76,7 @@ class RunReport:
 
     def to_text(self, timings: bool = True) -> str:
         """One `[block] key=value ...` line per block of to_json_dict."""
-        d = self.to_json_dict(timings=False)
+        d = vars(self)
         lines = []
         for name in ("graph", "profile", "schedule", "oracle", "extraction"):
             if d[name] is None:
@@ -249,11 +242,9 @@ def run_experiment(
         verdict = VERDICT_MISMATCH
 
     return RunReport(
-        graph_file=os.path.basename(graph_path),
-        n=g.n,
-        edge_count=g.edge_count(),
-        profile=profile,
-        schedule_digest=dict(_schedule_digest(sched)),
+        graph={"file": os.path.basename(graph_path), "n": g.n, "edges": g.edge_count()},
+        profile={k: getattr(profile, k) for k in PROFILE_KEYS},
+        schedule=dict(_schedule_digest(sched)),
         oracle=oracle_block,
         extraction=_extraction_block(result),
         verdict=verdict,

@@ -20,7 +20,8 @@ pinned column missed it by ~1.5e-5 and landed the constant in z1.
 Both columns are real, so the complex solve splits into one real solve
 per part of (c0, c1), run on raw (mantissa, exponent) pairs. Every
 product it drops is an exact zero, and adding an exact zero returns the
-other, already rounded operand: the per-part solve has its bits.
+other, already rounded operand: the per-part solve has its bits. The
+result holds only what the solve finds; its callers hold its inputs.
 """
 
 from __future__ import annotations
@@ -55,17 +56,14 @@ class SingularSystemError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """k0, z1, n_h_rounded (Re k0 rounded), the flag figures |Im k0| and
+    |Re k0 - n_h_rounded|, and each row's residual sup-norm."""
+
     k0: PrecisionComplex
     z1: PrecisionComplex
     n_h_rounded: int
     imag_magnitude: PrecisionReal
     round_distance: PrecisionReal
-    phi00: PrecisionComplex
-    phi10: PrecisionComplex
-    phi01: PrecisionComplex
-    phi11: PrecisionComplex
-    c0: PrecisionComplex
-    c1: PrecisionComplex
     residual0: PrecisionReal
     residual1: PrecisionReal
 
@@ -101,12 +99,11 @@ def _div(a: tuple, b: tuple, p: int) -> tuple:
 
 @functools.lru_cache(maxsize=8)
 def _system(phi01: PrecisionComplex, phi11: PrecisionComplex, sched: StepSchedule, p: int):
-    """(phi00, phi10, (phi00, phi10, phi01, phi11, det, det^2) as raw pairs),
-    with system_columns(sched, p)'s constant column, once per process per
-    key. A non-real column, and a |det| below 2^(-p/2) of the largest
-    column entry (SingularSystemError), are raised, not cached."""
-    (phi00, phi10), _ = system_columns(sched, p)
-    columns = (phi00, phi10, phi01, phi11)
+    """(phi00, phi10, phi01, phi11, det, det^2) as raw pairs, with
+    system_columns(sched, p)'s constant column, once per process per key.
+    A non-real column, and a |det| below 2^(-p/2) of the largest column
+    entry (SingularSystemError), are raised, not cached."""
+    columns = (*system_columns(sched, p)[0], phi01, phi11)
     if any(z.im.mantissa for z in columns):
         raise ValueError("two-channel system column is not real; the solve takes real columns")
     f00, f10, f01, f11 = real = tuple((z.re.mantissa, z.re.exponent) for z in columns)
@@ -116,7 +113,7 @@ def _system(phi01: PrecisionComplex, phi11: PrecisionComplex, sched: StepSchedul
         raise SingularSystemError(
             f"two-channel system determinant below 2^-{p // 2} of coefficient scale"
         )
-    return phi00, phi10, real + (det, _mul(det, det, p))
+    return real + (det, _mul(det, det, p))
 
 
 def _solve_part(system: tuple, x0: tuple, x1: tuple, p: int) -> tuple:
@@ -138,13 +135,13 @@ def extract_nh(
     sched: StepSchedule,
     p: int,
 ) -> ExtractionResult:
-    """Closed-form 2x2 solve, once per part of (c0, c1), against
-    system_columns(sched, p)'s constant column; rounds Re(k0) to the
-    nearest integer. Raises ValueError when a column is not real, and
-    SingularSystemError when |det| falls below 2^(-p/2) times the largest
-    system coefficient."""
+    """Closed-form 2x2 solve of o's (c0, c1), once per part, against
+    system_columns(sched, p)'s constant column and (phi01, phi11); rounds
+    Re(k0) to the nearest integer. Raises ValueError when a column is not
+    real, and SingularSystemError when |det| falls below 2^(-p/2) times
+    the largest system coefficient."""
     c0, c1 = o.coeffs[0], o.coeffs[1]
-    phi00, phi10, system = _system(phi01, phi11, sched, p)
+    system = _system(phi01, phi11, sched, p)
     re, im = (
         _solve_part(system, (a.mantissa, a.exponent), (b.mantissa, b.exponent), p)
         for a, b in ((c0.re, c1.re), (c0.im, c1.im))
@@ -155,7 +152,5 @@ def extract_nh(
     n_h, dist = _nearest_integer(*re[0], p)
     return ExtractionResult(
         k0=k0, z1=z1, n_h_rounded=n_h, imag_magnitude=rabs(k0.im),
-        round_distance=PrecisionReal(*dist), phi00=phi00, phi10=phi10,
-        phi01=phi01, phi11=phi11, c0=c0, c1=c1,
-        residual0=csup(r0), residual1=csup(r1),
+        round_distance=PrecisionReal(*dist), residual0=csup(r0), residual1=csup(r1),
     )

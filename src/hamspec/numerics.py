@@ -458,11 +458,9 @@ class NormalizedSeries:
         return tuple(c.bits() for c in self.coeffs)
 
     def truncate(self, m: int) -> "NormalizedSeries":
-        """Drop coefficients above degree m (no re-rounding); pad with zeros."""
-        cs = list(self.coeffs[: m + 1])
-        while len(cs) < m + 1:
-            cs.append(C_ZERO)
-        return NormalizedSeries(cs, self.precision)
+        """The head of degree m, coeffs[: m + 1], not re-rounded; a series
+        of lower degree comes back whole, not padded."""
+        return NormalizedSeries(self.coeffs[: m + 1], self.precision)
 
     def reround(self, p: int) -> "NormalizedSeries":
         return self if p == self.precision else _series(_quads(self, p), p)

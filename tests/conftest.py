@@ -342,12 +342,6 @@ def reference_extract(o, phi01, phi11, sched, p, columns=None):
         n_h_rounded=n_h,
         imag_magnitude=rabs(k0.im),
         round_distance=from_fraction(dist, p) if dist else R_ZERO,
-        phi00=phi00,
-        phi10=phi10,
-        phi01=phi01,
-        phi11=phi11,
-        c0=c0,
-        c1=c1,
         residual0=residual0,
         residual1=residual1,
     )

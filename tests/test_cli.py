@@ -23,6 +23,7 @@ P2 = "n 2\ne 1 2\n"
 FOUR_CLUSTER = "n 4\ne 1 2\ne 1 3\ne 2 3\ne 1 4\ne 4 3\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
+DESK = Path(__file__).resolve().parents[1] / "profiles" / "desk.profile"
 
 
 @pytest.fixture
@@ -725,6 +726,70 @@ class TestRun:
         assert not out.parent.exists()
 
 
+    @pytest.mark.parametrize(
+        "name, k0_re",
+        [("c4", "1.142028264795554397329676e+45"), ("k4", "2.677165873336061070568995e+45")],
+    )
+    def test_mismatch_verdict(self, tmp_path, capsys, name, k0_re):
+        # at the desk key with p_2 = 128, p_1 = 256, C4's and K4's p_2-bit
+        # k0 (~1e45) is an integer: round_distance is exactly 0 and k0 is
+        # real, so no flag fires, and its rounding is not the oracle's count
+        prof = tmp_path / "p128.profile"
+        prof.write_text(DESK.read_text().replace("p_1=512", "p_1=256").replace("p_2=256", "p_2=128"))
+        assert run_cli(capsys, "check-profile", str(prof), "--n", "4")[1].endswith("\nprofile OK\n")
+        argv = ("run", str(GRAPHS / f"{name}.graph"), "--profile", str(prof), "--no-timings")
+        code, text, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = text.splitlines()
+        assert lines[-1] == "[verdict] MISMATCH"
+        assert f" k0_re={k0_re} k0_im=0 " in lines[-2] and lines[-2].endswith(" flags=none")
+        code, stdout, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(stdout)
+        ext = report["extraction"]
+        assert report["verdict"] == "MISMATCH"
+        assert (ext["k0_re"], ext["k0_im"], ext["round_distance"], ext["flags"]) == (
+            k0_re, "0", "0", "none"
+        )
+        assert ext["n_h_rounded"] != report["oracle"]["n_h_directed"]
+
+
+class TestFileRefusals:
+    """Malformed graph and profile files exit 1 with an empty stdout and
+    one `error: [stage] line k: ...` line naming what is wrong."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 3\nn 3\n", "line 2: duplicate 'n' line"),
+            ("n\n", "line 1: expected 'n <count>'"),
+            ("n x\n", "line 1: bad vertex count 'x'"),
+            ("n 0\n", "line 1: vertex count must be >= 1"),
+            ("n 2\ne 1\n", "line 2: expected 'e <i> <j>'"),
+            ("n 2\ne 1 x\n", "line 2: bad vertex index"),
+        ],
+    )
+    def test_graph_file(self, tmp_path, capsys, text, message):
+        graph = tmp_path / "bad.graph"
+        graph.write_text(text)
+        assert run_cli(capsys, "run", str(graph)) == (1, "", f"error: [parse] {message}\n")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace("n_d1=64", "oops"), "line 2: expected key=value, got 'oops'"),
+            (lambda t: t.replace("n_d1=64", "n_d1=6x"), "line 2: bad value for n_d1: '6x'"),
+            (lambda t: re.sub(r"^c=\d+\n", "", t, flags=re.M), "profile needs c or log2_c"),
+        ],
+    )
+    def test_profile_file(self, tmp_path, capsys, edit, message):
+        prof = tmp_path / "bad.profile"
+        # the desk profile without its comment line: n_d1 is on line 2
+        prof.write_text(edit(DESK.read_text().split("\n", 1)[1]))
+        outcome = run_cli(capsys, "check-profile", str(prof), "--n", "4")
+        assert outcome == (1, "", f"error: [validate] {message}\n")
+
+
 def family_graphs() -> dict:
     """P_n, C_n, K_n and the star S_n for n = 2..7, as graph file texts."""
     out = {}
@@ -760,6 +825,46 @@ class TestSameBytes:
             assert (code, err) == (0, "")
             h.update(out.encode())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestCommandBytes:
+    """One sha256 per command over the six graphs/ files at the desk
+    profile: run's text report, the file encode writes, filter's output
+    then its --dump-steps files in name order, extract's and oracle
+    --spectrum's stdout, and check-profile on profiles/desk.profile at
+    n = 2..5. Each output is hashed with its command's exit code and
+    stderr, so a refusal cannot pass as empty output. As for
+    TestSameBytes, a change to these bytes updates a digest and says so
+    in CHANGES.md."""
+
+    DIGESTS = {
+        "run": "ef4ce7a634037e03954f1948e16ea173d3db77af81666b3afe4c28a290a1797c",
+        "encode": "4f2c5a58b1e23b0fc659ad7abe8972fe2be5aedcebe4100736ebf6a0f3a3677a",
+        "filter": "4817c6e6cc9703a385768f5cf3bdfaf5eda60f787dba17271edaf11bd1c24490",
+        "extract": "2a586ee08cdfb311873e395a9162b1671a59f331dd70a8764e713687ec9893ff",
+        "oracle": "0e113b672c35228a9a635db8e0e44c575b0e751d457c2474293bd999d3d0e6e1",
+        "check-profile": "cf80c4dfebe2540756c91ce5e7939de3e6d9cdb3bc1bdab17c034727b330c093",
+    }
+
+    def test_every_command_keeps_its_bytes(self, tmp_path, capsys):
+        desk = ("--profile", str(DESK))
+        hashes = {}
+
+        def record(command, outcome, *files):
+            texts = [(f.name, f.read_text()) for f in files if f.exists()]
+            hashes.setdefault(command, hashlib.sha256()).update(repr((outcome, texts)).encode())
+
+        for graph in sorted(GRAPHS.glob("*.graph")):
+            enc, flt, steps = (tmp_path / f"{graph.stem}.{ext}" for ext in ("f", "o", "steps"))
+            record("run", run_cli(capsys, "run", str(graph), "--no-timings", *desk))
+            record("encode", run_cli(capsys, "encode", str(graph), *desk, "--out", str(enc)), enc)
+            argv = ("filter", str(enc), *desk, "--out", str(flt), "--dump-steps", str(steps))
+            record("filter", run_cli(capsys, *argv), flt, *sorted(steps.glob("*")))
+            record("extract", run_cli(capsys, "extract", str(flt), *desk))
+            record("oracle", run_cli(capsys, "oracle", str(graph), "--spectrum"))
+        for k in range(2, 6):
+            record("check-profile", run_cli(capsys, "check-profile", str(DESK), "--n", str(k)))
+        assert {command: h.hexdigest() for command, h in hashes.items()} == self.DIGESTS
 
 
 class TestHugeGraphs:

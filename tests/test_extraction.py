@@ -14,7 +14,7 @@ from hamspec.extraction import (
     _nearest_integer,
     extract_nh,
 )
-from hamspec.filter_pipeline import run_filter, run_pipeline, run_pseudo_steps
+from hamspec.filter_pipeline import run_filter, run_pipeline, run_pseudo_steps, system_columns
 from hamspec.graph import load_graph
 from hamspec.grid import grid_series
 from hamspec.numerics import (
@@ -99,11 +99,12 @@ class TestExtract:
     def test_solve_residuals(self, p2_run):
         prof, sched, o, phi01, phi11 = p2_run
         res = extract_nh(o, phi01, phi11, sched, prof.p_2)
+        c0, c1 = o.coeffs[0], o.coeffs[1]
         scale = max(
-            abs(res.c0.re.to_fraction()),
-            abs(res.c0.im.to_fraction()),
-            abs(res.c1.re.to_fraction()),
-            abs(res.c1.im.to_fraction()),
+            abs(c0.re.to_fraction()),
+            abs(c0.im.to_fraction()),
+            abs(c1.re.to_fraction()),
+            abs(c1.im.to_fraction()),
         )
         bound = Fraction(2) ** -(prof.p_2 // 2) * scale
         assert res.residual0.to_fraction() <= bound
@@ -130,13 +131,14 @@ class TestExtract:
         # (phi00, phi10) is the response of steps 2..n_d+3 to 1 - e^{-t},
         # step 1's unpinned output for a unit constant; (phi01, phi11) the
         # response to e^{-t}. Replay those steps in exact rationals at the
-        # schedule's times
-        prof, sched, o, phi01, phi11 = p2_run
-        res = extract_nh(o, phi01, phi11, sched, prof.p_2)
+        # schedule's times. system_columns holds the very columns the
+        # solve reads
+        prof, sched, _, _, _ = p2_run
+        columns = system_columns(sched, prof.p_2)
         n_d = prof.n_d
         constant = [Fraction(0)] + [Fraction((-1) ** (k - 1)) for k in range(1, n_d + 1)]
         decay = [Fraction((-1) ** k) for k in range(n_d + 1)]
-        for u, column in ((constant, (res.phi00, res.phi10)), (decay, (res.phi01, res.phi11))):
+        for u, column in zip((constant, decay), columns):
             for sp in range(2, n_d + 4):
                 u = _fraction_filter_step(u, sched.times[sp].to_fraction(), n_d)
             for got, want in zip(column, u):
@@ -156,11 +158,12 @@ class TestExtract:
         p = prof.p_2
         # craft the decay column exactly proportional to the measured column
         x = cfrom_int(3, 0, p)
+        (phi00, phi10), _ = system_columns(sched, p)
         res = extract_nh(o, phi01, phi11, sched, p)
         # raised on every call: the determinant memo caches no failure
         for _ in range(2):
             with pytest.raises(SingularSystemError):
-                extract_nh(o, cmul(res.phi00, x, p), cmul(res.phi10, x, p), sched, p)
+                extract_nh(o, cmul(phi00, x, p), cmul(phi10, x, p), sched, p)
         assert extract_nh(o, phi01, phi11, sched, p).k0.bits() == res.k0.bits()
 
 
@@ -171,19 +174,12 @@ class TestFlags:
         n, dist = nearest_integer(k0.re)
         from hamspec.numerics import from_fraction as ff, rabs
 
-        zero = cfrom_int(0, 0, p)
         return ExtractionResult(
             k0=k0,
-            z1=zero,
+            z1=cfrom_int(0, 0, p),
             n_h_rounded=n,
             imag_magnitude=rabs(k0.im),
             round_distance=ff(dist, p) if dist else R_ZERO,
-            phi00=cfrom_int(1, 0, p),
-            phi10=zero,
-            phi01=zero,
-            phi11=zero,
-            c0=zero,
-            c1=zero,
             residual0=R_ZERO,
             residual1=R_ZERO,
         )

@@ -98,3 +98,17 @@ class TestGraphModel:
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
             Graph(0, [])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Graph(3, [(1, 1)]), "self-loop at vertex 1 not allowed"),
+            (lambda: Graph(3, [(1, 4)]), r"edge \(1,4\) out of range 1..3"),
+            (lambda: vertex_numbers(0), "vertex count must be >= 1, got 0"),
+        ],
+    )
+    def test_the_library_path_checks_what_parse_graph_checks(self, build, message):
+        # Graph and vertex_numbers are called without parse_graph by the
+        # library and the tests; they refuse the same inputs themselves
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
