@@ -26,7 +26,6 @@ result holds only what the solve finds; its callers hold its inputs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -97,19 +96,18 @@ def _div(a: tuple, b: tuple, p: int) -> tuple:
     return _round_quotient(a[0], b[0], a[1] - b[1], p)
 
 
-@functools.lru_cache(maxsize=8)
 def _system(phi01: PrecisionComplex, phi11: PrecisionComplex, sched: StepSchedule, p: int):
     """(phi00, phi10, phi01, phi11, det, det^2) as raw pairs, with
-    system_columns(sched, p)'s constant column, once per process per key.
-    A non-real column, and a |det| below 2^(-p/2) of the largest column
-    entry (SingularSystemError), are raised, not cached."""
+    system_columns(sched, p)'s constant column. Raises ValueError on a
+    non-real column and SingularSystemError when det is 0 or |det| is
+    below 2^(-p//2) of some column entry."""
     columns = (*system_columns(sched, p)[0], phi01, phi11)
     if any(z.im.mantissa for z in columns):
         raise ValueError("two-channel system column is not real; the solve takes real columns")
     f00, f10, f01, f11 = real = tuple((z.re.mantissa, z.re.exponent) for z in columns)
     det = _sub(_mul(f00, f11, p), _mul(f10, f01, p), p)
-    scale = max((PrecisionReal(abs(m), e) for m, e in real), key=functools.cmp_to_key(rcmp))
-    if rcmp(PrecisionReal(abs(det[0]), det[1] + p // 2), scale) < 0:
+    d, h = abs(det[0]), det[1] + p // 2  # |det|*2^(p//2) = d*2^h against each |m|*2^e
+    if not d or any([d << (h - e) < abs(m) if h >= e else d < abs(m) << (e - h) for m, e in real]):
         raise SingularSystemError(
             f"two-channel system determinant below 2^-{p // 2} of coefficient scale"
         )
@@ -138,8 +136,8 @@ def extract_nh(
     """Closed-form 2x2 solve of o's (c0, c1), once per part, against
     system_columns(sched, p)'s constant column and (phi01, phi11); rounds
     Re(k0) to the nearest integer. Raises ValueError when a column is not
-    real, and SingularSystemError when |det| falls below 2^(-p/2) times
-    the largest system coefficient."""
+    real, and SingularSystemError when det is 0 or |det| falls below
+    2^(-p//2) times the largest system coefficient."""
     c0, c1 = o.coeffs[0], o.coeffs[1]
     system = _system(phi01, phi11, sched, p)
     re, im = (

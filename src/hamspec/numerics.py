@@ -69,15 +69,6 @@ class PrecisionReal:
             return NotImplemented
         return rcmp(self, other) == 0
 
-    def __hash__(self):
-        # Consistent with the value-based __eq__: the same value rounded to
-        # two precisions differs only in trailing zero bits of the mantissa.
-        m = self.mantissa
-        if not m:
-            return 0
-        tz = (m & -m).bit_length() - 1
-        return hash((m >> tz, self.exponent + tz))
-
     def is_zero(self) -> bool:
         return not self.mantissa
 
@@ -381,9 +372,6 @@ class PrecisionComplex:
         if not isinstance(other, PrecisionComplex):
             return NotImplemented
         return rcmp(self.re, other.re) == 0 and rcmp(self.im, other.im) == 0
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
         return not self.re.mantissa and not self.im.mantissa

@@ -355,9 +355,9 @@ def profile_constraints(profile: PipelineProfile) -> list:
     """validate_profile's records and, once they all pass, the exact
     `schedule_solved` record: whether solve_schedule finds every step
     time, and the schedule's own system_columns pass the extraction's
-    real/determinant check. All of it depends on the profile alone and is
-    memoized per schedule, so a missing root, a vanished decay or a
-    singular system fails here once, never per graph. This decides whether
+    real/determinant check. All of it depends on the profile alone, so a
+    missing root, a vanished decay or a singular system fails here, before
+    any graph work, never per graph. This decides whether
     a profile can run; build_schedule raises on it and check-profile
     prints it. A profile without an integer c (a validation-only,
     full-scale one) is refused unsolved."""

@@ -328,7 +328,7 @@ def reference_extract(o, phi01, phi11, sched, p, columns=None):
     det = csub(cmul(phi00, phi11, p), cmul(phi10, phi01, p), p)
     scale = rmax(rmax(csup(phi00), csup(phi10)), rmax(csup(phi01), csup(phi11)))
     threshold = rmul(pow2(-(p // 2), p), scale, p)
-    if rcmp(csup(det), threshold) < 0:
+    if det.is_zero() or rcmp(csup(det), threshold) < 0:
         raise SingularSystemError("two-channel system determinant below threshold")
     c0, c1 = o.coeffs[0], o.coeffs[1]
     k0 = cdiv(csub(cmul(c0, phi11, p), cmul(phi01, c1, p), p), det, p)

@@ -160,7 +160,7 @@ class TestExtract:
         x = cfrom_int(3, 0, p)
         (phi00, phi10), _ = system_columns(sched, p)
         res = extract_nh(o, phi01, phi11, sched, p)
-        # raised on every call: the determinant memo caches no failure
+        # raised on every call, and the valid system still solves after it
         for _ in range(2):
             with pytest.raises(SingularSystemError):
                 extract_nh(o, cmul(phi00, x, p), cmul(phi10, x, p), sched, p)
@@ -225,16 +225,13 @@ class TestReferenceParity:
     @pytest.fixture
     def constant_column(self, monkeypatch):
         """Set extract_nh's constant column: system_columns is patched to
-        return it, and each set empties the system memo, whose key leaves
-        the constant column out."""
+        return it."""
 
         def set_column(phi00, phi10):
             columns = lambda sched, p: ((phi00, phi10), None)  # noqa: E731
             monkeypatch.setattr(extraction, "system_columns", columns)
-            extraction._system.cache_clear()
 
-        yield set_column
-        extraction._system.cache_clear()
+        return set_column
 
     @staticmethod
     def _real(rng, p):
@@ -278,6 +275,25 @@ class TestReferenceParity:
                 ties += got.round_distance.to_fraction() == Fraction(1, 2)
         assert solved >= 300 and ties >= 5 and negative >= 50
 
+    @pytest.mark.parametrize("p", (24, 64, 256))
+    def test_singular_threshold_boundary(self, p2_run, constant_column, p):
+        # columns (1, 0) and (0, phi11): |det|*2^(p//2) equal to the largest
+        # entry, 1, solves; at phi11 one p-bit step below 2^-(p//2) it is singular
+        _, sched, _, _, _ = p2_run
+        one, edge = from_int(1, p), from_fraction(Fraction(1, 1 << p // 2), p)
+        below = from_fraction(Fraction((1 << p) - 1, 1 << p + p // 2), p)
+        rhs = [one, R_ZERO, R_ZERO, R_ZERO]
+        got = self._check(constant_column, [one, R_ZERO, R_ZERO, edge], rhs, sched, p)
+        assert got is not None and got.n_h_rounded == 1
+        assert self._check(constant_column, [one, R_ZERO, R_ZERO, below], rhs, sched, p) is None
+
+    def test_an_all_zero_system_is_singular(self, p2_run, constant_column):
+        # det = 0 with a scale of 0: never below it, but nothing to divide by
+        _, sched, _, _, _ = p2_run
+        for p in (24, 64, 256):
+            rhs = [from_int(1, p), R_ZERO, from_int(-3, p), R_ZERO]
+            assert self._check(constant_column, [R_ZERO] * 4, rhs, sched, p) is None
+
     def test_ties_go_even(self, p2_run, constant_column):
         _, sched, _, _, _ = p2_run
         p = 64
@@ -293,7 +309,7 @@ class TestReferenceParity:
         prof, sched, o, phi01, phi11 = p2_run
         p = prof.p_2
         tilted = PrecisionComplex(phi01.re, from_int(1, p))
-        for _ in range(2):  # refused on every call: the memo caches no failure
+        for _ in range(2):  # refused on every call
             with pytest.raises(ValueError, match="not real"):
                 extract_nh(o, tilted, phi11, sched, p)
         constant_column(PrecisionComplex(from_int(1, p), from_int(1, p)), cfrom_int(0, 0, p))

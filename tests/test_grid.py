@@ -1,18 +1,30 @@
 """The encoder on every route (switch depth, fold) versus itself and the enumeration oracle."""
 
 import random
-from math import comb
+from itertools import combinations_with_replacement
+from math import comb, prod
+from pathlib import Path
 
 import pytest
 
 from hamspec import grid
 from hamspec.filter_pipeline import run_pipeline
-from hamspec.graph import Graph, hamiltonian_frequency, vertex_numbers
+from hamspec.graph import Graph, hamiltonian_frequency, load_graph, vertex_numbers
 from hamspec.grid import grid_intermediate, grid_series
 from hamspec.numerics import cadd, cfrom_int, from_int
 from hamspec.schedule import build_schedule, desk_profile
 from hamspec.walk_oracle import oracle_series, walk_and_path_counts, walk_spectrum
-from conftest import FOUR_CLUSTER, _connected, complete_graph, cycle_graph, exp_series, path_graph
+from conftest import (
+    FOUR_CLUSTER,
+    _connected,
+    complete_graph,
+    cycle_graph,
+    exp_series,
+    path_graph,
+    star_graph,
+)
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def encode_profile(n, **kw):
@@ -346,3 +358,43 @@ class TestDeterminism:
         clear_step_caches()
         cold = run_pipeline(grid_series(g, desk), sched, desk).bits()
         assert run_pipeline(grid_series(g, desk), sched, desk).bits() == cold
+
+
+def offsets(n):
+    """O_n: the sums of the size-n multisets of vertex_numbers(n), less
+    a_h, without 0. Every nonzero offset W - a_h of an n-walk lies in it."""
+    numbers = vertex_numbers(n)
+    a_h = sum(numbers)
+    return sorted({sum(w) - a_h for w in combinations_with_replacement(numbers, n)} - {0})
+
+
+def moment_readout(g):
+    """n_h from the exact moments S_0..S_|O_n|: one round S_k <- o S_k - S_{k+1}
+    per offset o in O_n leaves S_0 = sum_W mult(W) prod_o (o - (W - a_h)),
+    which only the paths (W = a_h) survive, each as prod_o o."""
+    os = offsets(g.n)
+    s = grid._moments(g, len(os), *grid._route(g.n, len(os), g.edge_count()))
+    for o in os:
+        s = [o * a - b for a, b in zip(s, s[1:])]
+    n_h, rem = divmod(s[0], prod(os))
+    assert len(s) == 1 and rem == 0
+    return n_h
+
+
+MOMENT_GRAPHS = [(p.stem, load_graph(str(p))) for p in sorted(GRAPHS.glob("*.graph"))]
+MOMENT_GRAPHS += [(f"K{n}", complete_graph(n)) for n in range(2, 7)]
+MOMENT_GRAPHS += [(f"C{n}", cycle_graph(n)) for n in range(3, 7)]
+MOMENT_GRAPHS += [(f"P{n}", path_graph(n)) for n in range(2, 7)]
+MOMENT_GRAPHS += [(f"star{n}", star_graph(n)) for n in range(3, 7)]
+
+
+class TestMomentReadout:
+    """The encoder's exact moments carry n_h at degree |O_n|, a degree set
+    by n alone: the annihilator of O_n (Prony's) reads it off exactly."""
+
+    def test_offset_counts(self):
+        assert [len(offsets(n)) for n in range(2, 7)] == [2, 9, 34, 125, 461]
+
+    @pytest.mark.parametrize("g", [g for _, g in MOMENT_GRAPHS], ids=[n for n, _ in MOMENT_GRAPHS])
+    def test_readout_is_the_oracle_count(self, g):
+        assert moment_readout(g) == walk_and_path_counts(g)[1]
