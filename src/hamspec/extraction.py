@@ -17,11 +17,12 @@ constant. Unpinned, the two columns have a sine of ~4.2e-3; with step 1
 pinned they were nearly parallel (~1.2e-11), and a closed form for the
 pinned column missed it by ~1.5e-5 and landed the constant in z1.
 
-Both columns are real, so the complex solve splits into one real solve
-per part of (c0, c1), run on raw (mantissa, exponent) pairs. Every
-product it drops is an exact zero, and adding an exact zero returns the
-other, already rounded operand: the per-part solve has its bits. The
-result holds only what the solve finds; its callers hold its inputs.
+Both columns are real, so the solve splits into one real 2x2 solve per
+part of (c0, c1), run on raw (mantissa, exponent) pairs. The system's
+entries and right-hand side are dyadic, so Cramer's rule is exact in
+integers: k0 and z1 are each one correctly rounded quotient, and each
+row residual is the exact misfit of the rounded k0 and z1, rounded once.
+The result holds only what the solve finds; its callers hold its inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .numerics import (
     NormalizedSeries,
     PrecisionComplex,
     PrecisionReal,
-    _add,
     _round,
     _round_quotient,
     csup,
@@ -48,9 +48,10 @@ FLAG_LIMIT = PrecisionReal(1, -2)  # 1/4
 
 
 class SingularSystemError(ArithmeticError):
-    """The two-channel system's determinant is numerically zero. The
-    system depends on the profile alone, and profile_constraints refuses
-    a singular one, so extract_nh raises it only on other decay columns."""
+    """The two-channel system's determinant is 0 or small against its
+    entries. The system depends on the profile alone, and
+    profile_constraints refuses a singular one, so extract_nh raises it
+    only on other decay columns."""
 
 
 @dataclass(frozen=True)
@@ -83,46 +84,45 @@ def _nearest_integer(m: int, e: int, p: int) -> tuple:
     return n, _round(rem, e, p)
 
 
-# RN(a*b), RN(a - b) and RN(a/b) on raw (mantissa, exponent) pairs
-def _mul(a: tuple, b: tuple, p: int) -> tuple:
-    return _round(a[0] * b[0], a[1] + b[1], p)
-
-
-def _sub(a: tuple, b: tuple, p: int) -> tuple:
-    return _add(a[0], a[1], -b[0], b[1], p)
-
-
-def _div(a: tuple, b: tuple, p: int) -> tuple:
-    return _round_quotient(a[0], b[0], a[1] - b[1], p)
+def _exact(*products) -> tuple:
+    """The exact sum of products a*b of raw (mantissa, exponent) pairs, as
+    one (integer, exponent) pair."""
+    low = min([a[1] + b[1] for a, b in products])
+    return sum([a[0] * b[0] << (a[1] + b[1] - low) for a, b in products]), low
 
 
 def _system(phi01: PrecisionComplex, phi11: PrecisionComplex, sched: StepSchedule, p: int):
-    """(phi00, phi10, phi01, phi11, det, det^2) as raw pairs, with
-    system_columns(sched, p)'s constant column. Raises ValueError on a
-    non-real column and SingularSystemError when det is 0 or |det| is
-    below 2^(-p//2) of some column entry."""
+    """(phi00, phi10, phi01, phi11, det) as raw pairs, with
+    system_columns(sched, p)'s constant column and det exact. Raises
+    ValueError on a non-real column and SingularSystemError when det is 0
+    or |det| is below 2^(-p//2) of some column entry."""
     columns = (*system_columns(sched, p)[0], phi01, phi11)
     if any(z.im.mantissa for z in columns):
         raise ValueError("two-channel system column is not real; the solve takes real columns")
     f00, f10, f01, f11 = real = tuple((z.re.mantissa, z.re.exponent) for z in columns)
-    det = _sub(_mul(f00, f11, p), _mul(f10, f01, p), p)
+    det = _exact((f00, f11), ((-f10[0], f10[1]), f01))
+    if not det[0]:
+        raise SingularSystemError("two-channel system determinant is 0")
     d, h = abs(det[0]), det[1] + p // 2  # |det|*2^(p//2) = d*2^h against each |m|*2^e
-    if not d or any([d << (h - e) < abs(m) if h >= e else d < abs(m) << (e - h) for m, e in real]):
+    if any([d << (h - e) < abs(m) if h >= e else d < abs(m) << (e - h) for m, e in real]):
         raise SingularSystemError(
             f"two-channel system determinant below 2^-{p // 2} of coefficient scale"
         )
-    return real + (det, _mul(det, det, p))
+    return real + (det,)
 
 
 def _solve_part(system: tuple, x0: tuple, x1: tuple, p: int) -> tuple:
     """k0, z1 and both row residuals for one part (real or imaginary) of
-    the right-hand side (x0, x1), all raw pairs. Each quotient takes
-    complex division's order for a real divisor: times det, over det^2."""
-    f00, f10, f01, f11, det, det2 = system
-    k0 = _div(_mul(_sub(_mul(x0, f11, p), _mul(f01, x1, p), p), det, p), det2, p)
-    z1 = _div(_mul(_sub(_mul(f00, x1, p), _mul(f10, x0, p), p), det, p), det2, p)
-    r0 = _sub(_add(*_mul(f00, k0, p), *_mul(f01, z1, p), p), x0, p)
-    r1 = _sub(_add(*_mul(f10, k0, p), *_mul(f11, z1, p), p), x1, p)
+    the right-hand side (x0, x1), all raw pairs. Cramer's rule is exact in
+    integers, so k0 and z1 are each one rounded quotient, and each
+    residual is the exact misfit of the rounded k0 and z1, rounded once."""
+    f00, f10, f01, f11, (dm, de) = system
+    n0, n1 = (-x0[0], x0[1]), (-x1[0], x1[1])
+    km, ke = _exact((x0, f11), (f01, n1))
+    zm, ze = _exact((f00, x1), (f10, n0))
+    k0, z1 = _round_quotient(km, dm, ke - de, p), _round_quotient(zm, dm, ze - de, p)
+    r0 = _round(*_exact((f00, k0), (f01, z1), (n0, (1, 0))), p)
+    r1 = _round(*_exact((f10, k0), (f11, z1), (n1, (1, 0))), p)
     return k0, z1, r0, r1
 
 
@@ -137,7 +137,7 @@ def extract_nh(
     system_columns(sched, p)'s constant column and (phi01, phi11); rounds
     Re(k0) to the nearest integer. Raises ValueError when a column is not
     real, and SingularSystemError when det is 0 or |det| falls below
-    2^(-p//2) times the largest system coefficient."""
+    2^(-p//2) times the largest system coefficient, det being exact."""
     c0, c1 = o.coeffs[0], o.coeffs[1]
     system = _system(phi01, phi11, sched, p)
     re, im = (

@@ -144,9 +144,7 @@ def _add(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
     # Widen a to an even integer of at least p+3 bits. A b wholly below its
     # last bit only decides which side of a the sum falls: fold it into an
     # odd last bit (sticky), which no rounding boundary at p bits can sit on.
-    low = ta - p - 3  # min(ae - 1, ta - p - 3), unrolled: this is the hottest call
-    if low >= ae:
-        low = ae - 1
+    low = min(ae - 1, ta - p - 3)
     if tb <= low:
         return _round((am << (ae - low)) + (1 if bm > 0 else -1), low, p)
     if ae <= be:

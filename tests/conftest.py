@@ -21,18 +21,15 @@ from hamspec.numerics import (
     _series,
     cadd,
     cmul,
-    csup,
     from_fraction,
     from_int,
     rabs,
     radd,
-    rcmp,
     rdiv,
     rdiv_int,
     rmax,
     rmul,
     rneg,
-    rsub,
 )
 
 
@@ -165,6 +162,11 @@ def rounding_midpoints(x: Fraction, p: int):
     return x - below, x + ulp / 2
 
 
+def pow2(k, p):
+    """Exact 2^k at precision p."""
+    return PrecisionReal(1 << (p - 1), k - (p - 1))
+
+
 def trunc_exp_fraction(x: Fraction, m: int) -> Fraction:
     total = Fraction(1)
     term = Fraction(1)
@@ -292,24 +294,8 @@ def reference_pipeline(f_series, sched, prof, dump=None):
 
 
 # ---------------------------------------------------------------------------
-# Object-level complex solve: the reference for extraction's per-part solve
+# Exact solve: the reference for extraction's per-part solve
 # ---------------------------------------------------------------------------
-
-
-def csub(a, b, p):
-    return PrecisionComplex(rsub(a.re, b.re, p), rsub(a.im, b.im, p))
-
-
-def cdiv(a, b, p):
-    d = radd(rmul(b.re, b.re, p), rmul(b.im, b.im, p), p)
-    re = rdiv(radd(rmul(a.re, b.re, p), rmul(a.im, b.im, p), p), d, p)
-    im = rdiv(rsub(rmul(a.im, b.re, p), rmul(a.re, b.im, p), p), d, p)
-    return PrecisionComplex(re, im)
-
-
-def pow2(k, p):
-    """Exact 2^k at precision p."""
-    return PrecisionReal(1 << (p - 1), k - (p - 1))
 
 
 def nearest_integer(x):
@@ -319,22 +305,35 @@ def nearest_integer(x):
     return n, abs(frac - n)
 
 
+def rounded_fraction(x: Fraction, p: int) -> PrecisionReal:
+    """x correctly rounded to p bits by round_nearest_even_fraction."""
+    sign, m, e = round_nearest_even_fraction(x, p)
+    return PrecisionReal(sign * m, e)
+
+
 def reference_extract(o, phi01, phi11, sched, p, columns=None):
-    """extract_nh as the complex solve on PrecisionComplex values: Cramer's
-    rule with cmul/csub, a complex division by the determinant, residuals
-    as csup of each row's misfit, and n_h from the exact Fraction of k0.
+    """extract_nh in exact Fractions: Cramer's rule once per part of
+    (c0, c1), k0 and z1 each the correctly rounded exact quotient, each
+    residual the larger part magnitude of the rounded k0 and z1's exact
+    misfit, rounded once, and n_h from the exact Fraction of k0.
     columns replaces system_columns(sched, p)'s constant column."""
-    phi00, phi10 = columns or system_columns(sched, p)[0]
-    det = csub(cmul(phi00, phi11, p), cmul(phi10, phi01, p), p)
-    scale = rmax(rmax(csup(phi00), csup(phi10)), rmax(csup(phi01), csup(phi11)))
-    threshold = rmul(pow2(-(p // 2), p), scale, p)
-    if det.is_zero() or rcmp(csup(det), threshold) < 0:
+    system = (*(columns or system_columns(sched, p)[0]), phi01, phi11)
+    f00, f10, f01, f11 = (z.re.to_fraction() for z in system)
+    det = f00 * f11 - f10 * f01
+    if det == 0:
+        raise SingularSystemError("two-channel system determinant is 0")
+    if abs(det) * 2 ** (p // 2) < max(abs(f) for f in (f00, f10, f01, f11)):
         raise SingularSystemError("two-channel system determinant below threshold")
-    c0, c1 = o.coeffs[0], o.coeffs[1]
-    k0 = cdiv(csub(cmul(c0, phi11, p), cmul(phi01, c1, p), p), det, p)
-    z1 = cdiv(csub(cmul(phi00, c1, p), cmul(phi10, c0, p), p), det, p)
-    residual0 = csup(csub(cadd(cmul(phi00, k0, p), cmul(phi01, z1, p), p), c0, p))
-    residual1 = csup(csub(cadd(cmul(phi10, k0, p), cmul(phi11, z1, p), p), c1, p))
+    parts = []
+    for x0, x1 in zip(o.coeffs[0].to_fractions(), o.coeffs[1].to_fractions()):
+        k0 = rounded_fraction((x0 * f11 - f01 * x1) / det, p)
+        z1 = rounded_fraction((f00 * x1 - f10 * x0) / det, p)
+        k, z = k0.to_fraction(), z1.to_fraction()
+        r0 = rounded_fraction(abs(f00 * k + f01 * z - x0), p)
+        r1 = rounded_fraction(abs(f10 * k + f11 * z - x1), p)
+        parts.append((k0, z1, r0, r1))
+    (k0re, z1re, r0re, r1re), (k0im, z1im, r0im, r1im) = parts
+    k0, z1 = PrecisionComplex(k0re, k0im), PrecisionComplex(z1re, z1im)
     n_h, dist = nearest_integer(k0.re)
     return ExtractionResult(
         k0=k0,
@@ -342,8 +341,8 @@ def reference_extract(o, phi01, phi11, sched, p, columns=None):
         n_h_rounded=n_h,
         imag_magnitude=rabs(k0.im),
         round_distance=from_fraction(dist, p) if dist else R_ZERO,
-        residual0=residual0,
-        residual1=residual1,
+        residual0=rmax(r0re, r0im),
+        residual1=rmax(r1re, r1im),
     )
 
 

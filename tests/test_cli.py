@@ -812,7 +812,7 @@ class TestSameBytes:
     bytes (say, by making them more exact) updates the digest and says so
     in CHANGES.md."""
 
-    DIGEST = "f2e6049dd0e31ae3e8d5ee8ad09c399f876ff9c271440c0c39fbe3c7b9d5dc0d"
+    DIGEST = "eb34f33d5011f96f1c92d6f9a62ce3f7b631f0e7fc235cbaebce3e6dbbf8fb84"
 
     def test_run_reports_keep_their_bytes(self, tmp_path, capsys):
         texts = {p.name: p.read_text() for p in sorted(GRAPHS.glob("*.graph"))}
@@ -838,10 +838,10 @@ class TestCommandBytes:
     in CHANGES.md."""
 
     DIGESTS = {
-        "run": "ef4ce7a634037e03954f1948e16ea173d3db77af81666b3afe4c28a290a1797c",
+        "run": "ea0386a02ea97953442f9a7f219c5bc7322ec84a96fb836f11ac93255af8f4f3",
         "encode": "4f2c5a58b1e23b0fc659ad7abe8972fe2be5aedcebe4100736ebf6a0f3a3677a",
         "filter": "4817c6e6cc9703a385768f5cf3bdfaf5eda60f787dba17271edaf11bd1c24490",
-        "extract": "2a586ee08cdfb311873e395a9162b1671a59f331dd70a8764e713687ec9893ff",
+        "extract": "76dd5dfb898cdaaada84589593c9c489b94055a7e717084944444ee01ef75ceb",
         "oracle": "0e113b672c35228a9a635db8e0e44c575b0e751d457c2474293bd999d3d0e6e1",
         "check-profile": "cf80c4dfebe2540756c91ce5e7939de3e6d9cdb3bc1bdab17c034727b330c093",
     }

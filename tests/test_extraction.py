@@ -205,7 +205,8 @@ def assert_same_bits(got: ExtractionResult, want: ExtractionResult):
 
 
 class TestReferenceParity:
-    """The per-part real solve gives the complex solve's bits."""
+    """The per-part solve gives the correctly rounded bits of the exact
+    Cramer's rule."""
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in GRAPHS.glob("*.graph")))
     def test_graph_files(self, name):
@@ -293,6 +294,21 @@ class TestReferenceParity:
         for p in (24, 64, 256):
             rhs = [from_int(1, p), R_ZERO, from_int(-3, p), R_ZERO]
             assert self._check(constant_column, [R_ZERO] * 4, rhs, sched, p) is None
+
+    def test_a_zero_determinant_says_so(self, p2_run, constant_column):
+        # det is exact, so a zero one is told apart from a small one: the
+        # decay column exactly twice the constant column, then all zeros
+        prof, sched, o, _, _ = p2_run
+        p = prof.p_2
+        doubled = [
+            PrecisionComplex(PrecisionReal(z.re.mantissa, z.re.exponent + 1), R_ZERO)
+            for z in system_columns(sched, p)[0]
+        ]
+        with pytest.raises(SingularSystemError, match="^two-channel system determinant is 0$"):
+            extract_nh(o, *doubled, sched, p)
+        constant_column(C_ZERO, C_ZERO)
+        with pytest.raises(SingularSystemError, match="^two-channel system determinant is 0$"):
+            extract_nh(o, C_ZERO, C_ZERO, sched, p)
 
     def test_ties_go_even(self, p2_run, constant_column):
         _, sched, _, _, _ = p2_run

@@ -18,7 +18,7 @@ from hamspec.extraction import extract_nh
 from hamspec.filter_pipeline import run_filter, run_pseudo_steps
 from hamspec.graph import load_graph
 from hamspec.grid import grid_series
-from hamspec.schedule import build_schedule, desk_profile
+from hamspec.schedule import build_schedule, desk_profile, solve_schedule
 
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 NAMES = ("p2", "p3", "c4", "k4", "four_cluster", "c5")
@@ -107,6 +107,26 @@ def test_other_schedule_keys(key):
         res = extract_nh(o, *run_pseudo_steps(sched, prof), sched, prof.p_2)
         assert relative_error_log2(res.k0.to_fractions(), k0) < -240, name
         assert name != "p2" or (k0, z1) == ((2, 0), (0, 0))
+
+
+@pytest.mark.parametrize("p_2", (128, 160, 192, 256))
+def test_k0_error_bar(p_2):
+    # k0's error at p_1 = 2 p_2, in units of |Re k0| 2^-p_2. The
+    # arithmetic's, against the exact functional on the same schedule, is
+    # at most 2^8.7 on the six graphs. With the schedule's rounding too,
+    # against a 512-bit schedule, it is 2^38.5, 2^43.0, 2^39.8 and 2^42.4
+    # at p_2 = 128, 160, 192 and 256, the same on every graph with k0 != 2
+    fine = solve_schedule(512, 8, 64, 16, 2)
+    for name in NAMES:
+        g = load_graph(str(GRAPHS / f"{name}.graph"))
+        prof = desk_profile(g.n, p_1=2 * p_2, p_2=p_2)
+        sched = build_schedule(prof)
+        o = run_filter(grid_series(g, prof, prof.n_d - 2), sched, prof)
+        k0 = extract_nh(o, *run_pseudo_steps(sched, prof), sched, p_2).k0.re.to_fraction()
+        for schedule, bits in ((sched, 11), (fine, 45)):
+            (want, _), _ = transfer.exact_k0_z1(g, prof, schedule)
+            assert abs(k0 - want) <= abs(k0) * Fraction(2) ** (bits - p_2), (name, bits)
+        assert name != "p2" or k0 == 2
 
 
 def test_run_reports_the_production_k0(exact):
