@@ -36,8 +36,11 @@ PROFILE_KEYS = tuple(f.name for f in fields(PipelineProfile) if f.name != "log2_
 
 
 class StageError(RuntimeError):
+    """`[stage] cause`, the cause's type name standing in for an empty
+    text (a bare MemoryError has none)."""
+
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
+        super().__init__(f"[{stage}] {str(cause) or type(cause).__name__}")
         self.stage = stage
 
 

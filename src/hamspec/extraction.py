@@ -35,6 +35,7 @@ from .numerics import (
     NormalizedSeries,
     PrecisionComplex,
     PrecisionReal,
+    _exact,
     _round,
     _round_quotient,
     csup,
@@ -82,13 +83,6 @@ def _nearest_integer(m: int, e: int, p: int) -> tuple:
     if 2 * rem > one or (2 * rem == one and n & 1):
         n, rem = n + 1, one - rem
     return n, _round(rem, e, p)
-
-
-def _exact(*products) -> tuple:
-    """The exact sum of products a*b of raw (mantissa, exponent) pairs, as
-    one (integer, exponent) pair."""
-    low = min([a[1] + b[1] for a, b in products])
-    return sum([a[0] * b[0] << (a[1] + b[1] - low) for a, b in products]), low
 
 
 def _system(phi01: PrecisionComplex, phi11: PrecisionComplex, sched: StepSchedule, p: int):

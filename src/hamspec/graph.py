@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .numerics import too_many_digits
+
 
 class GraphParseError(ValueError):
     """Malformed graph file; message carries the offending line number."""
@@ -67,7 +69,8 @@ def parse_graph(text: str) -> Graph:
             try:
                 n = int(parts[1])
             except ValueError:
-                raise GraphParseError(f"line {lineno}: bad vertex count {parts[1]!r}")
+                why = too_many_digits("vertex count", parts[1]) or f"bad vertex count {parts[1]!r}"
+                raise GraphParseError(f"line {lineno}: {why}")
             if n < 1:
                 raise GraphParseError(f"line {lineno}: vertex count must be >= 1")
         elif parts[0] == "e":

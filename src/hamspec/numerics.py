@@ -1,23 +1,23 @@
 """Arbitrary-precision binary floating point and truncated power-series arithmetic.
 
 Values are immutable. A real is a signed integer mantissa and a binary
-exponent. Every arithmetic primitive rounds its exact result to an explicit
-mantissa width ``p`` (round-to-nearest, ties-to-even) through one of two
-kernels: ``_round`` for an exact signed integer times a power of two, and
-``_round_quotient`` for an exact ratio of two integers. Results are
-correctly rounded, hence bit-reproducible on any platform.
+exponent. The rounding policy: every function here returns its exact
+result rounded once to an explicit mantissa width ``p`` (round-to-nearest,
+ties-to-even), so results are bit-reproducible on any platform. Two
+computations keep the paper's order and its bits instead, rounding each
+step in turn: ``taylor_table``'s recurrence and the filter step.
 
-The kernels work on bare integers and return a (mantissa, exponent) pair;
-``_add`` rounds the exact sum of two pairs through ``_round``. Each
-primitive (``radd``, ``rmul``, ``rdiv``, ``from_int``, ...)
-is a one-line wrapper that builds a PrecisionReal from the pair. Hot loops
-(the filter step, ``series_eval``) call the pair kernels directly on raw
-coefficients, (re_m, re_e, im_m, im_e) tuples, so they build no object per
-operation and round exactly as the primitives would. ``_quads`` puts every
-part in p-bit form, a p-bit mantissa or (0, 0), rounding only the parts
-not in it already, and the rounding kernels keep that form; on such
-operands the filter step adds through ``_add_p``, which is ``_add`` with
-the widths read off the exponents.
+The kernels work on bare integers and (mantissa, exponent) pairs. ``_round``
+rounds an exact integer times a power of two, ``_round_quotient`` an exact
+ratio of integers, ``_add`` the exact sum of two pairs; ``_exact`` sums
+products of pairs exactly, into one integer and one exponent, for ``cmul``,
+``series_mul``, ``series_eval`` and extraction's two-channel solve to round
+once per part. Each primitive
+(``radd``, ``rmul``, ``rdiv``, ...) wraps a kernel's pair in a PrecisionReal.
+The filter step (filter_pipeline) calls the kernels on raw coefficients,
+(re_m, re_e, im_m, im_e) tuples, put by ``_quads`` in p-bit form: each part
+a p-bit mantissa or (0, 0), which the kernels keep and ``_add_p``, ``_add``
+with the widths read off the exponents, takes.
 
 Every truncated exponential comes from one function, ``taylor_table(x,
 m, p)``: the factors x^k/k! by the rounded recurrence, tr_m(e^x) and
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 
@@ -100,6 +101,10 @@ class PrecisionReal:
 
 
 R_ZERO = PrecisionReal(0, 0)
+
+
+def _pair(a: PrecisionReal) -> tuple:
+    return a.mantissa, a.exponent
 
 
 def _round(v: int, exp: int, p: int) -> tuple:
@@ -182,6 +187,14 @@ def _add_p(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
     return keep, e + shift
 
 
+def _exact(*products) -> tuple:
+    """The exact sum of products a*b of raw (mantissa, exponent) pairs, as
+    one (integer, exponent) pair; an empty sum is (0, 0)."""
+    products = products or (((0, 0), (0, 0)),)
+    low = min([a[1] + b[1] for a, b in products])
+    return sum([a[0] * b[0] << (a[1] + b[1] - low) for a, b in products]), low
+
+
 def from_int(v: int, p: int) -> PrecisionReal:
     return PrecisionReal(*_round(v, 0, p))
 
@@ -213,11 +226,6 @@ def rsub(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
 
 def rmul(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
     return PrecisionReal(*_round(a.mantissa * b.mantissa, a.exponent + b.exponent, p))
-
-
-def rmul_int(a: PrecisionReal, k: int, p: int) -> PrecisionReal:
-    """a*k for exact integer k, with a single rounding."""
-    return PrecisionReal(*_round(a.mantissa * k, a.exponent, p))
 
 
 def rdiv(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
@@ -270,9 +278,48 @@ def _pow10(g: int) -> int:
     return 10**g
 
 
+def _pow10_bracket(k: int, bits: int) -> tuple:
+    """(lo, hi, s) with lo*2^s <= 10^k <= hi*2^s: 5^k by binary powering,
+    each product cut to `bits` bits, floored in lo and ceiled in hi."""
+    lo = hi = 1
+    s = k
+    for bit in bin(k)[2:]:
+        lo, hi, s = lo * lo, hi * hi, 2 * s - k
+        if bit == "1":
+            lo, hi = 5 * lo, 5 * hi
+        cut = hi.bit_length() - bits
+        if cut > 0:
+            lo, hi, s = lo >> cut, -(-hi >> cut), s + cut
+    return lo, hi, s
+
+
+def _scaled(mag: int, e: int, g: int, f: int, s: int) -> int:
+    """mag*2^e*10^g rounded half up, exactly, given 10^|g| = f*2^s."""
+    num, den, exp = (mag * f, 1, e + s) if g >= 0 else (mag, f, e - s)
+    if exp >= 0:
+        num <<= exp
+    else:
+        den <<= -exp
+    return (2 * num + den) // (2 * den)
+
+
+def _far_scaled(mag: int, e: int, g: int, bits: int) -> int:
+    """_scaled for a far |g|: from _pow10_bracket's bounds, `bits` plus
+    log2|g| bits wide as their relative width grows as |g|, and from 10^|g|
+    itself only when the bounds round apart."""
+    k = abs(g)
+    f_lo, f_hi, s = _pow10_bracket(k, bits + k.bit_length())
+    q = _scaled(mag, e, g, f_lo, s)
+    return q if _scaled(mag, e, g, f_hi, s) == q else _scaled(mag, e, g, 10**k, 0)
+
+
 def to_decimal(a: PrecisionReal, digits: int = 20) -> str:
     """Exact-integer-math decimal rendering, deterministic: |a| rounded
-    half up to `digits` significant digits."""
+    half up to `digits` significant digits.
+
+    The scaled value q = |a|*10^g is exact for |g| <= 400; past that
+    _far_scaled rounds it from bounds on 10^|g| with 64 guard bits over the
+    digits, so the cost follows the digits, not a's exponent."""
     if not a.mantissa:
         return "0"
     mag, e = abs(a.mantissa), a.exponent
@@ -281,14 +328,17 @@ def to_decimal(a: PrecisionReal, digits: int = 20) -> str:
     # q = round(|a| * 10^(digits-1-dec)) with exact integer arithmetic
     while True:
         g = digits - 1 - dec
-        num, den = (mag * _pow10(g), 1) if g >= 0 else (mag, _pow10(-g))
-        if e >= 0:
-            num <<= e
+        if not -400 <= g <= 400:  # 10^400 has 1329 bits
+            q = _far_scaled(mag, e, g, 4 * digits + 64)
         else:
-            den <<= -e
-        q, rem = divmod(num, den)
-        if 2 * rem >= den:
-            q += 1
+            num, den = (mag * _pow10(g), 1) if g >= 0 else (mag, _pow10(-g))
+            if e >= 0:
+                num <<= e
+            else:
+                den <<= -e
+            q, rem = divmod(num, den)
+            if 2 * rem >= den:
+                q += 1
         if q >= hi:
             dec += 1
         elif q < lo:
@@ -393,13 +443,10 @@ def cadd(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
 
 
 def cmul(a: PrecisionComplex, b: PrecisionComplex, p: int) -> PrecisionComplex:
-    re = rsub(rmul(a.re, b.re, p), rmul(a.im, b.im, p), p)
-    im = radd(rmul(a.re, b.im, p), rmul(a.im, b.re, p), p)
-    return PrecisionComplex(re, im)
-
-
-def cmul_int(a: PrecisionComplex, k: int, p: int) -> PrecisionComplex:
-    return PrecisionComplex(rmul_int(a.re, k, p), rmul_int(a.im, k, p))
+    """a*b, each part rounded once from its exact value."""
+    x, y, u, v = _pair(a.re), _pair(a.im), _pair(b.re), _pair(b.im)
+    re, im = _exact((x, u), ((-y[0], y[1]), v)), _exact((x, v), (y, u))
+    return _complex(_round(*re, p) + _round(*im, p))
 
 
 def csup(a: PrecisionComplex) -> PrecisionReal:
@@ -482,65 +529,35 @@ def const_series(value: PrecisionComplex, m: int, p: int) -> NormalizedSeries:
 
 
 def series_mul(a: NormalizedSeries, b: NormalizedSeries, m: int) -> NormalizedSeries:
-    """Truncated product with binomial weights:
-    c_k = sum_j binom(k,j) a_j b_{k-j}.
-
-    Terms are accumulated in mirror pairs (j, k-j) ascending, which makes the
-    operation bit-exactly commutative for same-shape operands while keeping a
-    fixed deterministic reduction order.
-    """
+    """Truncated product with binomial weights,
+    c_k = sum_j binom(k,j) a_j b_{k-j}, each part of each c_k rounded once
+    from its exact value; c_k is 0 beyond both operands' degrees."""
     if a.precision != b.precision:
         raise SeriesConfigError(f"precisions differ: {a.precision} vs {b.precision}")
     p = a.precision
     da, db = a.degree_bound, b.degree_bound
-    ca, cb = a.coeffs, b.coeffs
-    comb = math.comb
+    ca, cb = ([(_pair(c.re), _pair(c.im)) for c in s.coeffs] for s in (a, b))
     out = []
     for k in range(m + 1):
-        lo = max(0, k - db)
-        hi = min(k, da)
-        acc = C_ZERO
-        for j in range(lo, hi + 1):
-            j2 = k - j
-            mirror_in_range = lo <= j2 <= hi and j2 <= da and k - j2 <= db
-            if mirror_in_range and j2 < j:
-                continue  # already accumulated as the mirror of j2
-            aj, bk = ca[j], cb[j2]
-            if aj.is_zero() or bk.is_zero():
-                term = C_ZERO
-            else:
-                term = cmul_int(cmul(aj, bk, p), comb(k, j), p)
-            if mirror_in_range and j2 > j:
-                am, bm = ca[j2], cb[j]
-                if am.is_zero() or bm.is_zero():
-                    term2 = C_ZERO
-                else:
-                    term2 = cmul_int(cmul(am, bm, p), comb(k, j2), p)
-                term = cadd(term, term2, p)
-            acc = cadd(acc, term, p)
-        out.append(acc)
+        re, im = [], []
+        for j in range(max(0, k - db), min(k, da) + 1):
+            w = math.comb(k, j)
+            (xm, xe), (ym, ye) = ca[j]
+            u, v = cb[k - j]
+            re += ((w * xm, xe), u), ((-w * ym, ye), v)
+            im += ((w * xm, xe), v), ((w * ym, ye), u)
+        out.append(_complex(_round(*_exact(*re), p) + _round(*_exact(*im), p)))
     return NormalizedSeries(out, p)
 
 
 def series_eval(a: NormalizedSeries, t0: PrecisionReal) -> PrecisionComplex:
-    """sum a_k t0^k/k!, ascending k, against the factors f_k = f_{k-1} t0/k
-    of taylor_table(t0, degree, precision)."""
+    """sum a_k f_k, the f_k = f_{k-1} t0/k of taylor_table(t0, degree,
+    precision), each part rounded once from its exact value."""
     p = a.precision
-    return _complex(_eval(_quads(a, p), taylor_table(t0, a.degree_bound, p)[0], p))
-
-
-def _eval(coeffs: list, factors: tuple, p: int) -> tuple:
-    """series_eval on raw coefficients: each term coeff*f_k rounded, then
-    added to the running sum; coefficients with both parts zero are skipped."""
-    wm = we = zm = ze = 0
-    for (cm, ce, dm, de), f in zip(coeffs, factors):
-        if cm or dm:
-            fm, fe = f.mantissa, f.exponent
-            tm, te = _round(cm * fm, ce + fe, p)
-            wm, we = _add(wm, we, tm, te, p)
-            tm, te = _round(dm * fm, de + fe, p)
-            zm, ze = _add(zm, ze, tm, te, p)
-    return wm, we, zm, ze
+    factors = [_pair(f) for f in taylor_table(t0, a.degree_bound, p)[0]]
+    re = _exact(*[(_pair(c.re), f) for c, f in zip(a.coeffs, factors)])
+    im = _exact(*[(_pair(c.im), f) for c, f in zip(a.coeffs, factors)])
+    return _complex(_round(*re, p) + _round(*im, p))
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +575,18 @@ def series_to_text(a: NormalizedSeries, **keys) -> str:
     return "\n".join(lines) + "\n"
 
 
+def too_many_digits(name: str, text: str) -> str | None:
+    """For a decimal integer longer than Python reads from a string, the
+    refusal that names its digit count instead of echoing it; else None."""
+    digits, limit = text.lstrip("+-"), sys.get_int_max_str_digits()
+    if digits.isdecimal() and limit and len(digits) > limit:
+        return (
+            f"{name} has {len(digits)} digits, more than the {limit} that Python reads "
+            "from a string (sys.get_int_max_str_digits)"
+        )
+    return None
+
+
 def series_header(text: str, *need: str) -> dict:
     """The fields of a series file's header, its first line with text:
     `series` then `key=<int>` words, m and p among them. A field named in
@@ -566,6 +595,9 @@ def series_header(text: str, *need: str) -> dict:
     if line is None:
         raise ValueError("empty series file")
     head = line.split()
+    for key, _, value in (word.partition("=") for word in head[1:]):
+        if too_long := too_many_digits(key, value):
+            raise ValueError(f"bad series header: {too_long}")
     try:
         fields = {key: int(value) for key, value in (word.split("=") for word in head[1:])}
         if head[0] != "series" or len(fields) != len(head) - 1 or not {"m", "p"} <= fields.keys():

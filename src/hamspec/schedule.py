@@ -18,13 +18,20 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .extraction import SingularSystemError, _system
 from .filter_pipeline import DegenerateScheduleError, system_columns
-from .numerics import PrecisionReal, from_int, from_ratio, rdiv, taylor_table, to_decimal
+from .numerics import (
+    PrecisionReal,
+    from_int,
+    from_ratio,
+    rdiv,
+    taylor_table,
+    to_decimal,
+    too_many_digits,
+)
 
 LOG2_E = math.log2(math.e)
 MARGIN_BITS = 8.0
@@ -150,14 +157,8 @@ def profile_from_text(text: str, n: int | None = None) -> PipelineProfile:
         try:
             values[key] = float(val) if key == "log2_c" else int(val)
         except ValueError:
-            digits = val.lstrip("+-")
-            if key != "log2_c" and digits.isdecimal():  # only the length can fail
-                raise ProfileError(
-                    f"line {lineno}: {key} has {len(digits)} digits, more than the "
-                    f"{sys.get_int_max_str_digits()} that Python reads from a string "
-                    "(sys.get_int_max_str_digits)"
-                )
-            raise ProfileError(f"line {lineno}: bad value for {key}: {val!r}")
+            why = key != "log2_c" and too_many_digits(key, val) or f"bad value for {key}: {val!r}"
+            raise ProfileError(f"line {lineno}: {why}")
     if n is not None:
         if "n" in values and values["n"] != n:
             raise ProfileError(

@@ -269,6 +269,24 @@ class TestFilterPseudoExtract:
                 assert err.startswith("error: [extract] n_h_rounded, k0_re = -8.7329e+5372 "), argv
 
 
+    def test_a_huge_c0_is_refused_in_time(self, tmp_path, capsys):
+        # c0 = 2^100000000 makes k0 ~ -4e30103009: the refusal renders it
+        # from the digits it prints, not from a power of ten of its size
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        assert run_cli(capsys, "encode", str(GRAPHS / "p2.graph"), "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
+        flt.write_text(re.sub(r"(?m)^0 \S+ ", "0 0x1p+100000000 ", flt.read_text()))
+        t0 = time.perf_counter()
+        outcome = run_cli(capsys, "extract", str(flt))
+        assert time.perf_counter() - t0 < 2
+        assert outcome == (
+            1,
+            "",
+            "error: [extract] n_h_rounded, k0_re = -4.1358e+30103009 rounded, has more than "
+            "4300 decimal digits, too many to print\n",
+        )
+
+
 class TestProfileRefusals:
     def test_run_names_the_step_without_a_root(self, files, capsys):
         # r_1 = 24 passes every log2-domain constraint, but step 5's
@@ -397,6 +415,19 @@ class TestStagedErrors:
         code, stdout, err = run_cli(capsys, command, *argv)
         assert code == 1 and stdout == ""
         assert err.startswith(f"error: [{stage}] ")
+
+    def test_an_error_without_text_is_named_by_its_type(self, files, capsys, monkeypatch):
+        # a MemoryError carries no text; the stage names its type instead
+        tmp, g2, _, _ = files
+        enc, flt = tmp / "f.series", tmp / "o.series"
+        assert run_cli(capsys, "encode", str(g2), "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_extract", out_of_memory)
+        assert run_cli(capsys, "extract", str(flt)) == (1, "", "error: [extract] MemoryError\n")
 
 
 class TestOneGate:
@@ -788,6 +819,24 @@ class TestFileRefusals:
         prof.write_text(edit(DESK.read_text().split("\n", 1)[1]))
         outcome = run_cli(capsys, "check-profile", str(prof), "--n", "4")
         assert outcome == (1, "", f"error: [validate] {message}\n")
+
+    @pytest.mark.parametrize("command", ["run", "encode", "oracle"])
+    def test_a_vertex_count_too_long_to_read_is_named_not_echoed(self, tmp_path, capsys, command):
+        graph = tmp_path / "big.graph"
+        graph.write_text(f"n {'9' * 5000}\ne 1 2\n")
+        code, stdout, err = run_cli(capsys, command, str(graph))
+        assert (code, stdout) == (1, "") and len(err.encode()) < 200
+        assert err.startswith("error: [parse] line 1: vertex count has 5000 digits, more than the ")
+
+    def test_a_series_header_field_too_long_to_read_is_named_not_echoed(self, files, capsys):
+        tmp, g2, _, _ = files
+        enc, flt = tmp / "f.series", tmp / "o.series"
+        assert run_cli(capsys, "encode", str(g2), "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
+        flt.write_text(flt.read_text().replace("series m=8 ", f"series m={'9' * 5000} ", 1))
+        code, stdout, err = run_cli(capsys, "extract", str(flt))
+        assert (code, stdout) == (1, "") and len(err.encode()) < 200
+        assert err.startswith("error: [parse] bad series header: m has 5000 digits, more than the ")
 
 
 def family_graphs() -> dict:

@@ -28,7 +28,7 @@ from hamspec.numerics import (
     _round,
     cadd,
     cfrom_int,
-    cmul_int,
+    cmul,
     const_series,
     from_fraction,
     from_int,
@@ -56,6 +56,11 @@ def random_series(rng, m, p, mag=20):
     return NormalizedSeries(
         [PrecisionComplex(coeff(), coeff()) for _ in range(m + 1)], p
     )
+
+
+def double(c, p):
+    """2c, exact: c times the complex integer 2."""
+    return cmul(c, cfrom_int(2, 0, p), p)
 
 
 def ascending_cascade(series, m):
@@ -205,21 +210,10 @@ class TestFilterStep:
         u = random_series(rng, m, p)
         v = random_series(rng, m, p)
         r = from_fraction(Fraction(3, 8), p)
-        both = filter_step(
-            NormalizedSeries(
-                [
-                    PrecisionComplex(*(cmul_int(a, 2, p).re, cmul_int(a, 2, p).im))
-                    for a in u.coeffs
-                ],
-                p,
-            ),
-            r,
-            m,
-            p,
-        )
+        both = filter_step(NormalizedSeries([double(a, p) for a in u.coeffs], p), r, m, p)
         single = filter_step(u, r, m, p)
         # doubling is exact scaling, so the outputs match bit for bit
-        assert both.bits() == tuple(cmul_int(c, 2, p).bits() for c in single.coeffs)
+        assert both.bits() == tuple(double(c, p).bits() for c in single.coeffs)
         # general additivity holds to rounding
         s = filter_step(
             NormalizedSeries(
@@ -556,13 +550,13 @@ class TestPseudoSteps:
         sched = build_schedule(prof)
         p, n_d = prof.p_2, prof.n_d
         base = decay_series(n_d, p)
-        doubled = NormalizedSeries([cmul_int(c, 2, p) for c in base.coeffs], p)
+        doubled = NormalizedSeries([double(c, p) for c in base.coeffs], p)
         j = doubled
         for sp in range(2, n_d + 4):
             j = filter_step(j, sched.times[sp], n_d, p)
         phi01, phi11 = run_pseudo_steps(sched, prof)
-        assert j.coeffs[0] == cmul_int(phi01, 2, p)
-        assert j.coeffs[1] == cmul_int(phi11, 2, p)
+        assert j.coeffs[0] == double(phi01, p)
+        assert j.coeffs[1] == double(phi11, p)
 
     def test_degenerate_profile_surfaces_error(self):
         prof = desk_profile(4, n_d=1, r_mu=1)

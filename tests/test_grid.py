@@ -251,7 +251,7 @@ class TestIntermediates:
         # at l; rebuild that sum from explicit enumeration and compare bits
         from collections import Counter
 
-        from hamspec.numerics import cmul, cmul_int
+        from hamspec.numerics import cmul
 
         g = FOUR_CLUSTER
         nums = vertex_numbers(g.n)
@@ -280,7 +280,7 @@ class TestIntermediates:
                     for k in range(m + 1):
                         if k:
                             power = cmul(power, lam, p)
-                        coeffs[k] = cadd(coeffs[k], cmul_int(power, mult, p), p)
+                        coeffs[k] = cadd(coeffs[k], cmul(power, cfrom_int(mult, 0, p), p), p)
                 assert wires[l - 1].bits() == tuple(c.bits() for c in coeffs)
 
     def test_depth_out_of_range(self):

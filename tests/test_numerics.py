@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hamspec.numerics import (
     _add_p,
     _round,
     cfrom_int,
+    cmul,
     from_fraction,
     from_hex,
     from_int,
@@ -26,7 +28,6 @@ from hamspec.numerics import (
     rdiv,
     rdiv_int,
     rmul,
-    rmul_int,
     rneg,
     rsub,
     series_eval,
@@ -132,7 +133,6 @@ class TestRounding:
     def test_exact_int_scaling(self):
         p = 64
         a = from_fraction(Fraction(3, 7), p)
-        assert_correctly_rounded(a.to_fraction() * 12, rmul_int(a, 12, p), p)
         assert_correctly_rounded(a.to_fraction() / 12, rdiv_int(a, 12, p), p)
 
     def test_cancellation_and_sticky_paths(self):
@@ -350,6 +350,89 @@ class TestSerialization:
         values += [from_int(t, 256) for t in ties] + [from_int(-t, 256) for t in ties]
         for v in values:
             assert to_decimal(v, digits) == exact(v.to_fraction())
+
+    @pytest.mark.parametrize("digits", [1, 5, 25])
+    def test_decimal_rendering_far_from_one(self, digits):
+        # exponents of thousands of bits, where to_decimal brackets 10^|g|,
+        # and exact ties (n + 1/2)*10^k and the integers just under them,
+        # near (exact path) and far, where the bracket straddles the
+        # boundary and 10^k decides: the printed q is |x|*10^g rounded
+        # half up, with exactly `digits` digits
+        rng = random.Random(digits)
+        values = [
+            PrecisionReal(rng.choice((-1, 1)) * (rng.getrandbits(p - 1) | 1 << p - 1), e)
+            for p in (1, 53, 256)
+            for e in (-100000, -5000, 5000, 100000)
+        ]
+        for k in (40, 60, 90, 500):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            values.append(PrecisionReal((2 * n + 1) * 5**k, k - 1))
+            values.append(PrecisionReal(((2 * n + 1) * 5**k << k - 1) - 1, 0))
+        for v in values:
+            text = to_decimal(v, digits)
+            sign, body, dec = re.fullmatch(r"(-?)(\d(?:\.\d+)?)e([+-]\d+)", text).groups()
+            q, g = int(body.replace(".", "")), digits - 1 - int(dec)
+            assert len(str(q)) == digits and (sign == "-") == (v.mantissa < 0)
+            assert q == math.floor(abs(v.to_fraction()) * Fraction(10) ** g + Fraction(1, 2))
+
+
+class TestRoundedOnce:
+    """cmul, series_mul and series_eval round each part of each result once
+    from its exact value: each equals the Fraction result, correctly
+    rounded. Parts are seeded p-bit values or zero, their exponents close
+    together or hundreds of bits apart."""
+
+    @staticmethod
+    def value(rng, p):
+        def part():
+            if rng.random() < 0.2:
+                return R_ZERO
+            e = rng.choice((-300, -200, 0, 0, 0, 200, 300)) + rng.randrange(-8, 9) - p
+            return PrecisionReal(rng.choice((1, -1)) * rng.randrange(1 << (p - 1), 1 << p), e)
+
+        return PrecisionComplex(part(), part())
+
+    @staticmethod
+    def assert_rounded(got, re, im, p):
+        assert got.bits() == round_nearest_even_fraction(re, p) + round_nearest_even_fraction(im, p)
+
+    @pytest.mark.parametrize("p", [24, 53, 256])
+    def test_cmul(self, p):
+        rng = random.Random(p)
+        for _ in range(400):
+            a, b = self.value(rng, p), self.value(rng, p)
+            (x, y), (u, v) = a.to_fractions(), b.to_fractions()
+            self.assert_rounded(cmul(a, b, p), x * u - y * v, x * v + y * u, p)
+
+    @pytest.mark.parametrize("p", [24, 53, 256])
+    def test_series_mul(self, p):
+        rng = random.Random(p + 1)
+        for da, db in ((5, 5), (2, 6), (6, 1), (0, 4), (3, 0)):
+            a = NormalizedSeries([self.value(rng, p) for _ in range(da + 1)], p)
+            b = NormalizedSeries([self.value(rng, p) for _ in range(db + 1)], p)
+            m = da + db + 2
+            prod = series_mul(a, b, m)
+            assert prod.degree_bound == m
+            for k, got in enumerate(prod.coeffs):
+                terms = [
+                    (math.comb(k, j), a.coeffs[j].to_fractions(), b.coeffs[k - j].to_fractions())
+                    for j in range(max(0, k - db), min(k, da) + 1)
+                ]
+                re = sum(w * (x * u - y * v) for w, (x, y), (u, v) in terms)
+                im = sum(w * (x * v + y * u) for w, (x, y), (u, v) in terms)
+                self.assert_rounded(got, Fraction(re), Fraction(im), p)
+
+    @pytest.mark.parametrize("p", [24, 53, 256])
+    def test_series_eval(self, p):
+        rng = random.Random(p + 2)
+        for m in (0, 1, 4, 9, 16):
+            for _ in range(6):
+                a = NormalizedSeries([self.value(rng, p) for _ in range(m + 1)], p)
+                t0 = from_fraction(rand_fraction(rng, 12), p)
+                factors = [f.to_fraction() for f in taylor_table(t0, m, p)[0]]
+                re = sum(c.re.to_fraction() * f for c, f in zip(a.coeffs, factors))
+                im = sum(c.im.to_fraction() * f for c, f in zip(a.coeffs, factors))
+                self.assert_rounded(series_eval(a, t0), Fraction(re), Fraction(im), p)
 
 
 class TestSeriesMul:
