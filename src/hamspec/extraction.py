@@ -46,6 +46,10 @@ if TYPE_CHECKING:  # schedule imports this module to check a solved schedule
     from .schedule import StepSchedule
 
 FLAG_LIMIT = PrecisionReal(1, -2)  # 1/4
+# tests/test_transfer.py::test_k0_error_bar bounds Re k0's schedule plus
+# arithmetic error by |Re k0|*2^(45-p_2), so below 1/8 wherever
+# |Re k0| <= 2^(p_2-PRECISION_GUARD); past that the precision flag fires.
+PRECISION_GUARD = 48
 
 
 class SingularSystemError(ArithmeticError):
@@ -58,7 +62,8 @@ class SingularSystemError(ArithmeticError):
 @dataclass(frozen=True)
 class ExtractionResult:
     """k0, z1, n_h_rounded (Re k0 rounded), the flag figures |Im k0| and
-    |Re k0 - n_h_rounded|, and each row's residual sup-norm."""
+    |Re k0 - n_h_rounded|, each row's residual sup-norm, and the precision
+    p of the solve, against which the precision flag reads |Re k0|."""
 
     k0: PrecisionComplex
     z1: PrecisionComplex
@@ -67,11 +72,18 @@ class ExtractionResult:
     round_distance: PrecisionReal
     residual0: PrecisionReal
     residual1: PrecisionReal
+    p: int
 
     @property
     def flags(self) -> tuple:
-        named = (("round_distance", self.round_distance), ("imaginary", self.imag_magnitude))
-        return tuple(name for name, x in named if rcmp(x, FLAG_LIMIT) > 0)
+        """round_distance and imaginary past 1/4, and precision when
+        |Re k0| > 2^(p - PRECISION_GUARD), too wide for p bits to resolve."""
+        named = (
+            ("round_distance", self.round_distance, FLAG_LIMIT),
+            ("imaginary", self.imag_magnitude, FLAG_LIMIT),
+            ("precision", rabs(self.k0.re), PrecisionReal(1, self.p - PRECISION_GUARD)),
+        )
+        return tuple(name for name, x, limit in named if rcmp(x, limit) > 0)
 
 
 def _nearest_integer(m: int, e: int, p: int) -> tuple:
@@ -144,5 +156,5 @@ def extract_nh(
     n_h, dist = _nearest_integer(*re[0], p)
     return ExtractionResult(
         k0=k0, z1=z1, n_h_rounded=n_h, imag_magnitude=rabs(k0.im),
-        round_distance=PrecisionReal(*dist), residual0=csup(r0), residual1=csup(r1),
+        round_distance=PrecisionReal(*dist), residual0=csup(r0), residual1=csup(r1), p=p,
     )

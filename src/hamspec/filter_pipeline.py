@@ -8,41 +8,37 @@ added term is a homogeneous solution, so the output still solves the ODE.
 
 Every path is one loop, _run, over a compiled step plan: per step a
 tuple (m, factors, q), its degree m, the evaluation factors f_1..f_m at
-its time r and q = tr_m(e^{-r}) as raw (mantissa, exponent) pairs, or
-factors and q None for a bare cascade (_compile). Steps 2..n_d+3 run at
-degree n_d; _plan compiles them once per process per (schedule, p), so a
-verdict reads no taylor_table entry, and refuses a vanished decay when
-it compiles. run_filter, the production path of `hamspec run` and
-`hamspec filter`, makes step 1 the bare cascade of u_0..u_{n_d-2}: step
-1's pin adds A*e^{-t}, A = -w/tr_{n_d1}(e^{-r_1}), which on the
-coefficients 0..n_d-1 the tail reads is exactly the decay column's
-input, so by linearity it moves only the decay amplitude z1, never k0.
+its time r as integers over one exponent and q = tr_m(e^{-r}) as a raw
+(mantissa, exponent) pair, or factors and q None for a bare cascade
+(_compile). Steps 2..n_d+3 run at degree n_d; _plan compiles them once
+per process per (schedule, p), so a verdict reads no taylor_table entry,
+and refuses a vanished decay when it compiles. run_filter, the
+production path of `hamspec run` and `hamspec filter`, makes step 1 the
+bare cascade of u_0..u_{n_d-2}: step 1's pin adds A*e^{-t},
+A = -w/tr_{n_d1}(e^{-r_1}), which on the coefficients 0..n_d-1 the tail
+reads is exactly the decay column's input, so by linearity it moves only
+the decay amplitude z1, never k0.
 run_pipeline is the paper-literal pinned reference: step 1 at degree
 n_d1 with its pin, whose ~2^3000 terms cancel and leave k0 to rounding.
 
-Every step runs in one kernel, _step, on raw coefficients: a list of
-(re_m, re_e, im_m, im_e) integer tuples, each part a p-bit mantissa and
-exponent as in PrecisionReal, or (0, 0). The kernel is one pass over
-k=1..m that forms the cascade value out_k and rounds out_k f_k into the
-evaluation sums in the same iteration; the quotients by q and the pin
-follow, and a bare step skips both. Every addition, product and
-quotient rounds through numerics' _add_p, _round and _round_quotient, in
-the order the object-level primitives would take, so the bits are
-theirs. _add_p is _add for operands in that p-bit form: _quads puts
-every part in it on entry, and every kernel result, out of _round or
-_round_quotient or a negation, keeps it. The pin changes each
-coefficient on its own, so _step pins only coefficients 0..keep, and
-_run sets keep from the plan: a step pins what the next step's cascade
-reads, 0..m_next-1, and the last step what its caller reads, `reads`
-coefficients (c0 and c1 for `hamspec run` and system_columns) or, by
-default, all of its own; under a dump callback every step pins all of
-its own. A series is converted to raw coefficients once per run and
-back once.
+Every step runs in one kernel, _step, on one part of the raw
+coefficients: the step is real-linear with real constants, so _run splits
+the series once into a real and an imaginary list of (mantissa, exponent)
+pairs, each a p-bit mantissa or (0, 0), and joins them once. Each kept
+output is the exact step on its p-bit input, correctly rounded to p bits
+once (numerics' _round, or _round_quotient where it cancels). The pin
+changes each coefficient on its own, so _step pins only coefficients
+0..keep, and _run sets keep from the plan: a step pins what the next
+step's cascade reads, 0..m_next-1, and the last step what its caller
+reads, `reads` coefficients (c0 and c1 for `hamspec run` and
+system_columns) or, by default, all of its own; under a dump callback
+every step pins all of its own.
 """
 
 from __future__ import annotations
 
 import functools
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .numerics import (
@@ -50,7 +46,6 @@ from .numerics import (
     PrecisionComplex,
     PrecisionReal,
     R_ZERO,
-    _add_p,
     _quads,
     _round,
     _round_quotient,
@@ -62,8 +57,6 @@ from .numerics import (
 if TYPE_CHECKING:  # schedule imports this module to check a solved schedule
     from .schedule import PipelineProfile, StepSchedule
 
-ZERO = (0, 0, 0, 0)  # a raw zero coefficient
-
 
 class DegenerateScheduleError(ArithmeticError):
     """The truncated decay tr_m(e^{-r}) vanished; the adjustment divides by it."""
@@ -71,8 +64,9 @@ class DegenerateScheduleError(ArithmeticError):
 
 def _compile(r: PrecisionReal | None, m: int, p: int) -> tuple:
     """A plan's entry for one step at degree m: (m, factors, q), the
-    factors f_1..f_m at r and q = tr_m(e^{-r}) as raw (mantissa, exponent)
-    pairs off taylor_table(r, m, p); r None gives the bare cascade
+    factors f_1..f_m at r off taylor_table(r, m, p) as (integers, exponent),
+    f_k = integers[k-1] * 2^exponent, and q = tr_m(e^{-r}) as a raw
+    (mantissa, exponent) pair; r None gives the bare cascade
     (m, None, None). A vanished decay raises DegenerateScheduleError."""
     if r is None:
         return m, None, None
@@ -81,7 +75,9 @@ def _compile(r: PrecisionReal | None, m: int, p: int) -> tuple:
         raise DegenerateScheduleError(
             f"truncated decay vanished at r={r.to_float()} with degree {m}"
         )
-    return m, tuple((f.mantissa, f.exponent) for f in factors[1:]), (q.mantissa, q.exponent)
+    low = min([f.exponent for f in factors[1:] if f.mantissa], default=0)
+    ints = tuple(f.mantissa << (f.exponent - low) if f.mantissa else 0 for f in factors[1:])
+    return m, (ints, low), (q.mantissa, q.exponent)
 
 
 @functools.lru_cache(maxsize=8)
@@ -91,64 +87,72 @@ def _plan(sched: StepSchedule, p: int) -> tuple:
     return tuple(_compile(r, sched.n_d, p) for r in sched.times[2:])
 
 
-def _step(coeffs: list, step: tuple, p: int, keep: int) -> list:
-    """One compiled step (m, factors, q) on raw coefficients; returns the
-    pinned coefficients 0..keep. One pass over k = 1..m forms the cascade
-    value out_k = u_{k-1} - out_{k-1} (u_d = 0 beyond the series) and
-    rounds out_k f_k into the sums w (real parts) and z (imaginary parts).
-    The pin adj = -((w, z) / q) is then added to even and subtracted from
-    odd coefficients. A bare step (factors None) is the cascade alone,
-    neither evaluated nor pinned.
-
-    out_k is rounded as the sum (-out_{k-1}) + u_{k-1}, which is
-    bit-identical to the ascending sum sum_{d<k} (-1)^(k-1-d) u_d: out_k's
-    partial sums are exactly the negations of out_{k-1}'s, because negation
-    is exact and round-to-nearest-even is symmetric in sign, so only the
-    last addition differs. Zero inputs are skipped, as in the sum, so a
-    zero part of u_{k-1} negates that part of out_{k-1} without rounding."""
+def _step(part: list, step: tuple, p: int, keep: int) -> list:
+    """One compiled step (m, factors, q) on one part of the raw
+    coefficients, (mantissa, exponent) pairs; returns its outputs 0..keep,
+    each the exact step correctly rounded to p bits. The cascade values
+    out_k = u_{k-1} - out_{k-1} (u_d = 0 beyond the list) are exact
+    integers over the inputs' lowest exponent e0, and so is
+    w = sum out_k f_k. A bare step (factors None) rounds out_k alone.
+    Otherwise adj = -w/q is added to even and subtracted from odd outputs:
+    its floored quotient Q is taken once, with at least p + 3 bits and one
+    bit below e0, and a nonzero remainder makes Q odd (sticky), so
+    (out_i << d) +- Q rounds as the exact value does while it keeps p + 2
+    bits; a sum cancelled below that is rounded from the exact rational."""
     m, factors, q = step
-    am = ae = bm = be = wm = we = zm = ze = 0
-    out = [ZERO]
-    for k, (um, ue, vm, ve) in enumerate(coeffs[:m] + [ZERO] * (m - len(coeffs))):
-        am, ae = _add_p(-am, ae, um, ue, p) if um else (-am, ae)
-        bm, be = _add_p(-bm, be, vm, ve, p) if vm else (-bm, be)
-        out.append((am, ae, bm, be))
-        if factors is not None:
-            fm, fe = factors[k]
-            if am:
-                tm, te = _round(am * fm, ae + fe, p)
-                wm, we = _add_p(wm, we, tm, te, p)
-            if bm:
-                tm, te = _round(bm * fm, be + fe, p)
-                zm, ze = _add_p(zm, ze, tm, te, p)
-    if factors is None:
-        return out[: keep + 1]
-    qm, qe = q
-    wm, we = _round_quotient(wm, qm, we - qe, p)
-    zm, ze = _round_quotient(zm, qm, ze - qe, p)
-    for i in range(keep + 1):
-        wm, zm = -wm, -zm  # adj = -(w, z) at even i, +(w, z) at odd i
-        cm, ce, dm, de = out[i]
-        out[i] = _add_p(cm, ce, wm, we, p) + _add_p(dm, de, zm, ze, p)
-    return out[: keep + 1]
+    u = part[:m]
+    low = [e for v, e in u if v]
+    if not low:
+        return [(0, 0)] * (keep + 1)
+    e0 = min(low)
+    o = 0
+    out = [o]
+    for v, e in u:
+        o = (v << (e - e0) if v else 0) - o
+        out.append(o)
+    for _ in range(m - len(u)):
+        o = -o
+        out.append(o)
+    num = -sum(map(mul, factors[0], out[1:])) if factors else 0  # -w at e0 + fe
+    if not num:
+        return [_round(o, e0, p) for o in out[: keep + 1]]
+    fe, (qm, qe) = factors[1], q
+    ea = e0 + fe - qe  # adj = (num / qm) * 2^ea
+    eq = min(e0 - 1, ea + num.bit_length() - qm.bit_length() - p - 3)
+    sh, d = ea - eq, e0 - eq
+    quot, rem = divmod(num << sh, qm) if sh >= 0 else divmod(num, qm << -sh)
+    if rem:
+        quot |= 1
+    res = []
+    for i, o in enumerate(out[: keep + 1]):
+        s = (o << d) - quot if i & 1 else (o << d) + quot
+        if rem and s.bit_length() < p + 2:  # cancelled to the sticky bit
+            lo = min(e0, ea)
+            a = num << (ea - lo)
+            res.append(_round_quotient((o << (e0 - lo)) * qm + (-a if i & 1 else a), qm, lo, p))
+        else:
+            res.append(_round(s, eq, p))
+    return res
 
 
 def _run(series: NormalizedSeries, steps, p: int, dump=None, reads=None) -> NormalizedSeries:
-    """The compiled steps in order on the series at precision p. Each step
-    pins what the next step's cascade reads, and the last step its first
-    `reads` coefficients, all of its own when reads is None; with `dump`,
-    every step pins all of its own and dump(sp, series) follows step sp,
-    the plan's first entry being step 1."""
-    coeffs = _quads(series, p)
+    """The compiled steps in order on the series at precision p, on its
+    real and imaginary parts apart. Each step pins what the next step's
+    cascade reads, and the last step its first `reads` coefficients, all
+    of its own when reads is None; with `dump`, every step pins all of its
+    own and dump(sp, series) follows step sp, the plan's first entry being
+    step 1."""
+    quads = _quads(series, p)
+    re, im = [c[:2] for c in quads], [c[2:] for c in quads]
     for sp, step in enumerate(steps, 1):
         if sp < len(steps) and not dump:
             keep = steps[sp][0] - 1
         else:
             keep = step[0] if dump or reads is None else reads - 1
-        coeffs = _step(coeffs, step, p, keep)
+        re, im = _step(re, step, p, keep), _step(im, step, p, keep)
         if dump:
-            dump(sp, _series(coeffs, p))
-    return _series(coeffs, p)
+            dump(sp, _series(list(map(tuple.__add__, re, im)), p))
+    return _series(list(map(tuple.__add__, re, im)), p)
 
 
 def filter_step(

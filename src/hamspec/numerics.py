@@ -1,11 +1,12 @@
 """Arbitrary-precision binary floating point and truncated power-series arithmetic.
 
 Values are immutable. A real is a signed integer mantissa and a binary
-exponent. The rounding policy: every function here returns its exact
-result rounded once to an explicit mantissa width ``p`` (round-to-nearest,
-ties-to-even), so results are bit-reproducible on any platform. Two
-computations keep the paper's order and its bits instead, rounding each
-step in turn: ``taylor_table``'s recurrence and the filter step.
+exponent. The rounding policy: every function here, and the filter step
+(filter_pipeline), returns its exact result rounded once to an explicit
+mantissa width ``p`` (round-to-nearest, ties-to-even), so results are
+bit-reproducible on any platform. One computation keeps the paper's order
+and its bits instead, rounding each step in turn: ``taylor_table``'s
+recurrence.
 
 The kernels work on bare integers and (mantissa, exponent) pairs. ``_round``
 rounds an exact integer times a power of two, ``_round_quotient`` an exact
@@ -14,10 +15,9 @@ products of pairs exactly, into one integer and one exponent, for ``cmul``,
 ``series_mul``, ``series_eval`` and extraction's two-channel solve to round
 once per part. Each primitive
 (``radd``, ``rmul``, ``rdiv``, ...) wraps a kernel's pair in a PrecisionReal.
-The filter step (filter_pipeline) calls the kernels on raw coefficients,
-(re_m, re_e, im_m, im_e) tuples, put by ``_quads`` in p-bit form: each part
-a p-bit mantissa or (0, 0), which the kernels keep and ``_add_p``, ``_add``
-with the widths read off the exponents, takes.
+The filter step calls ``_round`` and ``_round_quotient`` on the parts of raw
+coefficients, (re_m, re_e, im_m, im_e) tuples that ``_quads`` rounds to
+p bits and ``_series`` turns back into a series.
 
 Every truncated exponential comes from one function, ``taylor_table(x,
 m, p)``: the factors x^k/k! by the rounded recurrence, tr_m(e^x) and
@@ -155,36 +155,6 @@ def _add(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
     if ae <= be:
         return _round(am + (bm << (be - ae)), ae, p)
     return _round((am << (ae - be)) + bm, be, p)
-
-
-def _add_p(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
-    """_add on kernel operands, each a p-bit mantissa or (0, 0): with
-    ta = ae + p and tb = be + p its case analysis reads the exponents alone,
-    and a zero operand returns the other one unchanged. _round is inlined;
-    a test holds _add_p to _round of the exact sum."""
-    if not am:
-        return bm, be
-    if not bm:
-        return am, ae
-    if ae < be:
-        am, ae, bm, be = bm, be, am, ae
-    d = ae - be
-    if d > p + 2:  # b wholly below a's p+3 bits: a sticky bit, as in _add
-        v, e = (am << 3) + (1 if bm > 0 else -1), ae - 3
-    else:
-        v, e = (am << d) + bm, be
-    shift = v.bit_length() - p
-    if shift <= 0:
-        return (v << -shift, e + shift) if v else (0, 0)
-    keep = v >> shift
-    rem = v - (keep << shift)
-    half = 1 << (shift - 1)
-    if rem > half or (rem == half and keep & 1):
-        keep += 1
-    if keep.bit_length() > p:
-        keep >>= 1
-        shift += 1
-    return keep, e + shift
 
 
 def _exact(*products) -> tuple:
@@ -369,8 +339,16 @@ def to_hex(a: PrecisionReal) -> str:
     return f"{sign}0x1p{top:+d}"
 
 
+# The largest binary exponent from_hex reads. The filter's exact integers
+# and the solve's are as wide as the exponents of the series they read
+# lie apart, so a file's exponents are bounded: 2^27 bits is 16 MiB, and
+# encode at the desk degree writes exponents below 10^6 at every c.
+MAX_EXPONENT = 1 << 27
+
+
 def from_hex(text: str, p: int) -> PrecisionReal:
-    """Parse to_hex output; lossless for values written at precision <= p."""
+    """Parse to_hex output; lossless for values written at precision <= p.
+    A binary exponent beyond +-MAX_EXPONENT is refused."""
     s = text.strip()
     if s in ("0x0p+0", "0x0p0"):
         return R_ZERO
@@ -385,6 +363,8 @@ def from_hex(text: str, p: int) -> PrecisionReal:
         raise ValueError(f"bad hex float literal: {text!r}")
     mant_s, exp_s = s.split("p", 1)
     top = int(exp_s)
+    if abs(top) > MAX_EXPONENT:
+        raise ValueError(f"binary exponent beyond the bound 2^27 = {MAX_EXPONENT} in magnitude")
     if mant_s == "":
         frac, frac_bits = 0, 0
     elif mant_s.startswith("."):
@@ -501,9 +481,9 @@ class NormalizedSeries:
 
 def _quads(a: NormalizedSeries, p: int) -> list:
     """a's coefficients as raw (re_m, re_e, im_m, im_e) tuples, each part
-    rounded to p bits: a p-bit mantissa or (0, 0), as _add_p takes them.
-    A part that is so already, or zero, passes through as _round would
-    return it; only the rest is rounded."""
+    rounded to p bits: a p-bit mantissa or (0, 0). A part that is so
+    already, or zero, passes through as _round would return it; only the
+    rest is rounded."""
     out = []
     for c in a.coeffs:
         x, y = c.re, c.im
@@ -610,6 +590,15 @@ def series_header(text: str, *need: str) -> dict:
     return fields
 
 
+def _header_field(key: str, fields: dict) -> str:
+    """`key=<value>` as a refusal names it: `no key` when absent, and the
+    value's digit count past 40 digits instead of the value."""
+    if key not in fields:
+        return f"no {key}"
+    digits = str(fields[key])
+    return f"{key}={digits}" if len(digits) <= 40 else f"{key} of {len(digits.lstrip('-'))} digits"
+
+
 def series_from_text(text: str, **expect) -> NormalizedSeries:
     """The series in a series file. Given expect, the header's fields must
     be exactly expect's, m and p among them, each with its value; the
@@ -618,8 +607,8 @@ def series_from_text(text: str, **expect) -> NormalizedSeries:
     m, p = fields["m"], fields["p"]
     if expect:
         for key in dict.fromkeys(("m", "p", *expect, *fields)):
-            got, want = (f"{key}={d[key]}" if key in d else f"no {key}" for d in (fields, expect))
-            if got != want:
+            if fields.get(key) != expect.get(key):
+                got, want = (_header_field(key, d) for d in (fields, expect))
                 raise ValueError(f"series header has {got}, expected {want}")
     # by index, not a list of m + 1 slots: the header's m is not trusted
     coeffs = {}

@@ -215,6 +215,9 @@ def validate_profile(profile: PipelineProfile) -> list:
         profile.r_1,
         profile.r_mu,
     )
+    for name, v in (("n", n), ("n_d", n_d), ("n_d1", n_d1), ("r_1", r_1), ("r_mu", r_mu)):
+        if v.bit_length() > 1024:  # past a float, which the log2-domain checks use
+            raise ValueError(f"{name} has {len(str(v))} digits, more than a float holds")
     out = []
 
     def add(name, passed, slack, detail):

@@ -31,8 +31,10 @@ class OracleLimitError(RuntimeError):
 
 def _check_limit(g: Graph, limit: int):
     if g.n > limit:
-        # _lane_width(n, n - 1) from log2, without forming n (n-1)^(n-1)
         n = g.n
+        if n.bit_length() > 1024:  # past a float, so no width either
+            raise OracleLimitError(f"graph has n of {len(str(n))} digits > oracle limit {limit}")
+        # _lane_width(n, n - 1) from log2, without forming n (n-1)^(n-1)
         width = int(math.log2(n) + (n - 1) * math.log2(max(n - 1, 1))) + 1
         raise OracleLimitError(
             f"graph has n={n} > oracle limit {limit}; raise the limit explicitly "

@@ -9,23 +9,18 @@ from fractions import Fraction
 import pytest
 
 from hamspec.extraction import ExtractionResult, SingularSystemError
-from hamspec.filter_pipeline import DegenerateScheduleError, _compile, _step, system_columns
+from hamspec.filter_pipeline import DegenerateScheduleError, _compile, _run, system_columns
 from hamspec.graph import Graph
 from hamspec.numerics import (
-    C_ZERO,
     R_ZERO,
     NormalizedSeries,
     PrecisionComplex,
     PrecisionReal,
-    _quads,
-    _series,
-    cadd,
     cmul,
     from_fraction,
     from_int,
     rabs,
     radd,
-    rdiv,
     rdiv_int,
     rmax,
     rmul,
@@ -224,63 +219,59 @@ def ruleu_lhs(alpha, r, sp: int, n_d: int, p: int):
 
 
 # ---------------------------------------------------------------------------
-# Object-level filter step: the reference for filter_pipeline's raw kernel
+# Exact filter step: the reference for filter_pipeline's kernel
 # ---------------------------------------------------------------------------
 
 
-def cneg(a):
-    return PrecisionComplex(rneg(a.re), rneg(a.im))
-
-
-def cmul_real(a, r, p):
-    return PrecisionComplex(rmul(a.re, r, p), rmul(a.im, r, p))
-
-
-def cdiv_real(a, r, p):
-    return PrecisionComplex(rdiv(a.re, r, p), rdiv(a.im, r, p))
-
-
 def reference_step(series, r, m, p):
-    """One filter step at degree m from radd/rmul/rdiv on PrecisionComplex
-    values, in the kernel's operation order: the cascade acc = u - acc (a
-    zero u negates acc), the ascending evaluation at r against the factors
-    f_k = f_{k-1} r / k, and the pin adj = -(w / tr_m(e^{-r})) added to even
-    and subtracted from odd coefficients. Every coefficient is pinned."""
-    u = series.coeffs if series.precision == p else series.reround(p).coeffs
-    acc = C_ZERO
-    shifted = [acc]
+    """One filter step at degree m in exact Fractions, each output part
+    rounded once by round_nearest_even_fraction. The input is the series
+    with each part rounded to p bits; the cascade out_k = u_{k-1} - out_{k-1}
+    (u_d = 0 beyond the series) is exact, and for r not None so are
+    w = sum out_k f_k and the pin adj = -w / tr_m(e^{-r}), added to even
+    and subtracted from odd coefficients, the factors f_k = f_{k-1} r / k
+    and tr_m(e^{-r}) being rdiv_int/rmul/radd's rounded recurrence. r None
+    is the bare cascade. Every coefficient 0..m is returned."""
+    u = [tuple(rounded_fraction(x, p).to_fraction() for x in c.to_fractions()) for c in series.coeffs]
+    zero = (Fraction(0), Fraction(0))
+    out = [zero]
     for k in range(1, m + 1):
-        c = u[k - 1] if k - 1 < len(u) else C_ZERO
-        acc = cneg(acc) if c.is_zero() else cadd(cneg(acc), c, p)
-        shifted.append(acc)
-    w, f, neg_r = C_ZERO, from_int(1, p), rneg(r)
-    decay, g = f, f
-    for k, c in enumerate(shifted):
-        if k:
+        a, b = u[k - 1] if k - 1 < len(u) else zero
+        out.append((a - out[-1][0], b - out[-1][1]))
+    if r is not None:
+        f, g, neg_r = from_int(1, p), from_int(1, p), rneg(r)
+        decay, w = g, zero
+        for k in range(1, m + 1):
             f = rdiv_int(rmul(f, r, p), k, p)
             g = rdiv_int(rmul(g, neg_r, p), k, p)
             decay = radd(decay, g, p)
-        if not c.is_zero():
-            w = cadd(w, cmul_real(c, f, p), p)
-    if decay.is_zero():
-        raise DegenerateScheduleError("truncated decay vanished")
-    adj = cneg(cdiv_real(w, decay, p))
+            fk = f.to_fraction()
+            w = (w[0] + out[k][0] * fk, w[1] + out[k][1] * fk)
+        if decay.is_zero():
+            raise DegenerateScheduleError("truncated decay vanished")
+        q = decay.to_fraction()
+        adj = (-w[0] / q, -w[1] / q)
+        out = [
+            (a + adj[0], b + adj[1]) if i % 2 == 0 else (a - adj[0], b - adj[1])
+            for i, (a, b) in enumerate(out)
+        ]
     return NormalizedSeries(
-        [cadd(c, adj if i % 2 == 0 else cneg(adj), p) for i, c in enumerate(shifted)], p
+        [PrecisionComplex(rounded_fraction(a, p), rounded_fraction(b, p)) for a, b in out], p
     )
 
 
 def integrator_cascade(series, m: int):
-    """filter_pipeline._step's bare cascade (a step compiled with r None)
-    on a series: the zero-state response of y' + y = u truncated to
-    degree m, out_k = sum_{d<k} (-1)^(k-1-d) u_d."""
+    """filter_pipeline's bare cascade (a step compiled with r None) on a
+    series: the zero-state response of y' + y = u truncated to degree m,
+    out_k = sum_{d<k} (-1)^(k-1-d) u_d, each part rounded once."""
     p = series.precision
-    return _series(_step(_quads(series, p), _compile(None, m, p), p, m), p)
+    return _run(series, [_compile(None, m, p)], p)
 
 
 def reference_pipeline(f_series, sched, prof, dump=None):
     """run_pipeline from reference_step: step 1 at n_d1 on the series
-    rounded to p_2, truncated to n_d, then steps 2..n_d+3 at n_d."""
+    rounded to p_2, truncated to n_d, then steps 2..n_d+3 at n_d, each
+    step's output the correctly rounded exact step of its input."""
     n_d, p = prof.n_d, prof.p_2
     j = reference_step(f_series, sched.times[1], prof.n_d1, p)
     if dump:
@@ -343,11 +334,17 @@ def reference_extract(o, phi01, phi11, sched, p, columns=None):
         round_distance=from_fraction(dist, p) if dist else R_ZERO,
         residual0=rmax(r0re, r0im),
         residual1=rmax(r1re, r1im),
+        p=p,
     )
 
 
 def reference_flags(result):
-    """ExtractionResult.flags from exact Fractions against 1/4."""
-    limit = Fraction(1, 4)
-    named = (("round_distance", result.round_distance), ("imaginary", result.imag_magnitude))
-    return tuple(name for name, x in named if x.to_fraction() > limit)
+    """ExtractionResult.flags from exact Fractions: round_distance and
+    imaginary against 1/4, precision |Re k0| against 2^(p - 48)."""
+    quarter = Fraction(1, 4)
+    named = (
+        ("round_distance", result.round_distance.to_fraction(), quarter),
+        ("imaginary", result.imag_magnitude.to_fraction(), quarter),
+        ("precision", abs(result.k0.re.to_fraction()), Fraction(2) ** (result.p - 48)),
+    )
+    return tuple(name for name, x, limit in named if x > limit)

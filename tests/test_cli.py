@@ -286,6 +286,31 @@ class TestFilterPseudoExtract:
             "4300 decimal digits, too many to print\n",
         )
 
+    @pytest.mark.parametrize("command", ["filter", "extract"])
+    def test_a_coefficient_exponent_past_the_bound_is_refused_at_parse(self, tmp_path, capsys, command):
+        # c0 = 2^20000000000 would ask the exact filter and solve for
+        # integers of ~2.5 GB; the series reader refuses it first
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        assert run_cli(capsys, "encode", str(GRAPHS / "p3.graph"), "--out", str(enc))[0] == 0
+        assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
+        series = enc if command == "filter" else flt
+        series.write_text(re.sub(r"(?m)^0 \S+ ", "0 0x1p+20000000000 ", series.read_text()))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            outcome = run_cli(capsys, command, str(series))
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == (
+            1,
+            "",
+            "error: [parse] line 2: field re: binary exponent beyond the bound 2^27 = 134217728 "
+            "in magnitude\n",
+        )
+        assert seconds < 2 and peak < 100 * 2**20
+
 
 class TestProfileRefusals:
     def test_run_names_the_step_without_a_root(self, files, capsys):
@@ -762,9 +787,10 @@ class TestRun:
         [("c4", "1.142028264795554397329676e+45"), ("k4", "2.677165873336061070568995e+45")],
     )
     def test_mismatch_verdict(self, tmp_path, capsys, name, k0_re):
-        # at the desk key with p_2 = 128, p_1 = 256, C4's and K4's p_2-bit
+        # At the desk key with p_2 = 128, p_1 = 256, C4's and K4's p_2-bit
         # k0 (~1e45) is an integer: round_distance is exactly 0 and k0 is
-        # real, so no flag fires, and its rounding is not the oracle's count
+        # real, but |Re k0| > 2^(p_2 - 48), past what p_2 bits resolve, so
+        # the precision flag withdraws the MISMATCH its rounding would give
         prof = tmp_path / "p128.profile"
         prof.write_text(DESK.read_text().replace("p_1=512", "p_1=256").replace("p_2=256", "p_2=128"))
         assert run_cli(capsys, "check-profile", str(prof), "--n", "4")[1].endswith("\nprofile OK\n")
@@ -772,15 +798,43 @@ class TestRun:
         code, text, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         lines = text.splitlines()
-        assert lines[-1] == "[verdict] MISMATCH"
-        assert f" k0_re={k0_re} k0_im=0 " in lines[-2] and lines[-2].endswith(" flags=none")
+        assert lines[-1] == "[verdict] INCONCLUSIVE"
+        assert f" k0_re={k0_re} k0_im=0 " in lines[-2] and lines[-2].endswith(" flags=precision")
         code, stdout, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        ext = json.loads(stdout)["extraction"]
+        assert (ext["k0_re"], ext["k0_im"], ext["round_distance"], ext["flags"]) == (
+            k0_re, "0", "0", "precision"
+        )
+        # At c = 2^31 and p_2 = 256, k0 (~1e34) has 140 bits of margin and
+        # lies within 1/4 of an integer that is not the count: the method
+        # fails, the rounding does not, and the MISMATCH stands
+        prof.write_text(DESK.read_text().replace("c=1099511627776", f"c={2**31}"))
+        argv = ("run", str(GRAPHS / f"{name}.graph"), "--profile", str(prof), "--json", "--no-timings")
+        code, stdout, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         report = json.loads(stdout)
         ext = report["extraction"]
-        assert report["verdict"] == "MISMATCH"
-        assert (ext["k0_re"], ext["k0_im"], ext["round_distance"], ext["flags"]) == (
-            k0_re, "0", "0", "none"
+        assert report["verdict"] == "MISMATCH" and ext["flags"] == "none"
+        assert ext["k0_re"].endswith("e+34") and ext["k0_im"] == "0"
+        assert ext["n_h_rounded"] != report["oracle"]["n_h_directed"]
+
+    @pytest.mark.parametrize("name, k0_re", [("c4", "-4.26129"), ("k4", "-6.66213")])
+    def test_an_unresolved_k0_is_flagged_at_a_wider_key(self, tmp_path, capsys, name, k0_re):
+        # at (n_d, n_d1, r_1) = (16, 195, 39) and c = 2^40, k0 (~1e97, about
+        # 2^324) has no fractional bit at p_2 = 256: round_distance is 0, and
+        # only the precision flag keeps the verdict from MISMATCH
+        prof = tmp_path / "wide.profile"
+        text = DESK.read_text().replace("n_d=8", "n_d=16").replace("n_d1=64", "n_d1=195")
+        prof.write_text(text.replace("r_1=16", "r_1=39"))
+        argv = ("run", str(GRAPHS / f"{name}.graph"), "--profile", str(prof), "--json", "--no-timings")
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = json.loads(stdout)
+        ext = report["extraction"]
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert (ext["k0_re"][:8], ext["k0_im"], ext["round_distance"], ext["flags"]) == (
+            k0_re, "0", "0", "precision"
         )
         assert ext["n_h_rounded"] != report["oracle"]["n_h_directed"]
 
@@ -837,6 +891,13 @@ class TestFileRefusals:
         code, stdout, err = run_cli(capsys, "extract", str(flt))
         assert (code, stdout) == (1, "") and len(err.encode()) < 200
         assert err.startswith("error: [parse] bad series header: m has 5000 digits, more than the ")
+        # a value Python reads, but too long to echo, is named by its digit count
+        for command, series, m in (("extract", flt, 8), ("filter", enc, 64)):
+            text = series.read_text().replace(f"series m={m} ", f"series m={'9' * 4000} ", 1)
+            series.write_text(text.replace(f"series m={'9' * 5000} ", f"series m={'9' * 4000} ", 1))
+            code, stdout, err = run_cli(capsys, command, str(series))
+            assert (code, stdout) == (1, "") and len(err.encode()) < 200
+            assert err == f"error: [parse] series header has m of 4000 digits, expected m={m}\n"
 
 
 def family_graphs() -> dict:
@@ -861,7 +922,7 @@ class TestSameBytes:
     bytes (say, by making them more exact) updates the digest and says so
     in CHANGES.md."""
 
-    DIGEST = "eb34f33d5011f96f1c92d6f9a62ce3f7b631f0e7fc235cbaebce3e6dbbf8fb84"
+    DIGEST = "59424349466a0a9ca612f66d22804db4c30cb83eae064fd1384931ba149783e9"
 
     def test_run_reports_keep_their_bytes(self, tmp_path, capsys):
         texts = {p.name: p.read_text() for p in sorted(GRAPHS.glob("*.graph"))}
@@ -887,10 +948,10 @@ class TestCommandBytes:
     in CHANGES.md."""
 
     DIGESTS = {
-        "run": "ea0386a02ea97953442f9a7f219c5bc7322ec84a96fb836f11ac93255af8f4f3",
+        "run": "049a1c7257cb0ee55441db3193b416225e53a0a2845639e2a4c41f3f95b80fe9",
         "encode": "4f2c5a58b1e23b0fc659ad7abe8972fe2be5aedcebe4100736ebf6a0f3a3677a",
-        "filter": "4817c6e6cc9703a385768f5cf3bdfaf5eda60f787dba17271edaf11bd1c24490",
-        "extract": "76dd5dfb898cdaaada84589593c9c489b94055a7e717084944444ee01ef75ceb",
+        "filter": "b25f85eb84dad8a31346c9b936988973f1329807fda3a190459cde6e1fc2acd1",
+        "extract": "7992100457c1c421b854a502fff2efa6039d5a58b85d0360426001a4381a53e2",
         "oracle": "0e113b672c35228a9a635db8e0e44c575b0e751d457c2474293bd999d3d0e6e1",
         "check-profile": "cf80c4dfebe2540756c91ce5e7939de3e6d9cdb3bc1bdab17c034727b330c093",
     }
@@ -920,7 +981,7 @@ class TestHugeGraphs:
     """A graph file whose n line is huge is refused before any work that
     grows with n: by the profile checks at [validate], or at [oracle]."""
 
-    @pytest.mark.parametrize("n", [10**7, 10**20])
+    @pytest.mark.parametrize("n", [10**7, 10**20, pytest.param(10**4000 - 1, id="4000-nines")])
     @pytest.mark.parametrize(
         "command, stage", [("run", "validate"), ("encode", "validate"), ("oracle", "oracle")]
     )
@@ -938,6 +999,9 @@ class TestHugeGraphs:
             tracemalloc.stop()
         assert code == 1 and err.startswith(f"error: [{stage}] ")
         assert seconds < 0.1 and peak < 50 * 2**20
+        if n > 10**20:  # beyond a float: named by its size, not converted
+            named = "n has 4000 digits" if stage == "validate" else "graph has n of 4000 digits"
+            assert named in err and len(err.encode()) < 200
 
 
 class TestJsonReport:

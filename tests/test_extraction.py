@@ -182,6 +182,7 @@ class TestFlags:
             round_distance=ff(dist, p) if dist else R_ZERO,
             residual0=R_ZERO,
             residual1=R_ZERO,
+            p=p,
         )
 
     def test_clean(self):
@@ -195,6 +196,12 @@ class TestFlags:
 
     def test_boundary_quarter_does_not_fire(self):
         assert self.mk(Fraction(9, 4), Fraction(1, 4)).flags == ()
+
+    def test_precision_fires_past_2_to_the_p_minus_48(self):
+        # p = 128: an integer k0 up to 2^80 is resolved, one past it is not
+        cases = ((2**80, ()), (-(2**80), ()), (2**80 + 1, ("precision",)), (-(2**81), ("precision",)))
+        for k0, flags in cases:
+            assert self.mk(Fraction(k0), Fraction(0)).flags == flags
 
 
 def assert_same_bits(got: ExtractionResult, want: ExtractionResult):

@@ -1,5 +1,5 @@
 """Step semantics: cascade ODE identity, zero pinning, linearity, pipelines;
-the raw step kernel bit for bit against the object-level reference."""
+the raw step kernel bit for bit against the exact step, rounded once."""
 
 import random
 from fractions import Fraction
@@ -26,7 +26,7 @@ from hamspec.numerics import (
     R_ZERO,
     _quads,
     _round,
-    cadd,
+    _round_quotient,
     cfrom_int,
     cmul,
     const_series,
@@ -37,12 +37,12 @@ from hamspec.numerics import (
 )
 from hamspec.schedule import build_schedule, desk_profile, solve_schedule
 from conftest import (
-    cneg,
     complete_graph,
     cycle_graph,
     integrator_cascade,
     reference_pipeline,
     reference_step,
+    rounded_fraction,
     trunc_exp_fraction,
 )
 
@@ -63,34 +63,17 @@ def double(c, p):
     return cmul(c, cfrom_int(2, 0, p), p)
 
 
-def ascending_cascade(series, m):
-    """Reference cascade: out_k = sum_{d<k} (-1)^(k-1-d) u_d, each sum
-    accumulated in ascending d with a rounding after every addition."""
-    p = series.precision
-    coeffs = series.coeffs
-    out = [C_ZERO]
-    for k in range(1, m + 1):
-        acc = C_ZERO
-        for d in range(min(k - 1, len(coeffs) - 1) + 1):
-            u = coeffs[d]
-            if u.is_zero():
-                continue
-            acc = cadd(acc, u if (k - 1 - d) % 2 == 0 else cneg(u), p)
-        out.append(acc)
-    return NormalizedSeries(out, p)
-
-
 def edge_series(rng, m, p):
     """Seeded series at precision p whose parts mix zeros (some coefficients
     wholly zero), both signs, mantissas at the carry edge 2^p - 1 and the
-    floor edge -2^p + 1, and exponents near together or far apart (the
-    sticky path of the addition)."""
+    floor edge -2^p + 1, and exponents near together or hundreds of bits
+    apart."""
 
     def part():
         kind = rng.randrange(6)
         if kind == 0:
             return R_ZERO
-        e = rng.randrange(-8, 8) if rng.random() < 0.5 else rng.randrange(-4 * p, 4 * p)
+        e = rng.randrange(-8, 8) if rng.random() < 0.5 else rng.randrange(-4 * p - 300, 4 * p + 300)
         if kind == 1:
             return PrecisionReal((1 << p) - 1, e)
         if kind == 2:
@@ -110,9 +93,7 @@ def channel_cases(u):
     encoded series take), imaginary parts only, and a run of zero
     coefficients in the middle. The last input holds parts off the
     kernel's p-bit form: a zero with a nonzero exponent, and a mantissa
-    narrower than p at u_0, which the cascade's first sum returns as it is,
-    with a p-bit part 2p places below it at u_1, which the second sum would
-    fold into a sticky bit were the narrow part not widened on entry."""
+    narrower than p at u_0 with a p-bit part 2p places below it at u_1."""
     cs, p = u.coeffs, u.precision
     n = len(cs)
     narrow = PrecisionReal(3, 0)
@@ -128,6 +109,18 @@ def channel_cases(u):
 
 def step_time(rng, p):
     return from_fraction(Fraction(rng.randrange(1, 4000), rng.choice((7, 64, 997))), p)
+
+
+def parts(quads):
+    """Raw (re_m, re_e, im_m, im_e) coefficients as their real and
+    imaginary (mantissa, exponent) lists."""
+    return [c[:2] for c in quads], [c[2:] for c in quads]
+
+
+def kernel(quads, step, p, keep):
+    """_step on both parts of raw coefficients, joined."""
+    re, im = parts(quads)
+    return [a + b for a, b in zip(_step(re, step, p, keep), _step(im, step, p, keep))]
 
 
 def sup_fractions(series):
@@ -255,8 +248,8 @@ class TestFilterStep:
 
 
 class TestKernelBits:
-    """filter_step and run_pipeline give the object-level reference's bits
-    (conftest.reference_step: radd/rmul/rdiv on PrecisionComplex values)."""
+    """filter_step and run_pipeline give the exact reference's bits
+    (conftest.reference_step: the exact step in Fractions, rounded once)."""
 
     @pytest.mark.parametrize("p", [24, 53, 256])
     @pytest.mark.parametrize("m", [0, 1, 8, 64])
@@ -285,7 +278,7 @@ class TestKernelBits:
         for keep in (0, 1, 7, m):
             u = edge_series(rng, m, p)
             r = step_time(rng, p)
-            got = _step(_quads(u, p), _compile(r, m, p), p, keep)
+            got = kernel(_quads(u, p), _compile(r, m, p), p, keep)
             assert got == _quads(reference_step(u, r, m, p), p)[: keep + 1]
 
     @pytest.mark.parametrize("p", [24, 53, 256])
@@ -308,7 +301,7 @@ class TestKernelBits:
         u = _quads(NormalizedSeries([cfrom_int(3, -1, p), cfrom_int(2, 5, p)], p), p)
         for keep in (0, 1):
             with pytest.raises(DegenerateScheduleError):
-                _step(u, _compile(from_int(1, p), 1, p), p, keep)
+                kernel(u, _compile(from_int(1, p), 1, p), p, keep)
 
     @pytest.mark.parametrize("p_2", [53, 256])
     def test_run_pipeline_matches_reference(self, p_2):
@@ -331,6 +324,55 @@ class TestKernelBits:
         assert got[1].degree_bound == prof.n_d1
         assert sorted(got) == sorted(want) == list(range(1, prof.n_d + 4))
         assert all(got[sp].bits() == want[sp].bits() for sp in want)
+
+
+class TestExactStep:
+    """Every output _step keeps is round_nearest_even_fraction of the exact
+    step in Fractions (conftest.reference_step), part by part: bare and
+    pinned steps, every keep, zero parts and exponents hundreds of bits
+    apart."""
+
+    @pytest.mark.parametrize("p", [8, 24, 53, 256])
+    def test_every_kept_output_is_the_rounded_exact_step(self, p):
+        rng = random.Random(17 * p)
+        for m in (0, 1, 2, 5, 16):
+            u = edge_series(rng, m + 1, p)
+            inputs = [edge_series(rng, rng.choice((m, m + 2, max(m - 2, 0))), p) for _ in range(3)]
+            for u in inputs + channel_cases(u):
+                for r in (None, step_time(rng, p)):
+                    try:
+                        step = _compile(r, m, p)
+                    except DegenerateScheduleError:
+                        continue
+                    want = _quads(reference_step(u, r, m, p), p)
+                    for keep in range(m + 1):
+                        assert kernel(_quads(u, p), step, p, keep) == want[: keep + 1]
+
+    def test_a_zero_part_gives_zeros(self):
+        p, m = 53, 8
+        step = _compile(from_fraction(Fraction(1, 3), p), m, p)
+        for keep in (0, 3, m):
+            assert _step([(0, 0)] * m, step, p, keep) == [(0, 0)] * (keep + 1)
+            assert _step([], _compile(None, m, p), p, keep) == [(0, 0)] * (keep + 1)
+
+    @pytest.mark.parametrize("p", [8, 24, 53, 256])
+    def test_a_cancelled_output_is_rounded_from_the_exact_quotient(self, p, monkeypatch):
+        # u_1 = 1 - (q + f_1)/f_2, rounded, makes output 1 = u_0 - adj
+        # cancel to about 2^-p of its terms, below the quotient's sticky bit
+        import hamspec.filter_pipeline as fp
+
+        calls = []
+        monkeypatch.setattr(fp, "_round_quotient", lambda *a: calls.append(a) or _round_quotient(*a))
+        m, r = 2, from_fraction(Fraction(1, 3), p)
+        factors, _, q = taylor_table(r, m, p)
+        f1, f2, q = (x.to_fraction() for x in (factors[1], factors[2], q))
+        u1 = rounded_fraction(1 - (q + f1) / f2, p)
+        u = NormalizedSeries([cfrom_int(1, 0, p), PrecisionComplex(u1, R_ZERO)], p)
+        got = kernel(_quads(u, p), _compile(r, m, p), p, m)
+        assert calls
+        assert got == _quads(reference_step(u, r, m, p), p)
+        one = got[1]
+        assert one[0] and one[0].bit_length() + one[1] < -p + 8  # cancelled, not zero
 
 
 class TestStepCaches:
@@ -379,11 +421,11 @@ class TestCascade:
             want = sum((-1) ** (k - 1 - d) * ints[d] for d in range(k))
             assert out.coeffs[k].re.to_fraction() == want
 
-    def test_bit_identical_to_ascending_sum(self):
-        # real 256-bit inputs round at nearly every addition, so only they can
-        # tell the recurrence's rounding order from the ascending sum's: C5's
-        # encoded series at step 1's degree, the input to step 6 at n_d, and
-        # that input cut to degree 4 (zero inputs beyond the series)
+    def test_bit_identical_to_exact_sum(self):
+        # real 256-bit inputs would round at nearly every addition of a
+        # running sum, so only they tell one rounding of the exact sum from
+        # many: C5's encoded series at step 1's degree, the input to step 6
+        # at n_d, and that input cut to degree 4 (zero inputs beyond it)
         prof = desk_profile(5)
         p, n_d = prof.p_2, prof.n_d
         f = grid_series(cycle_graph(5), prof).reround(p)
@@ -392,7 +434,7 @@ class TestCascade:
         cases = [(f, prof.n_d1), (steps[5], n_d), (steps[5].truncate(4), n_d)]
         for series, m in cases:
             assert any(c.re.mantissa.bit_length() == p for c in series.coeffs)
-            want = ascending_cascade(series, m)
+            want = reference_step(series, None, m, p)
             assert integrator_cascade(series, m).bits() == want.bits()
 
     def test_telescoping_identity(self):
@@ -473,7 +515,7 @@ class TestProductionPath:
     @staticmethod
     def reference(f, sched, prof):
         p, n_d = prof.p_2, prof.n_d
-        j = ascending_cascade(f.reround(p).truncate(n_d - 2), n_d - 1)
+        j = reference_step(f.truncate(n_d - 2), None, n_d - 1, p)
         for sp in range(2, n_d + 4):
             j = reference_step(j, sched.times[sp], n_d, p)
         return j

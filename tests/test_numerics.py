@@ -14,7 +14,6 @@ from hamspec.numerics import (
     R_ZERO,
     SeriesConfigError,
     _add,
-    _add_p,
     _round,
     cfrom_int,
     cmul,
@@ -170,10 +169,9 @@ class TestRounding:
             assert radd(a, b, p).bits() == round_nearest_even_fraction(x, p)
 
     @pytest.mark.parametrize("p", [24, 53, 256])
-    def test_add_p_matches_add_on_p_bit_operands(self, p):
-        # _add_p reads widths off the exponents and inlines _round: on p-bit
-        # operands and (0, 0) it must give _add's pair, and _round's of the
-        # exact sum, in either order
+    def test_add_matches_rounded_exact_sum_on_p_bit_operands(self, p):
+        # on p-bit operands and (0, 0), at the gaps around its sticky fold,
+        # _add gives _round's pair of the exact sum, in either order
         rng = random.Random(p)
         top = (1 << p) - 1
         half = 1 << (p - 1)
@@ -202,8 +200,7 @@ class TestRounding:
         for (am, ae), (bm, be) in cases:
             low = min(ae, be)
             want = _round((am << (ae - low)) + (bm << (be - low)), low, p)
-            assert _add_p(am, ae, bm, be, p) == _add_p(bm, be, am, ae, p) == want
-            assert _add(am, ae, bm, be, p) == want
+            assert _add(am, ae, bm, be, p) == _add(bm, be, am, ae, p) == want
 
     def test_compare_exact(self):
         p = 48

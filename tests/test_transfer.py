@@ -113,7 +113,8 @@ def test_other_schedule_keys(key):
 def test_k0_error_bar(p_2):
     # k0's error at p_1 = 2 p_2, in units of |Re k0| 2^-p_2. The
     # arithmetic's, against the exact functional on the same schedule, is
-    # at most 2^8.7 on the six graphs. With the schedule's rounding too,
+    # at most 2^7.4 on the six graphs (2^8.7 when the filter step rounded
+    # each operation in turn). With the schedule's rounding too,
     # against a 512-bit schedule, it is 2^38.5, 2^43.0, 2^39.8 and 2^42.4
     # at p_2 = 128, 160, 192 and 256, the same on every graph with k0 != 2
     fine = solve_schedule(512, 8, 64, 16, 2)
