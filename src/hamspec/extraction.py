@@ -47,8 +47,10 @@ if TYPE_CHECKING:  # schedule imports this module to check a solved schedule
 
 FLAG_LIMIT = PrecisionReal(1, -2)  # 1/4
 # tests/test_transfer.py::test_k0_error_bar bounds Re k0's schedule plus
-# arithmetic error by |Re k0|*2^(45-p_2), so below 1/8 wherever
+# arithmetic error by |Re k0|*2^(11-p_2), so below 2^-37 wherever
 # |Re k0| <= 2^(p_2-PRECISION_GUARD); past that the precision flag fires.
+# A guard of 14 would still keep the error below 1/8, but lowering it
+# moves verdicts.
 PRECISION_GUARD = 48
 
 

@@ -7,12 +7,13 @@ step's time r, and add the multiple of e^{-t} that zeroes it there. The
 added term is a homogeneous solution, so the output still solves the ODE.
 
 Every path is one loop, _run, over a compiled step plan: per step a
-tuple (m, factors, q), its degree m, the evaluation factors f_1..f_m at
-its time r as integers over one exponent and q = tr_m(e^{-r}) as a raw
-(mantissa, exponent) pair, or factors and q None for a bare cascade
-(_compile). Steps 2..n_d+3 run at degree n_d; _plan compiles them once
-per process per (schedule, p), so a verdict reads no taylor_table entry,
-and refuses a vanished decay when it compiles. run_filter, the
+tuple (m, factors, q), its degree m, the evaluation factors
+f_k = r^k/k!, k = 1..m, as integers over one exponent and
+q = tr_m(e^{-r}) as a raw (mantissa, exponent) pair, each taylor_table's
+exact value rounded once to p bits, or factors and q None for a bare
+cascade (_compile). Steps 2..n_d+3 run at degree n_d; _plan compiles
+them once per process per (schedule, p), so a verdict reads no
+taylor_table entry, and refuses a vanished decay when it compiles. run_filter, the
 production path of `hamspec run` and `hamspec filter`, makes step 1 the
 bare cascade of u_0..u_{n_d-2}: step 1's pin adds A*e^{-t},
 A = -w/tr_{n_d1}(e^{-r_1}), which on the coefficients 0..n_d-1 the tail
@@ -25,14 +26,15 @@ Every step runs in one kernel, _step, on one part of the raw
 coefficients: the step is real-linear with real constants, so _run splits
 the series once into a real and an imaginary list of (mantissa, exponent)
 pairs, each a p-bit mantissa or (0, 0), and joins them once. Each kept
-output is the exact step on its p-bit input, correctly rounded to p bits
-once (numerics' _round, or _round_quotient where it cancels). The pin
-changes each coefficient on its own, so _step pins only coefficients
-0..keep, and _run sets keep from the plan: a step pins what the next
-step's cascade reads, 0..m_next-1, and the last step what its caller
-reads, `reads` coefficients (c0 and c1 for `hamspec run` and
-system_columns) or, by default, all of its own; under a dump callback
-every step pins all of its own.
+output is the exact step on its p-bit input and the step's p-bit
+constants, correctly rounded to p bits once (numerics' _round, or
+_round_quotient where it cancels). The pin changes each coefficient on
+its own, so _step pins only coefficients 0..keep, and _run sets keep
+from the plan: a step pins what the next step's cascade reads,
+0..m_next-1, and the last step what its caller reads, `reads`
+coefficients (c0 and c1 for `hamspec run` and system_columns) or, by
+default, all of its own; under a dump callback every step pins all of
+its own.
 """
 
 from __future__ import annotations

@@ -4,25 +4,22 @@ Values are immutable. A real is a signed integer mantissa and a binary
 exponent. The rounding policy: every function here, and the filter step
 (filter_pipeline), returns its exact result rounded once to an explicit
 mantissa width ``p`` (round-to-nearest, ties-to-even), so results are
-bit-reproducible on any platform. One computation keeps the paper's order
-and its bits instead, rounding each step in turn: ``taylor_table``'s
-recurrence.
+bit-reproducible on any platform.
 
 The kernels work on bare integers and (mantissa, exponent) pairs. ``_round``
 rounds an exact integer times a power of two, ``_round_quotient`` an exact
-ratio of integers, ``_add`` the exact sum of two pairs; ``_exact`` sums
-products of pairs exactly, into one integer and one exponent, for ``cmul``,
-``series_mul``, ``series_eval`` and extraction's two-channel solve to round
-once per part. Each primitive
-(``radd``, ``rmul``, ``rdiv``, ...) wraps a kernel's pair in a PrecisionReal.
-The filter step calls ``_round`` and ``_round_quotient`` on the parts of raw
-coefficients, (re_m, re_e, im_m, im_e) tuples that ``_quads`` rounds to
-p bits and ``_series`` turns back into a series.
+ratio of integers; ``_exact`` sums products of pairs exactly, into one
+integer and one exponent, for ``radd``, ``cmul``, ``series_mul``,
+``series_eval`` and extraction's two-channel solve to round once per part.
+Each primitive (``radd``, ``rdiv``, ...) wraps a kernel's pair in a
+PrecisionReal. The filter step calls ``_round`` and ``_round_quotient`` on
+the parts of raw coefficients, (re_m, re_e, im_m, im_e) tuples that
+``_quads`` rounds to p bits and ``_series`` turns back into a series.
 
 Every truncated exponential comes from one function, ``taylor_table(x,
-m, p)``: the factors x^k/k! by the rounded recurrence, tr_m(e^x) and
-tr_m(e^{-x}). A filter step's evaluation factors and decay, and the
-schedule's alpha and beta, are read off it.
+m, p)``: the factors x^k/k!, tr_m(e^x) and tr_m(e^{-x}), each rounded once
+from its exact rational. A filter step's evaluation factors and decay, and
+the schedule's alpha and beta, are read off it.
 
 Series are stored with normalized coefficients: ``coeffs[k]`` holds
 ``a_k`` in ``sum a_k t^k / k!``, which turns integration into an index
@@ -135,28 +132,6 @@ def _round_quotient(num: int, den: int, exp: int, p: int) -> tuple:
     return _round(q | 1 if rem else q, exp - shift, p)
 
 
-def _add(am: int, ae: int, bm: int, be: int, p: int) -> tuple:
-    """Round the exact am*2^ae + bm*2^be to p bits: the pair, as _round."""
-    # The zero checks come first: a zero's top bit says nothing about scale.
-    if not am:
-        return _round(bm, be, p)
-    if not bm:
-        return _round(am, ae, p)
-    ta = ae + am.bit_length()
-    tb = be + bm.bit_length()
-    if ta < tb:
-        am, ae, bm, be, ta, tb = bm, be, am, ae, tb, ta
-    # Widen a to an even integer of at least p+3 bits. A b wholly below its
-    # last bit only decides which side of a the sum falls: fold it into an
-    # odd last bit (sticky), which no rounding boundary at p bits can sit on.
-    low = min(ae - 1, ta - p - 3)
-    if tb <= low:
-        return _round((am << (ae - low)) + (1 if bm > 0 else -1), low, p)
-    if ae <= be:
-        return _round(am + (bm << (be - ae)), ae, p)
-    return _round((am << (ae - be)) + bm, be, p)
-
-
 def _exact(*products) -> tuple:
     """The exact sum of products a*b of raw (mantissa, exponent) pairs, as
     one (integer, exponent) pair; an empty sum is (0, 0)."""
@@ -187,24 +162,12 @@ def rabs(a: PrecisionReal) -> PrecisionReal:
 
 
 def radd(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    return PrecisionReal(*_add(a.mantissa, a.exponent, b.mantissa, b.exponent, p))
-
-
-def rsub(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    return PrecisionReal(*_add(a.mantissa, a.exponent, -b.mantissa, b.exponent, p))
-
-
-def rmul(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
-    return PrecisionReal(*_round(a.mantissa * b.mantissa, a.exponent + b.exponent, p))
+    """a+b, rounded once from its exact value."""
+    return PrecisionReal(*_round(*_exact((_pair(a), (1, 0)), (_pair(b), (1, 0))), p))
 
 
 def rdiv(a: PrecisionReal, b: PrecisionReal, p: int) -> PrecisionReal:
     return PrecisionReal(*_round_quotient(a.mantissa, b.mantissa, a.exponent - b.exponent, p))
-
-
-def rdiv_int(a: PrecisionReal, k: int, p: int) -> PrecisionReal:
-    """a/k for exact integer k, with a single rounding."""
-    return PrecisionReal(*_round_quotient(a.mantissa, k, a.exponent, p))
 
 
 def rcmp(a: PrecisionReal, b: PrecisionReal) -> int:
@@ -227,20 +190,39 @@ def rmax(a: PrecisionReal, b: PrecisionReal) -> PrecisionReal:
 
 
 def taylor_table(x: PrecisionReal, m: int, p: int) -> tuple:
-    """(factors, tr_m(e^x), tr_m(e^{-x})) at p bits: the factors are f_0 = 1
-    and f_k = f_{k-1} x/k, each step rounded; both sums add them ascending.
+    """(factors, tr_m(e^x), tr_m(e^{-x})) at p bits: the factors are
+    f_k = x^k/k! for k = 0..m, and each value is rounded once from its
+    exact rational.
 
-    The recurrence at -x gives exactly (-1)^k f_k, since correct rounding is
-    symmetric in sign, so tr_m(e^{-x}) alternates adding and subtracting the
-    same factors."""
-    f = from_int(1, p)
-    factors, up, down = [f], f, f
-    for k in range(1, m + 1):
-        f = rdiv_int(rmul(f, x, p), k, p)
-        factors.append(f)
-        up = radd(up, f, p)
-        down = rsub(down, f, p) if k & 1 else radd(down, f, p)
-    return tuple(factors), up, down
+    x is a/2^s with a odd (or 0) and s >= 0, so f_k = a^k/(k! 2^(sk)), and
+    over the one denominator m! 2^(sm) the k-th term of both sums is the
+    integer a^k (m!/k!) 2^(s(m-k)), added with the sign (-1)^k in
+    tr_m(e^{-x})."""
+    a, e = x.mantissa, x.exponent
+    if a:
+        zeros = (a & -a).bit_length() - 1
+        a, e = a >> zeros, e + zeros
+    a, s = (a << e, 0) if e >= 0 else (a, -e)
+    powers = [1]
+    for _ in range(m):
+        powers.append(powers[-1] * a)
+    factors, fact = [], 1
+    for k in range(m + 1):
+        fact *= k or 1
+        factors.append(PrecisionReal(*_round_quotient(powers[k], fact, -s * k, p)))
+    terms, g = [], 1  # g = m!/k!, for k = m down to 0
+    for k in range(m, -1, -1):
+        terms.append(powers[k] * g << s * (m - k))
+        g *= k
+    up = sum(terms)
+    down = sum(terms[::2]) - sum(terms[1::2])  # terms[0] is k = m
+    if m & 1:
+        down = -down
+    return (
+        tuple(factors),
+        PrecisionReal(*_round_quotient(up, fact, -s * m, p)),
+        PrecisionReal(*_round_quotient(down, fact, -s * m, p)),
+    )
 
 
 @functools.lru_cache(maxsize=256)
@@ -531,7 +513,7 @@ def series_mul(a: NormalizedSeries, b: NormalizedSeries, m: int) -> NormalizedSe
 
 
 def series_eval(a: NormalizedSeries, t0: PrecisionReal) -> PrecisionComplex:
-    """sum a_k f_k, the f_k = f_{k-1} t0/k of taylor_table(t0, degree,
+    """sum a_k f_k, the factors f_k = t0^k/k! of taylor_table(t0, degree,
     precision), each part rounded once from its exact value."""
     p = a.precision
     factors = [_pair(f) for f in taylor_table(t0, a.degree_bound, p)[0]]

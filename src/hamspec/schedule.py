@@ -12,6 +12,8 @@ that step 1 turned the constant k0 into k0 - k0*alpha*e^{-t}. The last two
 steps use the configured r_mu and the root of tr(e^r)/r = tr(e^{r_mu}).
 Every root is the correctly rounded root of its equation, taken with the
 schedule's own p-bit alpha and beta, from one exact-integer root finder.
+beta = tr_{n_d}(e^{r_mu}) is rounded once from its exact value, and alpha
+is 1/q rounded once, q = tr_{n_d1}(e^{-r_1}) being so rounded too.
 """
 
 from __future__ import annotations
@@ -402,17 +404,13 @@ def solve_schedule(p: int, n_d: int, n_d1: int, r_1: int, r_mu: int) -> StepSche
     alpha = 1/tr_{n_d1}(e^{-r_1}) off the taylor_table entry step 1
     divides by (the gain step 1 realizes); times[n_d+2] = r_mu;
     times[n_d+3] from the closing equation. beta = tr_{n_d}(e^{r_mu}) is
-    the entry step n_d+2 reads. A NoRootError is raised, not cached; when
-    a step-time equation fails, its message says whether the p-bit alpha
-    is to blame (_alpha_note). profile_constraints, not the solve, checks
-    the two-channel system, so the reference paths take any p's schedule.
+    the entry step n_d+2 reads. A NoRootError is raised, not cached.
+    profile_constraints, not the solve, checks the two-channel system, so
+    the reference paths take any p's schedule.
     """
     alpha = _alpha(r_1, n_d1, p)
     times = [None, from_int(r_1, p)]
-    try:
-        times += [solve_r_sp(alpha, sp, n_d, p) for sp in range(2, n_d + 2)]
-    except NoRootError as exc:
-        raise NoRootError(f"{exc}{_alpha_note(p, n_d, n_d1, r_1)}") from None
+    times += [solve_r_sp(alpha, sp, n_d, p) for sp in range(2, n_d + 2)]
     r_mu = from_int(r_mu, p)
     times.append(r_mu)
     times.append(solve_r_mu_plus_1(r_mu, n_d, p))
@@ -421,24 +419,6 @@ def solve_schedule(p: int, n_d: int, n_d1: int, r_1: int, r_mu: int) -> StepSche
 
 
 def _alpha(r_1: int, n_d1: int, p: int) -> PrecisionReal:
-    """alpha = 1/tr_{n_d1}(e^{-r_1}) at p bits."""
+    """alpha = 1/q at p bits, rounded once, for q = tr_{n_d1}(e^{-r_1}) the
+    p-bit decay step 1 divides by."""
     return rdiv(from_int(1, p), taylor_table(from_int(r_1, p), n_d1, p)[2], p)
-
-
-def _alpha_note(p: int, n_d: int, n_d1: int, r_1: int) -> str:
-    """On a failed step-time equation: alpha again at a width w that
-    carries tr_{n_d1}(e^{-r_1})'s cancellation (terms up to e^{r_1}
-    summing to about e^{-r_1}) and its n_d1 roundings. If every step-time
-    equation has a root with that alpha, the note says the p-bit rounding
-    failed; otherwise the method fails at this key, and it is empty."""
-    w = p + 2 * math.ceil(r_1 * LOG2_E) + n_d1.bit_length() + 8
-    alpha = _alpha(r_1, n_d1, w)
-    try:
-        for sp in range(2, n_d + 2):
-            solve_r_sp(alpha, sp, n_d, p)
-    except NoRootError:
-        return ""
-    return (
-        f"; at {w} bits alpha = {to_decimal(alpha, 5)}, and with it steps 2..{n_d + 1} "
-        f"solve: p_2={p} bits cannot hold alpha, the rounding failed"
-    )

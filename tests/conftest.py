@@ -20,11 +20,7 @@ from hamspec.numerics import (
     from_fraction,
     from_int,
     rabs,
-    radd,
-    rdiv_int,
     rmax,
-    rmul,
-    rneg,
 )
 
 
@@ -172,13 +168,8 @@ def trunc_exp_fraction(x: Fraction, m: int) -> Fraction:
 
 
 def reference_truncated_exp(x, m: int, p: int):
-    """sum_{i=0..m} x^i/i! from the object-level primitives: the term
-    recurrence t_k = t_{k-1} x/k, each step rounded, added ascending."""
-    term = acc = from_int(1, p)
-    for k in range(1, m + 1):
-        term = rdiv_int(rmul(term, x, p), k, p)
-        acc = radd(acc, term, p)
-    return acc
+    """sum_{i=0..m} x^i/i! in exact Fractions, rounded once to p bits."""
+    return rounded_fraction(trunc_exp_fraction(x.to_fraction(), m), p)
 
 
 def exp_series(lam, m: int, p: int):
@@ -208,14 +199,12 @@ def bisect_fraction(fn, lo: Fraction, hi: Fraction, iters: int) -> Fraction:
 
 
 def ruleu_lhs(alpha, r, sp: int, n_d: int, p: int):
-    """The step-time equation's left side at r, rounded at p bits:
-    alpha * r^(sp-1)/(sp-1)! * sum_{i=0..n_d-sp+1} (-1)^i r^i / i!,
-    which is 1 at a solved r_sp up to rounding."""
-    power = from_int(1, p)
-    for _ in range(sp - 1):
-        power = rmul(power, r, p)
-    lead = rdiv_int(rmul(alpha, power, p), math.factorial(sp - 1), p)
-    return rmul(lead, reference_truncated_exp(rneg(r), n_d - sp + 1, p), p)
+    """The step-time equation's left side at r in exact Fractions, rounded
+    once to p bits: alpha * r^(sp-1)/(sp-1)! * sum_{i=0..n_d-sp+1}
+    (-1)^i r^i / i!, which is 1 at a solved r_sp up to rounding."""
+    x = r.to_fraction()
+    lead = alpha.to_fraction() * x ** (sp - 1) / math.factorial(sp - 1)
+    return rounded_fraction(lead * trunc_exp_fraction(-x, n_d - sp + 1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +218,8 @@ def reference_step(series, r, m, p):
     with each part rounded to p bits; the cascade out_k = u_{k-1} - out_{k-1}
     (u_d = 0 beyond the series) is exact, and for r not None so are
     w = sum out_k f_k and the pin adj = -w / tr_m(e^{-r}), added to even
-    and subtracted from odd coefficients, the factors f_k = f_{k-1} r / k
-    and tr_m(e^{-r}) being rdiv_int/rmul/radd's rounded recurrence. r None
+    and subtracted from odd coefficients, the factors f_k = r^k/k! and
+    tr_m(e^{-r}) each being its exact value rounded once to p bits. r None
     is the bare cascade. Every coefficient 0..m is returned."""
     u = [tuple(rounded_fraction(x, p).to_fraction() for x in c.to_fractions()) for c in series.coeffs]
     zero = (Fraction(0), Fraction(0))
@@ -239,14 +228,12 @@ def reference_step(series, r, m, p):
         a, b = u[k - 1] if k - 1 < len(u) else zero
         out.append((a - out[-1][0], b - out[-1][1]))
     if r is not None:
-        f, g, neg_r = from_int(1, p), from_int(1, p), rneg(r)
-        decay, w = g, zero
+        x, f, w = r.to_fraction(), Fraction(1), zero
         for k in range(1, m + 1):
-            f = rdiv_int(rmul(f, r, p), k, p)
-            g = rdiv_int(rmul(g, neg_r, p), k, p)
-            decay = radd(decay, g, p)
-            fk = f.to_fraction()
+            f = f * x / k
+            fk = rounded_fraction(f, p).to_fraction()
             w = (w[0] + out[k][0] * fk, w[1] + out[k][1] * fk)
+        decay = rounded_fraction(trunc_exp_fraction(-x, m), p)
         if decay.is_zero():
             raise DegenerateScheduleError("truncated decay vanished")
         q = decay.to_fraction()

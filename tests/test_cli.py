@@ -331,20 +331,27 @@ class TestProfileRefusals:
         assert "rounding" not in lines[-2] and "rounding" not in err
 
     def test_check_profile_says_when_p_2_cannot_hold_alpha(self, files, capsys):
-        # the desk key's alpha is 8.886e6; at p_2 = 16 it rounds to -0.191,
-        # and step 2 has no root; the PASS lines are those at p_2 = 256
+        # alpha is 1/q rounded once from the correctly rounded decay q, so
+        # every step solves down to p_2 = 8; below p_2 = 68 the two-channel
+        # system is singular at p_2 instead, and the PASS lines are those
+        # at p_2 = 256
         tmp, g2, _, prof = files
-        bad = tmp / "narrow.profile"
-        bad.write_text(prof.read_text().replace("p_2=256", "p_2=16"))
-        lines = run_cli(capsys, "check-profile", str(bad), "--n", "2")[1].splitlines()
         good = run_cli(capsys, "check-profile", str(prof), "--n", "2")[1].splitlines()
-        assert lines[:-2] == good[:-2] and lines[-1] == "profile INVALID"
-        assert lines[-2] == (
-            "FAIL schedule_solved slack=0 (step 2: P(r) = alpha*r^1/1!*tr_7(e^-r) - 1 "
-            "with alpha = -1.9132614135742187500e-1 has no sign change in (0, 1]; "
-            "at 79 bits alpha = 8.8861e+6, and with it steps 2..9 solve: "
-            "p_2=16 bits cannot hold alpha, the rounding failed)"
-        )
+        for p_2, scale in ((16, 8), (67, 33)):
+            bad = tmp / "narrow.profile"
+            bad.write_text(prof.read_text().replace("p_2=256", f"p_2={p_2}"))
+            lines = run_cli(capsys, "check-profile", str(bad), "--n", "2")[1].splitlines()
+            assert lines[:-2] == good[:-2] and lines[-1] == "profile INVALID"
+            assert lines[-2] == (
+                "FAIL schedule_solved slack=0 "
+                f"(two-channel system determinant below 2^-{scale} of coefficient scale)"
+            )
+        bad.write_text(prof.read_text().replace("p_2=256", "p_2=68"))
+        lines = run_cli(capsys, "check-profile", str(bad), "--n", "2")[1].splitlines()
+        assert lines[-2:] == [
+            "PASS schedule_solved slack=0 (11 step times at p_2=68, solved r_9 = 5.0945e-1)",
+            "profile OK",
+        ]
 
     def test_check_profile_refuses_a_full_scale_profile_unsolved(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -916,24 +923,47 @@ def family_graphs() -> dict:
     return out
 
 
+def run_reports(tmp_path, capsys):
+    """`run --json --no-timings` over the six graphs/ files and
+    family_graphs(), in that order: one report text per graph."""
+    texts = {p.name: p.read_text() for p in sorted(GRAPHS.glob("*.graph"))}
+    texts.update(family_graphs())
+    for name, text in texts.items():
+        graph = tmp_path / name
+        graph.write_text(text)
+        code, out, err = run_cli(capsys, "run", str(graph), "--json", "--no-timings")
+        assert (code, err) == (0, "")
+        yield out
+
+
 class TestSameBytes:
-    """The sha256 of `run --json --no-timings` over the six graphs/ files
-    and family_graphs(), in that order. A change that alters a report's
+    """The sha256 of run_reports' texts. A change that alters a report's
     bytes (say, by making them more exact) updates the digest and says so
     in CHANGES.md."""
 
-    DIGEST = "59424349466a0a9ca612f66d22804db4c30cb83eae064fd1384931ba149783e9"
+    DIGEST = "87a0bd94dfe328f50666e5b28f8e0efaab54a6902e3df0956eda6a9b4c5c2704"
 
     def test_run_reports_keep_their_bytes(self, tmp_path, capsys):
-        texts = {p.name: p.read_text() for p in sorted(GRAPHS.glob("*.graph"))}
-        texts.update(family_graphs())
         h = hashlib.sha256()
-        for name, text in texts.items():
-            graph = tmp_path / name
-            graph.write_text(text)
-            code, out, err = run_cli(capsys, "run", str(graph), "--json", "--no-timings")
-            assert (code, err) == (0, "")
+        for out in run_reports(tmp_path, capsys):
             h.update(out.encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestSameVerdicts:
+    """The sha256 of each run_reports report's (verdict, flags,
+    n_h_rounded). A change that makes the bits more exact may move
+    TestSameBytes' digest; this one holds what a verdict says, and moves
+    only when a verdict, a flag or a rounded count does."""
+
+    DIGEST = "92148714e7a26de69e357d92f3554adc118d23f7d7fc3b9708e558b8ba487c3d"
+
+    def test_run_reports_keep_their_verdicts(self, tmp_path, capsys):
+        h = hashlib.sha256()
+        for out in run_reports(tmp_path, capsys):
+            report = json.loads(out)
+            ext = report["extraction"]
+            h.update(repr((report["verdict"], ext["flags"], ext["n_h_rounded"])).encode())
         assert h.hexdigest() == self.DIGEST
 
 
@@ -948,10 +978,10 @@ class TestCommandBytes:
     in CHANGES.md."""
 
     DIGESTS = {
-        "run": "049a1c7257cb0ee55441db3193b416225e53a0a2845639e2a4c41f3f95b80fe9",
+        "run": "568a5f547b93b5a3c99948ad58ec4fc4bafb0e2c8e397e5d79a5b1a277cda0d3",
         "encode": "4f2c5a58b1e23b0fc659ad7abe8972fe2be5aedcebe4100736ebf6a0f3a3677a",
-        "filter": "b25f85eb84dad8a31346c9b936988973f1329807fda3a190459cde6e1fc2acd1",
-        "extract": "7992100457c1c421b854a502fff2efa6039d5a58b85d0360426001a4381a53e2",
+        "filter": "16d8cebd56d51d22129b2c1c40bb2a6a05a82b53cd94533ffe8e8179ec8ca647",
+        "extract": "a3f15240a3de5766428287c3496c7df9dd86a99a4944bfda77873d886456ee61",
         "oracle": "0e113b672c35228a9a635db8e0e44c575b0e751d457c2474293bd999d3d0e6e1",
         "check-profile": "cf80c4dfebe2540756c91ce5e7939de3e6d9cdb3bc1bdab17c034727b330c093",
     }

@@ -13,7 +13,7 @@ from hamspec.numerics import (
     PrecisionReal,
     R_ZERO,
     SeriesConfigError,
-    _add,
+    _pair,
     _round,
     cfrom_int,
     cmul,
@@ -25,10 +25,7 @@ from hamspec.numerics import (
     radd,
     rcmp,
     rdiv,
-    rdiv_int,
-    rmul,
     rneg,
-    rsub,
     series_eval,
     series_from_text,
     series_header,
@@ -86,10 +83,7 @@ class TestRounding:
             xa, yb = a.to_fraction(), b.to_fraction()
             assert_correctly_rounded(x, a, wa)
             assert_correctly_rounded(xa + yb, radd(a, b, p), p)
-            assert_correctly_rounded(xa * yb, rmul(a, b, p), p)
             assert_correctly_rounded(xa / yb, rdiv(a, b, p), p)
-            k = rng.choice((1, -1)) * rng.randrange(1, 1 << wb)
-            assert_correctly_rounded(xa / k, rdiv_int(a, k, p), p)
             num = rng.randrange(-(1 << wa), 1 << wa) or 1
             den = rng.randrange(1, 1 << wb)
             assert_correctly_rounded(Fraction(num, -den), from_ratio(num, -den, p), p)
@@ -114,9 +108,8 @@ class TestRounding:
         assert radd(tiny, wide, p).bits() == round_nearest_even_fraction(x, p)
 
     def test_sticky_path_on_wide_operands(self):
-        # a wider than p, b wholly below a's last bit: only the sticky bit's
-        # sign tells which side of a p-bit midpoint the sum falls, and an a
-        # of exactly p+3 bits must still be widened before it is folded in
+        # a wider than p, b wholly below a's last bit: only b's sign tells
+        # which side of a p-bit midpoint the sum falls
         rng = random.Random(17)
         for _ in range(400):
             p = rng.choice((24, 53))
@@ -128,11 +121,6 @@ class TestRounding:
             b = PrecisionReal(rng.choice((1, -1)) << (p - 1), a.exponent - rng.randrange(p + 4, 400))
             want = round_nearest_even_fraction(a.to_fraction() + b.to_fraction(), p)
             assert radd(a, b, p).bits() == radd(b, a, p).bits() == want
-
-    def test_exact_int_scaling(self):
-        p = 64
-        a = from_fraction(Fraction(3, 7), p)
-        assert_correctly_rounded(a.to_fraction() / 12, rdiv_int(a, 12, p), p)
 
     def test_cancellation_and_sticky_paths(self):
         # adversarial alignment cases: near-total cancellation, exponent
@@ -147,7 +135,7 @@ class TestRounding:
             eps = Fraction(rng.choice((1, -1)) * rng.randrange(1, 8)) * Fraction(2) ** (e + pos)
             b = from_fraction(a.to_fraction() + eps, p)
             for x, got in (
-                (a.to_fraction() - b.to_fraction(), rsub(a, b, p)),
+                (a.to_fraction() - b.to_fraction(), radd(a, rneg(b), p)),
                 (a.to_fraction() + b.to_fraction(), radd(a, b, p)),
             ):
                 want = round_nearest_even_fraction(x, p) if x else (0, 0, 0)
@@ -170,8 +158,8 @@ class TestRounding:
 
     @pytest.mark.parametrize("p", [24, 53, 256])
     def test_add_matches_rounded_exact_sum_on_p_bit_operands(self, p):
-        # on p-bit operands and (0, 0), at the gaps around its sticky fold,
-        # _add gives _round's pair of the exact sum, in either order
+        # on p-bit operands and (0, 0), at gaps around p bits, radd gives
+        # _round's pair of the exact sum, in either order
         rng = random.Random(p)
         top = (1 << p) - 1
         half = 1 << (p - 1)
@@ -200,7 +188,8 @@ class TestRounding:
         for (am, ae), (bm, be) in cases:
             low = min(ae, be)
             want = _round((am << (ae - low)) + (bm << (be - low)), low, p)
-            assert _add(am, ae, bm, be, p) == _add(bm, be, am, ae, p) == want
+            a, b = PrecisionReal(am, ae), PrecisionReal(bm, be)
+            assert _pair(radd(a, b, p)) == _pair(radd(b, a, p)) == want
 
     def test_compare_exact(self):
         p = 48
@@ -590,31 +579,34 @@ class TestExpSeries:
 
 class TestTruncatedExp:
     def test_matches_fraction_reference_closely(self):
-        # absolute error scales with the largest term of the alternating sum
+        # each sum is rounded once from its exact value, so its relative
+        # error is at most 2^-p, however much the alternating sum cancels
         p = 192
         for m, x in ((8, Fraction(2)), (8, Fraction(-2)), (64, Fraction(-16)), (5, Fraction(1, 3))):
             got = taylor_table(from_fraction(x, p), m, p)[1].to_fraction()
             want = trunc_exp_fraction(x, m)
-            term = Fraction(1)
-            peak = Fraction(1)
-            for i in range(1, m + 1):
-                term = term * abs(x) / i
-                peak = max(peak, term)
-            assert abs(got - want) <= Fraction(2) ** (-p + 16) * peak
+            assert abs(got - want) <= Fraction(2) ** -p * abs(want)
 
     def test_table_invariants(self):
-        # both sums equal the object-level recurrence at x and at -x, and the
-        # factors at -x are (-1)^k times those at x, bit for bit
+        # every factor and both sums are the exact values rounded once, at
+        # x and at -x, x = 0 and integer x among them; the factors at -x
+        # are (-1)^k times those at x, bit for bit
         rng = random.Random(13)
+        xs = [PrecisionReal(0, 0), from_int(2, 8), from_int(16, 256), from_int(-3, 8)]
         for width in (8, 24, 53, 100, 256, 512):
             for sign in (1, -1):
                 mant = sign * rng.randrange(1 << (width - 1), 1 << width)
-                x = PrecisionReal(mant, rng.randrange(-6, 5) - (width - 1))
-                for m in (0, 1, 8, 64):
-                    for p in (24, 53, 256):
-                        factors, up, down = taylor_table(x, m, p)
-                        assert up.bits() == reference_truncated_exp(x, m, p).bits()
-                        assert down.bits() == reference_truncated_exp(rneg(x), m, p).bits()
-                        flipped = [(rneg(f) if k & 1 else f).bits() for k, f in enumerate(factors)]
-                        assert [f.bits() for f in taylor_table(rneg(x), m, p)[0]] == flipped
-                        assert len(factors) == m + 1
+                xs.append(PrecisionReal(mant, rng.randrange(-6, 5) - (width - 1)))
+        for x in xs:
+            for m in (0, 1, 8, 64):
+                for p in (24, 53, 256):
+                    factors, up, down = taylor_table(x, m, p)
+                    assert len(factors) == m + 1
+                    term = Fraction(1)
+                    for k, f in enumerate(factors):
+                        assert f.bits() == round_nearest_even_fraction(term, p)
+                        term = term * x.to_fraction() / (k + 1)
+                    assert up.bits() == reference_truncated_exp(x, m, p).bits()
+                    assert down.bits() == reference_truncated_exp(rneg(x), m, p).bits()
+                    flipped = [(rneg(f) if k & 1 else f).bits() for k, f in enumerate(factors)]
+                    assert [f.bits() for f in taylor_table(rneg(x), m, p)[0]] == flipped

@@ -123,24 +123,42 @@ class TestSolveRsp:
             solve_r_sp(from_int(10, 128), 1, 8, 128)
 
 
+def two_roundings(p: int) -> Fraction:
+    """The relative error bound of 1/q rounded to p bits, q itself being a
+    value rounded to p bits: (1 + 2^-p)/(1 - 2^-p) - 1."""
+    u = Fraction(2) ** -p
+    return 2 * u / (1 - u)
+
+
 class TestAlphaRounding:
-    @pytest.mark.parametrize("p", [16, 24, 32, 40])
-    def test_refusal_blames_the_rounding(self, p):
-        # the p-bit alpha of the desk key is far from 8.886e6 at these p;
-        # the message gives the wide alpha and says the rounding failed
-        with pytest.raises(NoRootError) as info:
-            solve_schedule(p, 8, 64, 16, 2)
-        msg = str(info.value)
-        assert "no sign change in (0, 1]; at " in msg
-        assert msg.endswith(f"p_2={p} bits cannot hold alpha, the rounding failed")
-        wide = Fraction(msg.split(" bits alpha = ")[1].split(",")[0])
-        exact = 1 / trunc_exp_fraction(Fraction(-16), 64)
-        assert abs(wide - exact) < Fraction(1, 10**4) * exact
+    @pytest.mark.parametrize(
+        "p, n_d, n_d1, r_1",
+        [(p, 8, 64, 16) for p in (16, 24, 32, 40)] + [(96, 16, 195, 39)],
+        ids=["desk-16", "desk-24", "desk-32", "desk-40", "16-195-39-at-96"],
+    )
+    def test_solves_where_the_decay_cancels_past_p(self, p, n_d, n_d1, r_1):
+        # q = tr_{n_d1}(e^-r_1) cancels ~46 bits at the desk key and ~112 at
+        # (16, 195, 39), more than p holds; alpha = 1/q is rounded once from
+        # the q that is rounded once too, so it is within two roundings of
+        # its exact value, and every step solves
+        sched = solve_schedule(p, n_d, n_d1, r_1, 2)
+        exact = 1 / trunc_exp_fraction(Fraction(-r_1), n_d1)
+        assert abs(sched.alpha.to_fraction() - exact) <= two_roundings(p) * exact
+        assert len(sched.times) == n_d + 4
+
+    def test_alpha_survives_cancellation(self):
+        # tr_512(e^-96) cancels ~277 bits, more than p = 256 holds; rounded
+        # once from the exact sum, q and then 1/q each err by at most 2^-p
+        p = 256
+        exact = 1 / trunc_exp_fraction(Fraction(-96), 512)
+        alpha = _alpha(96, 512, p).to_fraction()
+        assert abs(alpha - exact) <= two_roundings(p) * exact
 
     @pytest.mark.parametrize("n_d, n_d1, r_1", [(8, 64, 24), (12, 96, 24)])
     def test_refusal_blames_the_method(self, n_d, n_d1, r_1):
         # alpha is exact to 2^-150 here (21.77 and 2.6489e10), and still
-        # a step-time equation has no root: the message is the step's own
+        # a step-time equation has no root: the method fails, and the
+        # message is the step's own
         p = 256
         alpha = _alpha(r_1, n_d1, p)
         exact = 1 / trunc_exp_fraction(Fraction(-r_1), n_d1)
@@ -206,14 +224,14 @@ ROUNDING_KEYS = [
 
 DESK_TIMES_HEX = [
     "0x1p+4",
-    "0x1.e355f21c01224a68eb5ef6b6efa015cc744feddcafb78fd19a03a76a1b031b9cp-24",
-    "0x1.f19457b1da58b9dde6ca610b554c0ef2e5b1f3ebb6722c5d54ad19e8b6891a6ep-12",
-    "0x1.20512eacc43e8bd55a2e03a8e1334aff57a3f50751203069dd16d7d2b9eb3e54p-7",
-    "0x1.4f83cf2f96ea37a03bbd0497c689141dafca451dc8f95f5cf8dc0c859019278cp-5",
-    "0x1.bc8257d507d5d7aebef25cee44022d1fb3397a0d1bb5999f256b77fc98d3e4cp-4",
-    "0x1.b9767afc4dfef41759f71aa1ce198136f7b6ef8b306711ac83ccaad69bef35cap-3",
-    "0x1.77c2e3710d07af818c7a3f9f53edb9dcd8dc256f3065795375ada5dc8685ee2ap-2",
-    "0x1.04d6928328be0bce0f73528d04ece38bdb6da1457d6b5267b03e61c8e333cdfp-1",
+    "0x1.e355f21c01224a68eb5ef6b6efa015cc744feddcafb78fd19a039feddff5ed44p-24",
+    "0x1.f19457b1da58b9dde6ca610b554c0ef2e5b1f3ebb6722c5d54ad160e20de7c58p-12",
+    "0x1.20512eacc43e8bd55a2e03a8e1334aff57a3f50751203069dd16d65495d2b91ap-7",
+    "0x1.4f83cf2f96ea37a03bbd0497c689141dafca451dc8f95f5cf8dc0b3593d9300ap-5",
+    "0x1.bc8257d507d5d7aebef25cee44022d1fb3397a0d1bb5999f256b769450cc716ap-4",
+    "0x1.b9767afc4dfef41759f71aa1ce198136f7b6ef8b306711ac83cca9a85bf3720ep-3",
+    "0x1.77c2e3710d07af818c7a3f9f53edb9dcd8dc256f3065795375ada4f47d9b4ed6p-2",
+    "0x1.04d6928328be0bce0f73528d04ece38bdb6da1457d6b5267b03e61479f6f3b4ap-1",
     "0x1p+1",
     "0x1.44e494acf60055b3fc7871d1c2afe1ba04b74d49c4150c3739f8a76d074c63dep-3",
 ]
@@ -246,7 +264,7 @@ class TestCorrectRounding:
         sched = solve_schedule(256, 8, 64, 16, 2)
         assert [to_hex(t) for t in sched.times[1:]] == DESK_TIMES_HEX
         assert to_hex(sched.alpha) == (
-            "0x1.0f2ea08121ec109d59dc565e3435fc0f43ffdcc2f52cd3faedeaa52b6c5f057cp+23"
+            "0x1.0f2ea08121ec109d59dc565e3435fc0f43ffdcc2f52cd3faedeaa95e8cfa8706p+23"
         )
         assert to_hex(sched.beta) == (
             "0x1.d8c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98c98cap+2"
