@@ -6,54 +6,55 @@ cascade out[d+1+i] += u[d] * (-1)^i; (2) evaluate the response at the
 step's time r, and add the multiple of e^{-t} that zeroes it there. The
 added term is a homogeneous solution, so the output still solves the ODE.
 
-Every path is one loop, _run, over a compiled step plan: per step a
-tuple (m, factors, q), its degree m, the evaluation factors
-f_k = r^k/k!, k = 1..m, as integers over one exponent and
-q = tr_m(e^{-r}) as a raw (mantissa, exponent) pair, each taylor_table's
-exact value rounded once to p bits, or factors and q None for a bare
-cascade (_compile). Steps 2..n_d+3 run at degree n_d; _plan compiles
-them once per process per (schedule, p), so a verdict reads no
-taylor_table entry, and refuses a vanished decay when it compiles. run_filter, the
-production path of `hamspec run` and `hamspec filter`, makes step 1 the
-bare cascade of u_0..u_{n_d-2}: step 1's pin adds A*e^{-t},
-A = -w/tr_{n_d1}(e^{-r_1}), which on the coefficients 0..n_d-1 the tail
-reads is exactly the decay column's input, so by linearity it moves only
-the decay amplitude z1, never k0.
+A step is compiled once into a plan entry (m, factors, q): its degree m,
+the evaluation factors f_k = r^k/k!, k = 1..m, as integers over one
+exponent and q = tr_m(e^{-r}) as a raw (mantissa, exponent) pair, each
+taylor_table's exact value rounded once to p bits, or factors and q None
+for a bare cascade (_compile). Steps 2..n_d+3 run at degree n_d; _plan
+compiles them once per process per (schedule, p), so a verdict reads no
+taylor_table entry, and refuses a vanished decay when it compiles.
+
+run_filter, the production path of `hamspec run` and `hamspec filter`,
+makes step 1 the bare cascade of u_0..u_{n_d-2}: step 1's pin adds
+A*e^{-t}, A = -w/tr_{n_d1}(e^{-r_1}), which on the coefficients
+0..n_d-1 the tail reads is exactly the decay column's input, so by
+linearity it moves only the decay amplitude z1, never k0. Every step is
+linear with the plan's constants, so the whole plan is one linear map:
+_rows composes it exactly, once per process per (schedule, p), into
+integer rows over one denominator and one power of two (_compose), and
+each output is one exact dot product with the p-bit inputs, rounded once
+(_apply; Bostan, Lecerf and Schost, "Tellegen's principle into
+practice", ISSAC 2003, on precomputing such a map). system_columns reads
+the same rows on a unit constant, and steps 2..n_d+3 composed on e^{-t}.
+
 run_pipeline is the paper-literal pinned reference: step 1 at degree
 n_d1 with its pin, whose ~2^3000 terms cancel and leave k0 to rounding.
-
-Every step runs in one kernel, _step, on one part of the raw
-coefficients: the step is real-linear with real constants, so _run splits
-the series once into a real and an imaginary list of (mantissa, exponent)
-pairs, each a p-bit mantissa or (0, 0), and joins them once. Each kept
-output is the exact step on its p-bit input and the step's p-bit
-constants, correctly rounded to p bits once (numerics' _round, or
-_round_quotient where it cancels). The pin changes each coefficient on
-its own, so _step pins only coefficients 0..keep, and _run sets keep
-from the plan: a step pins what the next step's cascade reads,
-0..m_next-1, and the last step what its caller reads, `reads`
-coefficients (c0 and c1 for `hamspec run` and system_columns) or, by
-default, all of its own; under a dump callback every step pins all of
-its own.
+It and filter_step run the plan step by step, each step rounded, in one
+kernel, _step, on one part of the raw coefficients: the step is
+real-linear with real constants, so _run splits the series once into a
+real and an imaginary list of (mantissa, exponent) pairs, each a p-bit
+mantissa or (0, 0), and joins them once. Each kept output is the exact
+step on its p-bit input and the step's p-bit constants, correctly
+rounded to p bits once (numerics' _round, or _round_quotient where it
+cancels). The pin changes each coefficient on its own, so _step pins
+only coefficients 0..keep, and _run sets keep from the plan: a step pins
+what the next step's cascade reads, 0..m_next-1, and the last step all
+of its own; under a dump callback every step pins all of its own.
 """
 
 from __future__ import annotations
 
 import functools
-from operator import mul
+from operator import mul, sub
 from typing import TYPE_CHECKING
 
 from .numerics import (
     NormalizedSeries,
-    PrecisionComplex,
     PrecisionReal,
-    R_ZERO,
     _quads,
     _round,
     _round_quotient,
     _series,
-    from_int,
-    rneg,
     taylor_table,
 )
 if TYPE_CHECKING:  # schedule imports this module to check a solved schedule
@@ -137,24 +138,90 @@ def _step(part: list, step: tuple, p: int, keep: int) -> list:
     return res
 
 
-def _run(series: NormalizedSeries, steps, p: int, dump=None, reads=None) -> NormalizedSeries:
-    """The compiled steps in order on the series at precision p, on its
-    real and imaginary parts apart. Each step pins what the next step's
-    cascade reads, and the last step its first `reads` coefficients, all
-    of its own when reads is None; with `dump`, every step pins all of its
-    own and dump(sp, series) follows step sp, the plan's first entry being
-    step 1."""
+def _parts(series: NormalizedSeries, p: int) -> tuple:
+    """The series' real and imaginary parts as lists of raw (mantissa,
+    exponent) pairs, each rounded to p bits."""
     quads = _quads(series, p)
-    re, im = [c[:2] for c in quads], [c[2:] for c in quads]
+    return [c[:2] for c in quads], [c[2:] for c in quads]
+
+
+def _run(series: NormalizedSeries, steps, p: int, dump=None) -> NormalizedSeries:
+    """The compiled steps in order on the series at precision p, on its
+    real and imaginary parts apart, each step rounded. Each step pins what
+    the next step's cascade reads, and the last step all of its own; with
+    `dump`, every step pins all of its own and dump(sp, series) follows
+    step sp, the plan's first entry being step 1."""
+    re, im = _parts(series, p)
     for sp, step in enumerate(steps, 1):
-        if sp < len(steps) and not dump:
-            keep = steps[sp][0] - 1
-        else:
-            keep = step[0] if dump or reads is None else reads - 1
+        keep = steps[sp][0] - 1 if sp < len(steps) and not dump else step[0]
         re, im = _step(re, step, p, keep), _step(im, step, p, keep)
         if dump:
             dump(sp, _series(list(map(tuple.__add__, re, im)), p))
     return _series(list(map(tuple.__add__, re, im)), p)
+
+
+def _compose(rows: list, steps):
+    """The compiled steps in order on a linear map, in exact integers:
+    rows[i][j] is coefficient i's weight on input j. Yields (rows, den,
+    exp) after each step, coefficient i being
+    sum_j rows[i][j] u_j / den * 2^exp. A step's cascade reads rows
+    0..m-1, zero beyond, as _step reads its part. The pin adds
+    adj = -w/q, w = sum_k F_k out_k * 2^low and q = qm * 2^qe, to even
+    outputs and subtracts it from odd ones; over the denominator qm and
+    with a - b = qe - low, a and b >= 0, output i is
+    (qm out_i 2^a -+ w 2^b) / qm * 2^-a."""
+    den, exp = 1, 0
+    zero = [0] * len(rows[0]) if rows else []
+    for m, factors, q in steps:
+        out = [zero]
+        for k in range(m):
+            out.append(list(map(sub, rows[k] if k < len(rows) else zero, out[-1])))
+        if factors:
+            (ints, low), (qm, qe) = factors, q
+            a, b = max(qe - low, 0), max(low - qe, 0)
+            w = [sum(map(mul, ints, col)) << b for col in zip(*out[1:])]
+            out = [
+                [(qm * c << a) + (v if i & 1 else -v) for c, v in zip(row, w)]
+                for i, row in enumerate(out)
+            ]
+            den, exp = den * qm, exp - a
+        rows = out
+        yield rows, den, exp
+
+
+def _apply(rows: list, den: int, exp: int, parts: tuple, p: int) -> NormalizedSeries:
+    """The rows on the inputs' real and imaginary parts, lists of raw
+    (mantissa, exponent) pairs: part k of output i is
+    sum_j rows[i][j] v_j 2^e_j / den * 2^exp, rounded once. Each product
+    is formed before it is shifted to the part's lowest exponent, and the
+    sum runs one term at a time, so inputs far apart hold one wide
+    integer at a time."""
+    out = []
+    for part in parts:
+        e0 = min((e for v, e in part if v), default=0)
+        terms = [(j, v, e - e0) for j, (v, e) in enumerate(part) if v]
+        out.append([
+            _round_quotient(sum(row[j] * v << s for j, v, s in terms), den, exp + e0, p)
+            for row in rows
+        ])
+    return _series(list(map(tuple.__add__, *out)), p)
+
+
+def _prefixes(sched: StepSchedule, p: int):
+    """_compose over run_filter's plan, the bare step 1 at degree n_d - 1
+    and then _plan's steps, from the identity on u_0..u_{n_d-2}."""
+    n = sched.n_d - 1
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _compose(identity, (_compile(None, n, p),) + _plan(sched, p))
+
+
+@functools.lru_cache(maxsize=8)
+def _rows(sched: StepSchedule, p: int) -> tuple:
+    """run_filter's exact rows (_prefixes' last), once per process per
+    (schedule, p); a DegenerateScheduleError is raised, not cached."""
+    for last in _prefixes(sched, p):  # holds one step's rows at a time
+        pass
+    return last
 
 
 def filter_step(
@@ -176,18 +243,24 @@ def run_filter(
     """The production path, steps 1..n_d+3 without step 1's pin. Step 1
     is the bare cascade of u_0..u_{n_d-2} at degree n_d - 1; the series
     may have any degree from n_d - 2 up, and grid_series gives it at
-    n_d - 2. k0 is the pinned reference's in exact arithmetic, and z1 is
-    the pinned z1 less step 1's pin amplitude A. `dump`, if given, is
-    called with (step_index, series) after every step; step 1's series
-    has n_d coefficients. Given `reads`, the output holds only its first
-    `reads` coefficients, with the bits of the full output's."""
-    n_d = profile.n_d
+    n_d - 2. Each output is the exact plan on the p_2-bit inputs, rounded
+    once (_rows). k0 is the pinned reference's in exact arithmetic, and z1
+    is the pinned z1 less step 1's pin amplitude A. `dump`, if given, is
+    called with (step_index, series) after every step, each the exact
+    prefix of the plan rounded once; step 1's series has n_d
+    coefficients. Given `reads`, the output holds only its first `reads`
+    coefficients."""
+    n_d, p = profile.n_d, profile.p_2
     if u_series.degree_bound < n_d - 2:
         raise ValueError(
             f"input series degree {u_series.degree_bound} < n_d - 2 = {n_d - 2}"
         )
-    plan = (_compile(None, n_d - 1, profile.p_2),) + _plan(sched, profile.p_2)
-    return _run(u_series.truncate(n_d - 2), plan, profile.p_2, dump, reads)
+    parts = _parts(u_series.truncate(n_d - 2), p)
+    if dump:
+        for sp, (rows, den, exp) in enumerate(_prefixes(sched, p), 1):
+            dump(sp, _apply(rows, den, exp, parts, p))
+    rows, den, exp = _rows(sched, p)
+    return _apply(rows[:reads], den, exp, parts, p)
 
 
 def run_pipeline(
@@ -197,9 +270,9 @@ def run_pipeline(
     dump=None,
 ) -> NormalizedSeries:
     """The paper-literal pinned reference, steps 1..n_d+3, step 1 at
-    degree n_d1 with its pin. `dump`, if given, is called with
-    (step_index, series) after every step; step 1's series has all
-    n_d1 + 1 coefficients. run_filter is the production path."""
+    degree n_d1 with its pin, each step rounded. `dump`, if given, is
+    called with (step_index, series) after every step; step 1's series
+    has all n_d1 + 1 coefficients. run_filter is the production path."""
     n_d1 = profile.n_d1
     if f_series.degree_bound != n_d1:
         raise ValueError(
@@ -207,16 +280,6 @@ def run_pipeline(
         )
     p = profile.p_2
     return _run(f_series, (_compile(sched.times[1], n_d1, p),) + _plan(sched, p), p, dump)
-
-
-def decay_series(m: int, p: int) -> NormalizedSeries:
-    """Normalized form of e^{-t}: coefficients (-1)^k."""
-    one = from_int(1, p)
-    neg_one = rneg(one)
-    return NormalizedSeries(
-        [PrecisionComplex(one if k % 2 == 0 else neg_one, R_ZERO) for k in range(m + 1)],
-        p,
-    )
 
 
 def run_pseudo_steps(sched: StepSchedule, profile: PipelineProfile):
@@ -228,11 +291,12 @@ def run_pseudo_steps(sched: StepSchedule, profile: PipelineProfile):
 def system_columns(sched: StepSchedule, p: int):
     """Both columns of the extraction's two-channel system,
     ((phi00, phi10), (phi01, phi11)): the constant and linear coefficients
-    of run_filter's output for a unit constant, whose step 1 makes it
-    1 - e^{-t}, and of what steps 2..n_d+3 make of e^{-t}. Solved once
-    per process per (schedule, p); a DegenerateScheduleError is raised,
-    not cached."""
-    unit, tail = decay_series(0, p), _plan(sched, p)
-    constant = _run(unit, (_compile(None, sched.n_d - 1, p),) + tail, p, reads=2)
-    decay = _run(decay_series(sched.n_d, p), tail, p, reads=2)
-    return constant.coeffs, decay.coeffs
+    of run_filter's output for a unit constant, its rows' first column,
+    whose step 1 makes it 1 - e^{-t}, and of what steps 2..n_d+3 make of
+    e^{-t}, composed exactly on its coefficients (-1)^k, k < n_d; each
+    rounded once. Solved once per process per (schedule, p); a
+    DegenerateScheduleError is raised, not cached."""
+    for decay in _compose([[(-1) ** k] for k in range(sched.n_d)], _plan(sched, p)):
+        pass
+    unit = [(1, 0)], [(0, 0)]
+    return tuple(_apply(rows[:2], den, exp, unit, p).coeffs for rows, den, exp in (_rows(sched, p), decay))

@@ -1,20 +1,23 @@
 """Arbitrary-precision binary floating point and truncated power-series arithmetic.
 
 Values are immutable. A real is a signed integer mantissa and a binary
-exponent. The rounding policy: every function here, and the filter step
-(filter_pipeline), returns its exact result rounded once to an explicit
-mantissa width ``p`` (round-to-nearest, ties-to-even), so results are
-bit-reproducible on any platform.
+exponent. The rounding policy: every function here, and the filter
+(filter_pipeline: each output of the production cascade, and of each
+step of the per-step reference), returns its exact result rounded once
+to an explicit mantissa width ``p`` (round-to-nearest, ties-to-even), so
+results are bit-reproducible on any platform.
 
 The kernels work on bare integers and (mantissa, exponent) pairs. ``_round``
 rounds an exact integer times a power of two, ``_round_quotient`` an exact
-ratio of integers; ``_exact`` sums products of pairs exactly, into one
+ratio of integers, dividing at most p + 4 quotient bits out of however
+wide a numerator; ``_exact`` sums products of pairs exactly, into one
 integer and one exponent, for ``radd``, ``cmul``, ``series_mul``,
 ``series_eval`` and extraction's two-channel solve to round once per part.
 Each primitive (``radd``, ``rdiv``, ...) wraps a kernel's pair in a
-PrecisionReal. The filter step calls ``_round`` and ``_round_quotient`` on
-the parts of raw coefficients, (re_m, re_e, im_m, im_e) tuples that
-``_quads`` rounds to p bits and ``_series`` turns back into a series.
+PrecisionReal. The filter calls ``_round_quotient`` (and its per-step
+reference ``_round`` too) on the parts of raw coefficients,
+(re_m, re_e, im_m, im_e) tuples that ``_quads`` rounds to p bits and
+``_series`` turns back into a series.
 
 Every truncated exponential comes from one function, ``taylor_table(x,
 m, p)``: the factors x^k/k!, tr_m(e^x) and tr_m(e^{-x}), each rounded once
@@ -125,10 +128,19 @@ def _round_quotient(num: int, den: int, exp: int, p: int) -> tuple:
     """Round the exact (num/den)*2^exp to p bits, nearest-even; a zero den
     raises ZeroDivisionError.
 
-    The quotient is taken to at least p+3 bits; a nonzero remainder sets its
-    last bit (sticky), which no rounding boundary at p bits can sit on."""
-    shift = max(0, p + 3 + den.bit_length() - num.bit_length())
-    q, rem = divmod(num << shift, den)
+    The quotient is floored to p+3 or p+4 bits; a nonzero remainder sets
+    its last bit (sticky), which no rounding boundary at p bits can sit on.
+    A numerator wider than that is floored by a power of two first, its
+    dropped bits joining the sticky bit: for den > 0,
+    floor(floor(num/2^k)/den) = floor(num/(2^k den))."""
+    if den < 0:
+        num, den = -num, -den
+    shift = p + 3 + den.bit_length() - num.bit_length()
+    if shift >= 0:
+        q, rem = divmod(num << shift, den)
+    else:
+        q, rem = divmod(num >> -shift, den)
+        rem = rem or num & ((1 << -shift) - 1)
     return _round(q | 1 if rem else q, exp - shift, p)
 
 

@@ -120,21 +120,26 @@ def four_cluster():
 
 
 def round_nearest_even_fraction(x: Fraction, p: int):
-    """Reference rounder: (sign, mantissa, exponent) of x at p bits."""
+    """Reference rounder: (sign, mantissa, exponent) of x at p bits, from
+    floor divisions of x's numerator and denominator, which stay fast on
+    a numerator of a million bits where Fraction arithmetic on 2^e does
+    not."""
     if x == 0:
         return (0, 0, 0)
     sign = 1 if x > 0 else -1
-    ax = abs(x)
-    # find e with 2^(p-1) <= ax / 2^e < 2^p
-    e = ax.numerator.bit_length() - ax.denominator.bit_length() - p
-    while ax / Fraction(2) ** e >= (1 << p):
-        e += 1
-    while ax / Fraction(2) ** e < (1 << (p - 1)):
-        e -= 1
-    scaled = ax / Fraction(2) ** e
-    m = int(scaled)
-    rem = scaled - m
-    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and m % 2 == 1):
+    n, d = abs(x.numerator), x.denominator
+    # find e with 2^(p-1) <= |x| / 2^e < 2^p
+    e = n.bit_length() - d.bit_length() - p
+    while True:
+        num, den = (n, d << e) if e >= 0 else (n << -e, d)
+        m, rem = divmod(num, den)  # |x| / 2^e = m + rem/den
+        if m >= 1 << p:
+            e += 1
+        elif m < 1 << (p - 1):
+            e -= 1
+        else:
+            break
+    if 2 * rem > den or (2 * rem == den and m % 2 == 1):
         m += 1
     if m == (1 << p):
         m >>= 1
@@ -212,39 +217,75 @@ def ruleu_lhs(alpha, r, sp: int, n_d: int, p: int):
 # ---------------------------------------------------------------------------
 
 
-def reference_step(series, r, m, p):
-    """One filter step at degree m in exact Fractions, each output part
-    rounded once by round_nearest_even_fraction. The input is the series
-    with each part rounded to p bits; the cascade out_k = u_{k-1} - out_{k-1}
-    (u_d = 0 beyond the series) is exact, and for r not None so are
-    w = sum out_k f_k and the pin adj = -w / tr_m(e^{-r}), added to even
-    and subtracted from odd coefficients, the factors f_k = r^k/k! and
-    tr_m(e^{-r}) each being its exact value rounded once to p bits. r None
-    is the bare cascade. Every coefficient 0..m is returned."""
-    u = [tuple(rounded_fraction(x, p).to_fraction() for x in c.to_fractions()) for c in series.coeffs]
+def exact_step(u, m, factors=None, q=None):
+    """One filter step at degree m in exact Fractions on u, a list of
+    (re, im) Fraction pairs, zero beyond the list: the cascade
+    out_k = u_{k-1} - out_{k-1}, k = 0..m, and given the factors f_1..f_m
+    and the decay q, the pin adj = -sum_k out_k f_k / q, added to even and
+    subtracted from odd outputs. Returns outputs 0..m."""
     zero = (Fraction(0), Fraction(0))
     out = [zero]
     for k in range(1, m + 1):
         a, b = u[k - 1] if k - 1 < len(u) else zero
         out.append((a - out[-1][0], b - out[-1][1]))
-    if r is not None:
-        x, f, w = r.to_fraction(), Fraction(1), zero
-        for k in range(1, m + 1):
-            f = f * x / k
-            fk = rounded_fraction(f, p).to_fraction()
-            w = (w[0] + out[k][0] * fk, w[1] + out[k][1] * fk)
-        decay = rounded_fraction(trunc_exp_fraction(-x, m), p)
-        if decay.is_zero():
-            raise DegenerateScheduleError("truncated decay vanished")
-        q = decay.to_fraction()
-        adj = (-w[0] / q, -w[1] / q)
-        out = [
-            (a + adj[0], b + adj[1]) if i % 2 == 0 else (a - adj[0], b - adj[1])
-            for i, (a, b) in enumerate(out)
-        ]
+    if factors is None:
+        return out
+    adj = tuple(-sum(o[part] * f for o, f in zip(out[1:], factors)) / q for part in (0, 1))
+    return [
+        (a + adj[0], b + adj[1]) if i % 2 == 0 else (a - adj[0], b - adj[1])
+        for i, (a, b) in enumerate(out)
+    ]
+
+
+def rounded_inputs(series, p):
+    """The series' coefficients as exact (re, im) Fractions, each part
+    rounded to p bits first."""
+    return [tuple(rounded_fraction(x, p).to_fraction() for x in c.to_fractions()) for c in series.coeffs]
+
+
+def rounded_series(coeffs, p):
+    """(re, im) Fraction pairs as a series, each part rounded once."""
     return NormalizedSeries(
-        [PrecisionComplex(rounded_fraction(a, p), rounded_fraction(b, p)) for a, b in out], p
+        [PrecisionComplex(rounded_fraction(a, p), rounded_fraction(b, p)) for a, b in coeffs], p
     )
+
+
+def reference_step(series, r, m, p):
+    """One filter step at degree m in exact Fractions, each output part
+    rounded once by round_nearest_even_fraction. The input is the series
+    with each part rounded to p bits; the cascade, and for r not None the
+    pin (exact_step), are exact, the factors f_k = r^k/k! and
+    tr_m(e^{-r}) each being its exact value rounded once to p bits. r None
+    is the bare cascade. Every coefficient 0..m is returned."""
+    u = rounded_inputs(series, p)
+    if r is None:
+        return rounded_series(exact_step(u, m), p)
+    x, f, factors = r.to_fraction(), Fraction(1), []
+    for k in range(1, m + 1):
+        f = f * x / k
+        factors.append(rounded_fraction(f, p).to_fraction())
+    decay = rounded_fraction(trunc_exp_fraction(-x, m), p)
+    if decay.is_zero():
+        raise DegenerateScheduleError("truncated decay vanished")
+    return rounded_series(exact_step(u, m, factors, decay.to_fraction()), p)
+
+
+def plan_replay(series, plan, p):
+    """A compiled plan, filter_pipeline._compile's (m, factors, q)
+    entries, in exact Fractions on the series with each part rounded to p
+    bits: each step's exact outputs 0..m as (re, im) pairs, in a list, a
+    step reading its predecessor's. The constants are read off the plan,
+    f_k = ints[k-1] * 2^low and q = qm * 2^qe, and nothing is rounded."""
+    u, states = rounded_inputs(series, p), []
+    for m, factors, q in plan:
+        if factors is None:
+            u = exact_step(u, m)
+        else:
+            (ints, low), (qm, qe) = factors, q
+            scale = Fraction(2) ** low
+            u = exact_step(u, m, [v * scale for v in ints], qm * Fraction(2) ** qe)
+        states.append(u)
+    return states
 
 
 def integrator_cascade(series, m: int):

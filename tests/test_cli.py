@@ -311,6 +311,23 @@ class TestFilterPseudoExtract:
         )
         assert seconds < 2 and peak < 100 * 2**20
 
+    @pytest.mark.parametrize("top", ["+134217728", "-134217728"])
+    def test_a_coefficient_at_the_exponent_bound_filters_in_bounded_memory(self, tmp_path, capsys, top):
+        # c0 = 2^(+-2^27), the widest exponent the reader admits: each output
+        # is one exact sum of products formed one at a time, so the filter
+        # holds a few integers as wide as the spread, not one per cascade value
+        enc, flt = tmp_path / "f.series", tmp_path / "o.series"
+        assert run_cli(capsys, "encode", str(GRAPHS / "p3.graph"), "--out", str(enc))[0] == 0
+        enc.write_text(re.sub(r"(?m)^0 \S+ ", f"0 0x1p{top} ", enc.read_text()))
+        tracemalloc.start()
+        try:
+            outcome = run_cli(capsys, "filter", str(enc), "--out", str(flt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == (0, "", "")
+        assert peak < 128 * 2**20
+
 
 class TestProfileRefusals:
     def test_run_names_the_step_without_a_root(self, files, capsys):
@@ -941,7 +958,7 @@ class TestSameBytes:
     bytes (say, by making them more exact) updates the digest and says so
     in CHANGES.md."""
 
-    DIGEST = "87a0bd94dfe328f50666e5b28f8e0efaab54a6902e3df0956eda6a9b4c5c2704"
+    DIGEST = "a425574ad23a7c3d38e16819b383610a6329e41b4de11b4695becc21a1519375"
 
     def test_run_reports_keep_their_bytes(self, tmp_path, capsys):
         h = hashlib.sha256()
@@ -978,10 +995,10 @@ class TestCommandBytes:
     in CHANGES.md."""
 
     DIGESTS = {
-        "run": "568a5f547b93b5a3c99948ad58ec4fc4bafb0e2c8e397e5d79a5b1a277cda0d3",
+        "run": "5a32c7b81dc3ef2d79433285d5ac8aca5b698b4f5db6a2605fcb140ffc1ab5a8",
         "encode": "4f2c5a58b1e23b0fc659ad7abe8972fe2be5aedcebe4100736ebf6a0f3a3677a",
-        "filter": "16d8cebd56d51d22129b2c1c40bb2a6a05a82b53cd94533ffe8e8179ec8ca647",
-        "extract": "a3f15240a3de5766428287c3496c7df9dd86a99a4944bfda77873d886456ee61",
+        "filter": "398ccb7a1d16aa9a5e72d1ef4ddfc047cd0f028fb03c982b9b2333c3198768c5",
+        "extract": "bfa48370f0b0e30f68df9d9e7f4d8a9246932e5474b93869dafd304d36f84fc4",
         "oracle": "0e113b672c35228a9a635db8e0e44c575b0e751d457c2474293bd999d3d0e6e1",
         "check-profile": "cf80c4dfebe2540756c91ce5e7939de3e6d9cdb3bc1bdab17c034727b330c093",
     }

@@ -3,20 +3,22 @@ the raw step kernel bit for bit against the exact step, rounded once."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hamspec.filter_pipeline import (
     DegenerateScheduleError,
     _compile,
+    _plan,
     _step,
-    decay_series,
     filter_step,
     run_filter,
     run_pipeline,
     run_pseudo_steps,
     system_columns,
 )
+from hamspec.graph import load_graph
 from hamspec.grid import grid_series
 from hamspec.numerics import (
     C_ZERO,
@@ -40,11 +42,17 @@ from conftest import (
     complete_graph,
     cycle_graph,
     integrator_cascade,
+    path_graph,
+    plan_replay,
     reference_pipeline,
     reference_step,
     rounded_fraction,
+    rounded_series,
+    star_graph,
     trunc_exp_fraction,
 )
+
+GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
 
 def random_series(rng, m, p, mag=20):
@@ -85,6 +93,20 @@ def edge_series(rng, m, p):
         [C_ZERO if rng.random() < 0.15 else PrecisionComplex(part(), part()) for _ in range(m + 1)],
         p,
     )
+
+
+def spread_series(rng, m, p):
+    """Seeded series at precision p: about a third of the parts zero, the
+    rest p-bit mantissas of either sign with exponents drawn around -600,
+    0 and +600."""
+
+    def part():
+        if rng.random() < 0.3:
+            return R_ZERO
+        mant = rng.randrange(1 << (p - 1), 1 << p) * rng.choice((1, -1))
+        return PrecisionReal(mant, rng.choice((-600, 0, 600)) + rng.randrange(-8, 8))
+
+    return NormalizedSeries([PrecisionComplex(part(), part()) for _ in range(m + 1)], p)
 
 
 def channel_cases(u):
@@ -510,15 +532,16 @@ class TestPipeline:
 
 class TestProductionPath:
     """run_filter: step 1 is the bare cascade of u_0..u_{n_d-2}, truncated to
-    coefficients 0..n_d-1, then steps 2..n_d+3 as in run_pipeline."""
+    coefficients 0..n_d-1, then steps 2..n_d+3 with run_pipeline's
+    constants; each output is the plan's exact value, rounded once."""
 
     @staticmethod
     def reference(f, sched, prof):
+        """plan_replay of run_filter's plan, each step's outputs rounded
+        once: the expected --dump-steps series, the last the output."""
         p, n_d = prof.p_2, prof.n_d
-        j = reference_step(f.truncate(n_d - 2), None, n_d - 1, p)
-        for sp in range(2, n_d + 4):
-            j = reference_step(j, sched.times[sp], n_d, p)
-        return j
+        plan = (_compile(None, n_d - 1, p),) + _plan(sched, p)
+        return [rounded_series(s, p) for s in plan_replay(f.truncate(n_d - 2), plan, p)]
 
     @pytest.mark.parametrize("p_2", [53, 256])
     def test_matches_reference(self, p_2):
@@ -528,13 +551,41 @@ class TestProductionPath:
             sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
             head = grid_series(g, prof, prof.n_d - 2)
             for f in (head, edge_series(rng, prof.n_d - 2, prof.p_1)):
-                assert run_filter(f, sched, prof).bits() == self.reference(f, sched, prof).bits()
+                assert run_filter(f, sched, prof).bits() == self.reference(f, sched, prof)[-1].bits()
             # the encoded file's degree n_d1: only its head is read
             assert run_filter(grid_series(g, prof), sched, prof).bits() == run_filter(head, sched, prof).bits()
 
     @pytest.mark.parametrize("p_2", [53, 256])
+    def test_every_output_is_the_exact_plan_rounded_once(self, p_2):
+        # the graphs/ files, P_n, C_n, K_n and the star for n = 2..7, and
+        # seeded inputs with zero parts and exponents hundreds of bits
+        # apart: run's two coefficients, filter's output and each of its
+        # --dump-steps series
+        rng = random.Random(5 * p_2)
+        graphs = [load_graph(str(path)) for path in sorted(GRAPHS.glob("*.graph"))]
+        graphs += [
+            family(n)
+            for n in range(2, 8)
+            for family in (path_graph, cycle_graph, complete_graph, star_graph)
+        ]
+        for g in graphs:
+            prof = desk_profile(g.n, p_2=p_2)
+            sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
+            inputs = [grid_series(g, prof, prof.n_d - 2)]
+            if g.n in (3, 7):
+                inputs += [spread_series(rng, prof.n_d - 2, q) for q in (prof.p_1, p_2)]
+            for f in inputs:
+                want = self.reference(f, sched, prof)
+                got = {}
+                out = run_filter(f, sched, prof, dump=got.__setitem__)
+                assert out.bits() == want[-1].bits()
+                assert run_filter(f, sched, prof, reads=2).bits() == want[-1].bits()[:2]
+                assert sorted(got) == list(range(1, len(want) + 1))
+                assert all(got[sp].bits() == s.bits() for sp, s in enumerate(want, 1))
+
+    @pytest.mark.parametrize("p_2", [53, 256])
     def test_two_coefficient_output_has_the_full_outputs_bits(self, p_2):
-        # run's path: the last step pins and returns only c0 and c1
+        # run's path: only c0 and c1 are rounded and returned
         rng = random.Random(7 * p_2)
         prof = desk_profile(4, p_2=p_2)
         sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
@@ -588,17 +639,24 @@ class TestPseudoSteps:
         assert to_decimal(phi11.re).startswith("8.232851406949203")
 
     def test_linearity_under_doubling(self):
+        # the decay column is steps 2..n_d+3 on e^{-t}, exact and rounded
+        # once, so twice e^{-t} gives twice the column; the per-step
+        # reference doubles too, as doubling is exact
         prof = desk_profile(4)
         sched = build_schedule(prof)
         p, n_d = prof.p_2, prof.n_d
-        base = decay_series(n_d, p)
+        base = NormalizedSeries([cfrom_int((-1) ** k, 0, p) for k in range(n_d + 1)], p)
         doubled = NormalizedSeries([double(c, p) for c in base.coeffs], p)
-        j = doubled
-        for sp in range(2, n_d + 4):
-            j = filter_step(j, sched.times[sp], n_d, p)
         phi01, phi11 = run_pseudo_steps(sched, prof)
-        assert j.coeffs[0] == double(phi01, p)
-        assert j.coeffs[1] == double(phi11, p)
+        for f, column in ((base, (phi01, phi11)), (doubled, (double(phi01, p), double(phi11, p)))):
+            exact = plan_replay(f, _plan(sched, p), p)[-1]
+            assert rounded_series(exact[:2], p).coeffs == column
+        chains = []
+        for j in (base, doubled):
+            for sp in range(2, n_d + 4):
+                j = filter_step(j, sched.times[sp], n_d, p)
+            chains.append(j)
+        assert chains[1].coeffs == tuple(double(c, p) for c in chains[0].coeffs)
 
     def test_degenerate_profile_surfaces_error(self):
         prof = desk_profile(4, n_d=1, r_mu=1)

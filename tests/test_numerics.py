@@ -15,6 +15,7 @@ from hamspec.numerics import (
     SeriesConfigError,
     _pair,
     _round,
+    _round_quotient,
     cfrom_int,
     cmul,
     from_fraction,
@@ -190,6 +191,28 @@ class TestRounding:
             want = _round((am << (ae - low)) + (bm << (be - low)), low, p)
             a, b = PrecisionReal(am, ae), PrecisionReal(bm, be)
             assert _pair(radd(a, b, p)) == _pair(radd(b, a, p)) == want
+
+    @pytest.mark.parametrize("p", [24, 53, 256])
+    def test_round_quotient_of_a_numerator_far_wider_than_its_denominator(self, p):
+        # seeded numerators 0..2^20 bits wider than the denominator, either
+        # sign on each: random ones, and midpoints of the p-bit grid times
+        # the denominator, moved by -1, 0 or +1 in their lowest bit, so
+        # that only the bits a wide numerator drops decide the rounding
+        rng = random.Random(41 * p)
+        for _ in range(40):
+            den = rng.randrange(1, 1 << rng.randrange(1, 200))
+            extra = rng.choice((rng.randrange(0, 2 * p), rng.randrange(0, 1 << 20)))
+            if rng.random() < 0.5:
+                num = rng.randrange(1 << (den.bit_length() + extra))
+            else:
+                mid = 2 * rng.randrange(1 << (p - 1), 1 << p) + 1  # p + 1 bits, odd
+                num = (mid * den << max(extra - p, 0)) + rng.choice((-1, 0, 1))
+            num *= rng.choice((1, -1))
+            den *= rng.choice((1, -1))
+            exp = rng.randrange(-60, 60)
+            x = Fraction(num, den) * Fraction(2) ** exp
+            want = round_nearest_even_fraction(x, p) if num else (0, 0, 0)
+            assert PrecisionReal(*_round_quotient(num, den, exp, p)).bits() == want
 
     def test_compare_exact(self):
         p = 48

@@ -111,11 +111,13 @@ def test_other_schedule_keys(key):
 
 @pytest.mark.parametrize("p_2", (128, 160, 192, 256))
 def test_k0_error_bar(p_2):
-    # k0's error at p_1 = 2 p_2, in units of |Re k0| 2^-p_2. The
-    # arithmetic's, against the exact functional on the same schedule, is
-    # at most 2^7.1 on the six graphs. With the schedule's rounding too,
-    # against a 512-bit schedule, it is at most 2^7.2, 2^6.1, 2^6.9 and
-    # 2^6.3 at p_2 = 128, 160, 192 and 256
+    # k0's error at p_1 = 2 p_2, in units of |Re k0| 2^-p_2, with each
+    # filter output rounded once from the exact cascade. The arithmetic's,
+    # against the exact functional on the same schedule, is at most 2^7.0,
+    # 2^7.5, 2^6.8 and 2^6.3 at p_2 = 128, 160, 192 and 256; with the
+    # schedule's rounding too, against a 512-bit schedule, 2^6.9, 2^7.5,
+    # 2^6.7 and 2^6.2. Most of it is the p_2-bit columns and inputs seen
+    # through the two-channel system, whose column sine is ~2^-7.9
     fine = solve_schedule(512, 8, 64, 16, 2)
     for name in NAMES:
         g = load_graph(str(GRAPHS / f"{name}.graph"))
