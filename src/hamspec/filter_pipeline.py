@@ -29,17 +29,16 @@ the same rows on a unit constant, and steps 2..n_d+3 composed on e^{-t}.
 
 run_pipeline is the paper-literal pinned reference: step 1 at degree
 n_d1 with its pin, whose ~2^3000 terms cancel and leave k0 to rounding.
-It and filter_step run the plan step by step, each step rounded, in one
-kernel, _step, on one part of the raw coefficients: the step is
-real-linear with real constants, so _run splits the series once into a
-real and an imaginary list of (mantissa, exponent) pairs, each a p-bit
-mantissa or (0, 0), and joins them once. Each kept output is the exact
-step on its p-bit input and the step's p-bit constants, correctly
-rounded to p bits once (numerics' _round, or _round_quotient where it
-cancels). The pin changes each coefficient on its own, so _step pins
-only coefficients 0..keep, and _run sets keep from the plan: a step pins
-what the next step's cascade reads, 0..m_next-1, and the last step all
-of its own; under a dump callback every step pins all of its own.
+It and filter_step run the plan step by step, each step rounded, in
+_step: _compose on one column, one part of the raw coefficients. The
+step is real-linear with real constants, so _run splits the series once
+into a real and an imaginary list of (mantissa, exponent) pairs, each a
+p-bit mantissa or (0, 0), and joins them once. Each kept output is the
+exact step on its p-bit input and the step's p-bit constants, rounded
+once to p bits. _step rounds only outputs 0..keep, and _run sets keep
+from the plan: a step keeps what the next step's cascade reads,
+0..m_next-1, and the last step all of its own; under a dump callback
+every step keeps all of its own.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .numerics import (
     NormalizedSeries,
     PrecisionReal,
     _quads,
-    _round,
     _round_quotient,
     _series,
     taylor_table,
@@ -92,50 +90,16 @@ def _plan(sched: StepSchedule, p: int) -> tuple:
 
 def _step(part: list, step: tuple, p: int, keep: int) -> list:
     """One compiled step (m, factors, q) on one part of the raw
-    coefficients, (mantissa, exponent) pairs; returns its outputs 0..keep,
-    each the exact step correctly rounded to p bits. The cascade values
-    out_k = u_{k-1} - out_{k-1} (u_d = 0 beyond the list) are exact
-    integers over the inputs' lowest exponent e0, and so is
-    w = sum out_k f_k. A bare step (factors None) rounds out_k alone.
-    Otherwise adj = -w/q is added to even and subtracted from odd outputs:
-    its floored quotient Q is taken once, with at least p + 3 bits and one
-    bit below e0, and a nonzero remainder makes Q odd (sticky), so
-    (out_i << d) +- Q rounds as the exact value does while it keeps p + 2
-    bits; a sum cancelled below that is rounded from the exact rational."""
-    m, factors, q = step
-    u = part[:m]
-    low = [e for v, e in u if v]
-    if not low:
+    coefficients, (mantissa, exponent) pairs: _compose on one column, the
+    part's first m mantissas over their lowest exponent e0, zero as 0.
+    Returns its outputs 0..keep, each the exact step rounded once to p bits."""
+    u = part[: step[0]]
+    e0 = min([e for v, e in u if v], default=None)
+    if e0 is None:
         return [(0, 0)] * (keep + 1)
-    e0 = min(low)
-    o = 0
-    out = [o]
-    for v, e in u:
-        o = (v << (e - e0) if v else 0) - o
-        out.append(o)
-    for _ in range(m - len(u)):
-        o = -o
-        out.append(o)
-    num = -sum(map(mul, factors[0], out[1:])) if factors else 0  # -w at e0 + fe
-    if not num:
-        return [_round(o, e0, p) for o in out[: keep + 1]]
-    fe, (qm, qe) = factors[1], q
-    ea = e0 + fe - qe  # adj = (num / qm) * 2^ea
-    eq = min(e0 - 1, ea + num.bit_length() - qm.bit_length() - p - 3)
-    sh, d = ea - eq, e0 - eq
-    quot, rem = divmod(num << sh, qm) if sh >= 0 else divmod(num, qm << -sh)
-    if rem:
-        quot |= 1
-    res = []
-    for i, o in enumerate(out[: keep + 1]):
-        s = (o << d) - quot if i & 1 else (o << d) + quot
-        if rem and s.bit_length() < p + 2:  # cancelled to the sticky bit
-            lo = min(e0, ea)
-            a = num << (ea - lo)
-            res.append(_round_quotient((o << (e0 - lo)) * qm + (-a if i & 1 else a), qm, lo, p))
-        else:
-            res.append(_round(s, eq, p))
-    return res
+    column = [[v << (e - e0) if v else 0] for v, e in u]
+    rows, den, exp = next(_compose(column, [step]))
+    return [_round_quotient(row[0], den, exp + e0, p) for row in rows[: keep + 1]]
 
 
 def _parts(series: NormalizedSeries, p: int) -> tuple:
@@ -165,7 +129,7 @@ def _compose(rows: list, steps):
     rows[i][j] is coefficient i's weight on input j. Yields (rows, den,
     exp) after each step, coefficient i being
     sum_j rows[i][j] u_j / den * 2^exp. A step's cascade reads rows
-    0..m-1, zero beyond, as _step reads its part. The pin adds
+    0..m-1, zero beyond. The pin adds
     adj = -w/q, w = sum_k F_k out_k * 2^low and q = qm * 2^qe, to even
     outputs and subtracts it from odd ones; over the denominator qm and
     with a - b = qe - low, a and b >= 0, output i is

@@ -14,8 +14,8 @@ wide a numerator; ``_exact`` sums products of pairs exactly, into one
 integer and one exponent, for ``radd``, ``cmul``, ``series_mul``,
 ``series_eval`` and extraction's two-channel solve to round once per part.
 Each primitive (``radd``, ``rdiv``, ...) wraps a kernel's pair in a
-PrecisionReal. The filter calls ``_round_quotient`` (and its per-step
-reference ``_round`` too) on the parts of raw coefficients,
+PrecisionReal. The filter, and its per-step reference, call
+``_round_quotient`` on the parts of raw coefficients,
 (re_m, re_e, im_m, im_e) tuples that ``_quads`` rounds to p bits and
 ``_series`` turns back into a series.
 

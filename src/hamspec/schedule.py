@@ -45,7 +45,9 @@ class ProfileError(ValueError):
 
 
 class NoRootError(ArithmeticError):
-    """A schedule equation has no sign change in (0, 1]."""
+    """The root finder found no point of (0, 1] where a schedule equation's
+    P >= 0: P < 0 on (0, 2^-j] and at each ladder point 2^-k, k < j. A
+    sign change between ladder points is not ruled out."""
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,8 @@ def _smallest_root(coeffs, p: int, what: str) -> PrecisionReal:
     stops at the first point 2^-k with P >= 0, so a sign change lies in
     (2^-(k+1), 2^-k]. Bisection on a growing dyadic grid narrows it to one
     unit of 2^-(k+1+p), i.e. p+1 bits, before the single rounding. Raises
-    NoRootError, stating `what`, when no ladder point up to 1 has P >= 0.
+    NoRootError, stating `what` and what was checked, when no ladder point
+    up to 1 has P >= 0; a root between ladder points is then missed.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     c = [int(x * den) for x in coeffs]
@@ -298,7 +301,8 @@ def _smallest_root(coeffs, p: int, what: str) -> PrecisionReal:
         j += 1
     k = next((k for k in range(j - 1, -1, -1) if sign(1, k) >= 0), None)
     if k is None:
-        raise NoRootError(f"{what} has no sign change in (0, 1]")
+        checked = f"(0, 2^-{j}] and at each 2^-k, k < {j}" if j else "(0, 1]"
+        raise NoRootError(f"{what} is negative on {checked}")
     # the root lies in (lo, hi] / 2^e; P(lo / 2^e) < 0 <= P(hi / 2^e)
     lo, hi, e = 1, 2, k + 1
     for _ in range(p):
@@ -323,8 +327,8 @@ def solve_r_sp(alpha: PrecisionReal, sp: int, n_d: int, p: int) -> PrecisionReal
         P(r) = alpha * sum_{i=0..n_d-sp+1} (-1)^i r^(sp-1+i)/((sp-1)! i!) - 1,
 
     with alpha taken exactly as the p-bit value given; the root is
-    correctly rounded to p bits. Raises NoRootError when P has no sign
-    change in (0, 1].
+    correctly rounded to p bits. Raises NoRootError when P < 0 on the
+    root finder's whole ladder (_smallest_root).
     """
     if not 2 <= sp <= n_d + 1:
         raise ValueError(f"step index {sp} outside 2..{n_d + 1}")
@@ -345,7 +349,7 @@ def solve_r_mu_plus_1(r_mu: PrecisionReal, n_d: int, p: int) -> PrecisionReal:
 
     with beta = tr_{n_d}(e^{r_mu}) rounded to p bits and then taken
     exactly; the root is correctly rounded to p bits. Raises NoRootError
-    when P has no sign change in (0, 1].
+    when P < 0 on the root finder's whole ladder (_smallest_root).
     """
     beta = taylor_table(r_mu, n_d, p)[1]
     coeffs = [Fraction(-1), beta.to_fraction() - 1]

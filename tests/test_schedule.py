@@ -114,7 +114,7 @@ class TestSolveRsp:
             solve_r_sp(alpha, 13, 12, 256)
         msg = str(info.value)
         assert msg.startswith("step 13: ")
-        assert "no sign change in (0, 1]" in msg
+        assert msg.endswith(" is negative on (0, 1]")
         assert f"alpha = {to_decimal(alpha)}" in msg
         assert "too small" not in msg
 
@@ -166,8 +166,22 @@ class TestAlphaRounding:
         with pytest.raises(NoRootError) as info:
             solve_schedule(p, n_d, n_d1, r_1, 2)
         msg = str(info.value)
-        assert msg.endswith(f"with alpha = {to_decimal(alpha)} has no sign change in (0, 1]")
+        assert f"with alpha = {to_decimal(alpha)} is negative on (0, 2^-" in msg
         assert "rounding" not in msg
+
+    def test_refusal_claims_only_the_ladder(self):
+        # at (12, 96, 24), check-profile --n 4's key with c = 2^40, step
+        # 12's P is -0.84 at 1/2 and -1 at 1 but +19.8 at 9/10: the ladder
+        # 2^-k misses the root, and the refusal says only what it checked
+        p, sp, n_d = 256, 12, 12
+        alpha = _alpha(24, 96, p)
+        with pytest.raises(NoRootError) as info:
+            solve_schedule(p, n_d, 96, 24, 2)
+        msg = str(info.value)
+        assert msg.startswith(f"step {sp}: ") and "no sign change" not in msg
+        assert msg.endswith(" is negative on (0, 2^-1] and at each 2^-k, k < 1")
+        g = ruleu_fraction(alpha.to_fraction(), sp, n_d)
+        assert g(Fraction(1, 2)) < 0 < g(Fraction(9, 10)) and g(Fraction(1)) < 0
 
 
 class TestSolveClosing:
@@ -207,7 +221,7 @@ class TestSolveClosing:
 
     def test_no_root_when_beta_is_one(self):
         # r_mu = 0: beta = 1 and beta*r < tr(e^r) on all of (0, 1]
-        with pytest.raises(NoRootError, match=r"^step 11 \(closing\): .*no sign change in \(0, 1\]"):
+        with pytest.raises(NoRootError, match=r"^step 11 \(closing\): .*is negative on \(0, 1\]$"):
             solve_r_mu_plus_1(from_int(0, 128), 8, 128)
 
 

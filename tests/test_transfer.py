@@ -131,6 +131,24 @@ def test_k0_error_bar(p_2):
         assert name != "p2" or k0 == 2
 
 
+def test_k0_error_bar_at_a_second_key():
+    # the same 11-bit bound at (n_d, n_d1, r_1) = (12, 140, 28), p_2 = 384,
+    # against the exact functional on the same schedule: the arithmetic's
+    # worst error over the six graphs is 2^6.4 (C5), and |Re k0| stays
+    # below the precision flag's guard
+    for name in NAMES:
+        g = load_graph(str(GRAPHS / f"{name}.graph"))
+        prof = desk_profile(g.n, n_d=12, n_d1=140, r_1=28, p_1=768, p_2=384)
+        sched = build_schedule(prof)
+        o = run_filter(grid_series(g, prof, prof.n_d - 2), sched, prof)
+        res = extract_nh(o, *run_pseudo_steps(sched, prof), sched, prof.p_2)
+        k0 = res.k0.re.to_fraction()
+        (want, _), _ = transfer.exact_k0_z1(g, prof, sched)
+        assert abs(k0 - want) <= abs(k0) * Fraction(2) ** (11 - prof.p_2), name
+        assert "precision" not in res.flags, name
+        assert name != "p2" or k0 == 2
+
+
 def test_run_reports_the_production_k0(exact):
     _, prof, _, (k0, _) = exact[0]["c4"]
     report = run_experiment(str(GRAPHS / "c4.graph"), prof)
