@@ -115,7 +115,8 @@ def _oracle_block(g: Graph, limit: int) -> dict:
 
 
 def _extraction_block(result: extraction.ExtractionResult) -> dict:
-    return {
+    """The report's decimals; the residuals only where the solve formed them."""
+    block = {
         "k0_re": to_decimal(result.k0.re, 25),
         "k0_im": to_decimal(result.k0.im, 25),
         "z1_re": to_decimal(result.z1.re, 25),
@@ -123,10 +124,12 @@ def _extraction_block(result: extraction.ExtractionResult) -> dict:
         "n_h_rounded": result.n_h_rounded,
         "round_distance": to_decimal(result.round_distance),
         "imag_magnitude": to_decimal(result.imag_magnitude),
-        "residual0": to_decimal(result.residual0),
-        "residual1": to_decimal(result.residual1),
-        "flags": ",".join(result.flags) or "none",
     }
+    if result.residual0 is not None:
+        block["residual0"] = to_decimal(result.residual0)
+        block["residual1"] = to_decimal(result.residual1)
+    block["flags"] = ",".join(result.flags) or "none"
+    return block
 
 
 @functools.lru_cache(maxsize=8)
@@ -166,12 +169,10 @@ def _validated(profile: PipelineProfile | str | None, n: int) -> tuple:
     return profile, schedule.build_schedule(profile)
 
 
-def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
-    """The pseudo-steps' columns (a per-profile memo hit), then the solve.
-    Refuses an n_h_rounded longer than Python converts to decimal
-    (sys.get_int_max_str_digits), which both reports print."""
-    phi01, phi11 = filter_pipeline.run_pseudo_steps(sched, profile)
-    result = extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2)
+def _printable(result: extraction.ExtractionResult) -> extraction.ExtractionResult:
+    """The result, refused when its n_h_rounded is longer than Python
+    converts to decimal (sys.get_int_max_str_digits), which both reports
+    print."""
     try:
         str(result.n_h_rounded)
     except ValueError:
@@ -180,6 +181,12 @@ def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
             f"{sys.get_int_max_str_digits()} decimal digits, too many to print"
         ) from None
     return result
+
+
+def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
+    """The pseudo-steps' columns (a per-profile memo hit), then the solve."""
+    phi01, phi11 = filter_pipeline.run_pseudo_steps(sched, profile)
+    return _printable(extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2))
 
 
 def _encode_key(profile: PipelineProfile) -> dict:
@@ -208,15 +215,18 @@ def run_experiment(
     profile: PipelineProfile | str | None,
     oracle_limit: int = walk_oracle.DEFAULT_ORACLE_LIMIT,
 ) -> RunReport:
-    """parse -> validate -> oracle -> encode -> filter -> extract -> verdict,
-    each stage timed, and its failure raised as StageError.
+    """parse -> validate -> oracle -> encode -> extract -> verdict, each
+    stage timed, and its failure raised as StageError.
 
     validate refuses every profile that check-profile calls INVALID, the
     schedule solve and its system check included, before any series
-    work, and returns the schedule. The encoder stops at degree n_d - 2
-    and the filter is run_filter, whose step 1 is unpinned, returning
-    only c0 and c1: that is all k0 and z1 read. extract runs the
-    pseudo-steps and the solve, whose system validate has checked.
+    work, and returns the schedule. encode computes the exact moments
+    S_0..S_{n_d-2}, all that k0 and z1 read, and rounds nothing. extract
+    reads k0 and z1 off them as one exact functional of the schedule,
+    the filter and the solve composed once per (schedule, p_2, c), each
+    part rounded once (extraction.readout); it forms no c0 and c1, so
+    the report has no residuals. encode | filter | extract rounds the
+    moments, c0 and c1 and the columns on the way to the same k0.
 
     `profile` is a profile, a profile file's path, or None for the desk
     profile; validate reads or makes the last two for the graph's n.
@@ -229,11 +239,11 @@ def run_experiment(
     if g.n <= oracle_limit:
         oracle_block = _staged(timings, "oracle", _oracle_block, g, oracle_limit)
 
-    f_series = _staged(timings, "encode", grid.grid_series, g, profile, profile.n_d - 2)
-    o_series = _staged(
-        timings, "filter", filter_pipeline.run_filter, f_series, sched, profile, reads=2
+    moments = _staged(timings, "encode", grid.exact_moments, g, profile.n_d - 2)
+    result = _staged(
+        timings, "extract",
+        lambda: _printable(extraction.readout(moments, profile.c, sched, profile.p_2)),
     )
-    result = _staged(timings, "extract", _extract, o_series, sched, profile)
 
     if oracle_block is None:
         verdict = VERDICT_UNVERIFIED

@@ -23,14 +23,30 @@ entries and right-hand side are dyadic, so Cramer's rule is exact in
 integers: k0 and z1 are each one correctly rounded quotient, and each
 row residual is the exact misfit of the rounded k0 and z1, rounded once.
 The result holds only what the solve finds; its callers hold its inputs.
+That is extract_nh, the solve `hamspec extract` runs on filter's file.
+
+`hamspec run` takes none of those roundings. The filter and the solve
+are linear, so with R0, R1 the first two of filter_pipeline._rows'
+integer rows and (D0, D1) _decay's, over the same den and power of two,
+k0 = sum_j l_j a_j and z1 = sum_j m_j a_j on the encoded coefficients
+a_j = (i c)^j S_j, with l_j = (R0[j] D1 - D0 R1[j]) / DEN,
+m_j = (R0[0] R1[j] - R1[0] R0[j]) / DEN and DEN = R0[0] D1 - R1[0] D0:
+Cramer's rule on the exact rows, whose den and power of two cancel, so
+l_0 = 1 and m_0 = 0. _functional folds c^j and the sign of i^j into
+them once per (schedule, p, c), and readout applies them to the exact
+integer moments S_j: each part of k0 and z1 is one integer sum over one
+denominator, rounded once. The only error left is the plan's p-bit
+constants'.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING
 
-from .filter_pipeline import system_columns
+from .filter_pipeline import _decay, _rows, system_columns
 from .numerics import (
     NormalizedSeries,
     PrecisionComplex,
@@ -46,11 +62,12 @@ if TYPE_CHECKING:  # schedule imports this module to check a solved schedule
     from .schedule import StepSchedule
 
 FLAG_LIMIT = PrecisionReal(1, -2)  # 1/4
-# tests/test_transfer.py::test_k0_error_bar bounds Re k0's schedule plus
-# arithmetic error by |Re k0|*2^(11-p_2), so below 2^-37 wherever
-# |Re k0| <= 2^(p_2-PRECISION_GUARD); past that the precision flag fires.
-# A guard of 14 would still keep the error below 1/8, but lowering it
-# moves verdicts.
+# tests/test_transfer.py bounds Re k0's schedule plus arithmetic error by
+# |Re k0|*2^(5-p_2) for run's readout (test_run_k0_error_bar) and by
+# |Re k0|*2^(11-p_2) for the files path (test_k0_error_bar), so below
+# 2^-37 on either wherever |Re k0| <= 2^(p_2-PRECISION_GUARD); past that
+# the precision flag fires. A guard of 14 would still keep the files
+# path's error below 1/8, but lowering it moves verdicts.
 PRECISION_GUARD = 48
 
 
@@ -64,17 +81,18 @@ class SingularSystemError(ArithmeticError):
 @dataclass(frozen=True)
 class ExtractionResult:
     """k0, z1, n_h_rounded (Re k0 rounded), the flag figures |Im k0| and
-    |Re k0 - n_h_rounded|, each row's residual sup-norm, and the precision
-    p of the solve, against which the precision flag reads |Re k0|."""
+    |Re k0 - n_h_rounded|, the precision p of the solve, against which
+    the precision flag reads |Re k0|, and each row's residual sup-norm,
+    None from readout, which forms no (c0, c1) to misfit."""
 
     k0: PrecisionComplex
     z1: PrecisionComplex
     n_h_rounded: int
     imag_magnitude: PrecisionReal
     round_distance: PrecisionReal
-    residual0: PrecisionReal
-    residual1: PrecisionReal
     p: int
+    residual0: PrecisionReal | None = None
+    residual1: PrecisionReal | None = None
 
     @property
     def flags(self) -> tuple:
@@ -97,6 +115,19 @@ def _nearest_integer(m: int, e: int, p: int) -> tuple:
     if 2 * rem > one or (2 * rem == one and n & 1):
         n, rem = n + 1, one - rem
     return n, _round(rem, e, p)
+
+
+def _result(re: tuple, im: tuple, p: int) -> ExtractionResult:
+    """The result from each part's (k0, z1[, r0, r1]) raw pairs."""
+    k0, z1, *residuals = (
+        PrecisionComplex(PrecisionReal(*a), PrecisionReal(*b)) for a, b in zip(re, im)
+    )
+    r0, r1 = map(csup, residuals) if residuals else (None, None)
+    n_h, dist = _nearest_integer(*re[0], p)
+    return ExtractionResult(
+        k0=k0, z1=z1, n_h_rounded=n_h, imag_magnitude=rabs(k0.im),
+        round_distance=PrecisionReal(*dist), p=p, residual0=r0, residual1=r1,
+    )
 
 
 def _system(phi01: PrecisionComplex, phi11: PrecisionComplex, sched: StepSchedule, p: int):
@@ -152,11 +183,31 @@ def extract_nh(
         _solve_part(system, (a.mantissa, a.exponent), (b.mantissa, b.exponent), p)
         for a, b in ((c0.re, c1.re), (c0.im, c1.im))
     )
-    k0, z1, r0, r1 = (
-        PrecisionComplex(PrecisionReal(*a), PrecisionReal(*b)) for a, b in zip(re, im)
+    return _result(re, im, p)
+
+
+@functools.lru_cache(maxsize=8)
+def _functional(sched: StepSchedule, p: int, c: int) -> tuple:
+    """(l, m, den): k0 = sum_j l_j S_j / den and z1 = sum_j m_j S_j / den,
+    even j giving the real parts and odd j the imaginary ones, with c^j
+    and the sign of i^j folded in, so l_0 = den and m_0 = 0. Once per
+    process per (schedule, p, c), from the memoized _rows and _decay."""
+    (r0, r1, *_), den, exp = _rows(sched, p)
+    (d0,), (d1,), *_ = _decay(sched, p)[0]
+    scale = den << -exp  # divides every 2x2 minor of the rows (_compose)
+    l = [(a * d1 - d0 * b) // scale for a, b in zip(r0, r1)]
+    m = [(r0[0] * b - r1[0] * a) // scale for a, b in zip(r0, r1)]
+    fold = [(-1) ** (j // 2) * c**j for j in range(len(r0))]
+    return list(map(mul, l, fold)), list(map(mul, m, fold)), l[0]
+
+
+def readout(moments: list, c: int, sched: StepSchedule, p: int) -> ExtractionResult:
+    """k0 and z1 of the encoded coefficients (i c)^j S_j, j = 0..n_d-2,
+    from the exact moments S_j: each part one integer sum over _functional's
+    denominator, rounded once to p bits; no residuals."""
+    l, m, den = _functional(sched, p, c)
+    re, im = (
+        [_round_quotient(sum(map(mul, w[j::2], moments[j::2])), den, 0, p) for w in (l, m)]
+        for j in (0, 1)
     )
-    n_h, dist = _nearest_integer(*re[0], p)
-    return ExtractionResult(
-        k0=k0, z1=z1, n_h_rounded=n_h, imag_magnitude=rabs(k0.im),
-        round_distance=PrecisionReal(*dist), residual0=csup(r0), residual1=csup(r1), p=p,
-    )
+    return _result(re, im, p)

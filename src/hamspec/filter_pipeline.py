@@ -14,18 +14,19 @@ for a bare cascade (_compile). Steps 2..n_d+3 run at degree n_d; _plan
 compiles them once per process per (schedule, p), so a verdict reads no
 taylor_table entry, and refuses a vanished decay when it compiles.
 
-run_filter, the production path of `hamspec run` and `hamspec filter`,
-makes step 1 the bare cascade of u_0..u_{n_d-2}: step 1's pin adds
-A*e^{-t}, A = -w/tr_{n_d1}(e^{-r_1}), which on the coefficients
-0..n_d-1 the tail reads is exactly the decay column's input, so by
-linearity it moves only the decay amplitude z1, never k0. Every step is
-linear with the plan's constants, so the whole plan is one linear map:
-_rows composes it exactly, once per process per (schedule, p), into
-integer rows over one denominator and one power of two (_compose), and
-each output is one exact dot product with the p-bit inputs, rounded once
-(_apply; Bostan, Lecerf and Schost, "Tellegen's principle into
-practice", ISSAC 2003, on precomputing such a map). system_columns reads
-the same rows on a unit constant, and steps 2..n_d+3 composed on e^{-t}.
+run_filter, the path of `hamspec filter`, makes step 1 the bare cascade
+of u_0..u_{n_d-2}: step 1's pin adds A*e^{-t}, A = -w/tr_{n_d1}(e^{-r_1}),
+which on the coefficients 0..n_d-1 the tail reads is exactly the decay
+column's input, so by linearity it moves only the decay amplitude z1,
+never k0. Every step is linear with the plan's constants, so the whole
+plan is one linear map: _rows composes it exactly, once per process per
+(schedule, p), into integer rows over one denominator and one power of
+two (_compose), and each output is one exact dot product with the p-bit
+inputs, rounded once (_apply; Bostan, Lecerf and Schost, "Tellegen's
+principle into practice", ISSAC 2003, on precomputing such a map).
+system_columns reads the same rows on a unit constant, and _decay, steps
+2..n_d+3 composed on e^{-t}; extraction folds both rows and _decay into
+the covectors `hamspec run` reads off the exact moments.
 
 run_pipeline is the paper-literal pinned reference: step 1 at degree
 n_d1 with its pin, whose ~2^3000 terms cancel and leave k0 to rounding.
@@ -133,7 +134,11 @@ def _compose(rows: list, steps):
     adj = -w/q, w = sum_k F_k out_k * 2^low and q = qm * 2^qe, to even
     outputs and subtracts it from odd ones; over the denominator qm and
     with a - b = qe - low, a and b >= 0, output i is
-    (qm out_i 2^a -+ w 2^b) / qm * 2^-a."""
+    (qm out_i 2^a -+ w 2^b) / qm * 2^-a. So a pinned step's integer
+    matrix is qm 2^a C plus a rank-one term, C the cascade's, and each of
+    its 2x2 minors, det(A) + w^T adj(A) v, is divisible by qm 2^a; by
+    Cauchy-Binet every 2x2 minor of the rows, the decay column's
+    included, is divisible by den * 2^-exp."""
     den, exp = 1, 0
     zero = [0] * len(rows[0]) if rows else []
     for m, factors, q in steps:
@@ -202,17 +207,15 @@ def run_filter(
     sched: StepSchedule,
     profile: PipelineProfile,
     dump=None,
-    reads=None,
 ) -> NormalizedSeries:
-    """The production path, steps 1..n_d+3 without step 1's pin. Step 1
-    is the bare cascade of u_0..u_{n_d-2} at degree n_d - 1; the series
+    """The path of `hamspec filter`, steps 1..n_d+3 without step 1's pin.
+    Step 1 is the bare cascade of u_0..u_{n_d-2} at degree n_d - 1; the series
     may have any degree from n_d - 2 up, and grid_series gives it at
     n_d - 2. Each output is the exact plan on the p_2-bit inputs, rounded
     once (_rows). k0 is the pinned reference's in exact arithmetic, and z1
     is the pinned z1 less step 1's pin amplitude A. `dump`, if given, is
     called with (step_index, series) after every step, each the exact
     prefix of the plan rounded once; step 1's series has n_d
-    coefficients. Given `reads`, the output holds only its first `reads`
     coefficients."""
     n_d, p = profile.n_d, profile.p_2
     if u_series.degree_bound < n_d - 2:
@@ -224,7 +227,7 @@ def run_filter(
         for sp, (rows, den, exp) in enumerate(_prefixes(sched, p), 1):
             dump(sp, _apply(rows, den, exp, parts, p))
     rows, den, exp = _rows(sched, p)
-    return _apply(rows[:reads], den, exp, parts, p)
+    return _apply(rows, den, exp, parts, p)
 
 
 def run_pipeline(
@@ -236,7 +239,7 @@ def run_pipeline(
     """The paper-literal pinned reference, steps 1..n_d+3, step 1 at
     degree n_d1 with its pin, each step rounded. `dump`, if given, is
     called with (step_index, series) after every step; step 1's series
-    has all n_d1 + 1 coefficients. run_filter is the production path."""
+    has all n_d1 + 1 coefficients. run_filter is the path of `hamspec filter`."""
     n_d1 = profile.n_d1
     if f_series.degree_bound != n_d1:
         raise ValueError(
@@ -252,15 +255,26 @@ def run_pseudo_steps(sched: StepSchedule, profile: PipelineProfile):
 
 
 @functools.lru_cache(maxsize=8)
+def _decay(sched: StepSchedule, p: int) -> tuple:
+    """Steps 2..n_d+3 composed exactly on e^{-t}'s coefficients (-1)^k,
+    k < n_d: one column (rows, den, exp) over _rows' den and exp, as both
+    compose _plan's steps. Once per process per (schedule, p); a
+    DegenerateScheduleError is raised, not cached."""
+    for last in _compose([[(-1) ** k] for k in range(sched.n_d)], _plan(sched, p)):
+        pass
+    return last
+
+
+@functools.lru_cache(maxsize=8)
 def system_columns(sched: StepSchedule, p: int):
     """Both columns of the extraction's two-channel system,
     ((phi00, phi10), (phi01, phi11)): the constant and linear coefficients
     of run_filter's output for a unit constant, its rows' first column,
-    whose step 1 makes it 1 - e^{-t}, and of what steps 2..n_d+3 make of
-    e^{-t}, composed exactly on its coefficients (-1)^k, k < n_d; each
-    rounded once. Solved once per process per (schedule, p); a
-    DegenerateScheduleError is raised, not cached."""
-    for decay in _compose([[(-1) ** k] for k in range(sched.n_d)], _plan(sched, p)):
-        pass
+    whose step 1 makes it 1 - e^{-t}, and of _decay, what steps 2..n_d+3
+    make of e^{-t}; each rounded once. Solved once per process per
+    (schedule, p); a DegenerateScheduleError is raised, not cached."""
     unit = [(1, 0)], [(0, 0)]
-    return tuple(_apply(rows[:2], den, exp, unit, p).coeffs for rows, den, exp in (_rows(sched, p), decay))
+    return tuple(
+        _apply(rows[:2], den, exp, unit, p).coeffs
+        for rows, den, exp in (_rows(sched, p), _decay(sched, p))
+    )

@@ -33,7 +33,7 @@ m = 6 and 392 us at m = 64, and a square 0.56x and ~2x a shift (timeit,
 2-vCPU x86). At the desk degree m = 64: d0 = n for n <= 6, and for
 n = 7, 8 up to |E| = n (the cycle); with more edges d0 = 3 folded for
 n = 7 (7 shifts, 7 squares), d0 = 3 for n = 8 (40 shifts). At m = 6,
-the degree `hamspec run` encodes at (n_d - 2): d0 = n for n <= 4, for
+the degree `hamspec run` reads (n_d - 2): d0 = n for n <= 4, for
 n = 5, 6 up to |E| = n and for n = 7, 8 up to |E| = n - 1 (a tree);
 with more edges d0 = 2 folded for n = 5 and 7, d0 = 2 for n = 6 and 8.
 Every route gives the same integers, and none enumerates walks.
@@ -197,15 +197,20 @@ def grid_intermediate(g: Graph, profile: PipelineProfile, depth: int) -> list:
     return [_round_moments(w, 1, profile.p_1) for w in wires]
 
 
+def exact_moments(g: Graph, m: int) -> list:
+    """The exact S_0..S_m, switching from spectra to shifts at the cheapest
+    depth for (n, m). `hamspec run` reads k0 off them at m = n_d - 2, all
+    that run_filter reads of the encoded series."""
+    return _moments(g, m, *_route(g.n, m, g.edge_count()))
+
+
 def grid_series(g: Graph, profile: PipelineProfile, m: int | None = None) -> NormalizedSeries:
     """Encoded series at degree m (default n_d1), precision p_1: the exact
-    moments S_0..S_m, switching from spectra to shifts at the cheapest
-    depth for (n, m), each rounded once with time scaled by c. Coefficient
-    k does not depend on m, so a lower degree gives the head of the
-    series; `hamspec run` asks for n_d - 2, all that run_filter reads."""
+    moments, each rounded once with time scaled by c. Coefficient k does
+    not depend on m, so a lower degree gives the head of the series."""
     if profile.n != g.n:
         raise ValueError(f"profile n={profile.n} does not match graph n={g.n}")
     c = profile.require_c()
     if m is None:
         m = profile.n_d1
-    return _round_moments(_moments(g, m, *_route(g.n, m, g.edge_count())), c, profile.p_1)
+    return _round_moments(exact_moments(g, m), c, profile.p_1)

@@ -8,7 +8,10 @@ rationals at the schedule's dyadic times, with both columns and the 2x2
 solve exact too, and a_k = (i c)^k S_k from the enumerated walk spectrum.
 Nothing here rounds, and nothing is shared with filter_pipeline or grid,
 so the difference between the package's k0 and this one is its rounding
-error alone. l_0 = 1 and m_0 = 0: a unit constant is the constant column.
+error alone: for `hamspec run` (extraction.readout), the plan's p_2-bit
+constants plus one rounding; for encode | filter | extract, also the
+p_1-bit moments and the p_2-bit c0, c1 and columns. l_0 = 1 and m_0 = 0:
+a unit constant is the constant column.
 """
 
 from __future__ import annotations

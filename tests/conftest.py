@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hamspec.extraction import ExtractionResult, SingularSystemError
-from hamspec.filter_pipeline import DegenerateScheduleError, _compile, _run, system_columns
+from hamspec.filter_pipeline import DegenerateScheduleError, _compile, _plan, _run, system_columns
 from hamspec.graph import Graph
 from hamspec.numerics import (
     R_ZERO,
@@ -270,13 +270,13 @@ def reference_step(series, r, m, p):
     return rounded_series(exact_step(u, m, factors, decay.to_fraction()), p)
 
 
-def plan_replay(series, plan, p):
+def plan_replay(u, plan):
     """A compiled plan, filter_pipeline._compile's (m, factors, q)
-    entries, in exact Fractions on the series with each part rounded to p
-    bits: each step's exact outputs 0..m as (re, im) pairs, in a list, a
-    step reading its predecessor's. The constants are read off the plan,
+    entries, in exact Fractions on u, a list of (re, im) Fraction pairs:
+    each step's exact outputs 0..m as (re, im) pairs, in a list, a step
+    reading its predecessor's. The constants are read off the plan,
     f_k = ints[k-1] * 2^low and q = qm * 2^qe, and nothing is rounded."""
-    u, states = rounded_inputs(series, p), []
+    states = []
     for m, factors, q in plan:
         if factors is None:
             u = exact_step(u, m)
@@ -286,6 +286,32 @@ def plan_replay(series, plan, p):
             u = exact_step(u, m, [v * scale for v in ints], qm * Fraction(2) ** qe)
         states.append(u)
     return states
+
+
+def reference_readout(moments, c, sched, p):
+    """run's (k0, z1) in exact Fractions from plan_replay, each part
+    rounded once: run_filter's plan on the exact a_k = (i c)^k S_k for
+    (c0, c1) and on a unit constant for the constant column, _plan on
+    e^{-t}'s coefficients (-1)^k, k < n_d, for the decay column, then
+    Cramer's rule."""
+    n_d = sched.n_d
+    plan = (_compile(None, n_d - 1, p),) + _plan(sched, p)
+    unit = (1, 0, -1, 0), (0, 1, 0, -1)  # the parts of i^k, by k mod 4
+    coeffs = [(s * c**k * unit[0][k % 4], s * c**k * unit[1][k % 4]) for k, s in enumerate(moments)]
+    state, const, decay = (
+        plan_replay(u, steps)[-1]
+        for u, steps in (
+            (coeffs, plan),
+            ([(Fraction(1), Fraction(0))], plan),
+            ([(Fraction((-1) ** k), Fraction(0)) for k in range(n_d)], _plan(sched, p)),
+        )
+    )
+    (f00, _), (f10, _), (f01, _), (f11, _) = const[0], const[1], decay[0], decay[1]
+    det = f00 * f11 - f10 * f01
+    x0, x1 = state[0], state[1]  # (re, im) each
+    k0 = PrecisionComplex(*(rounded_fraction((a * f11 - f01 * b) / det, p) for a, b in zip(x0, x1)))
+    z1 = PrecisionComplex(*(rounded_fraction((f00 * b - f10 * a) / det, p) for a, b in zip(x0, x1)))
+    return k0, z1
 
 
 def integrator_cascade(series, m: int):

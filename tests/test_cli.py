@@ -77,18 +77,22 @@ class TestFilterPseudoExtract:
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in GRAPHS.glob("*.graph")))
     def test_extract_prints_the_run_extraction_block(self, tmp_path, capsys, name):
-        # encode -> filter -> extract through files is run's own path: the
-        # filter reads the head of the degree-n_d1 encoded series that run
-        # encodes at degree n_d - 2. Graphs with non-path walks have z1 != 0,
-        # so a wrong decay column shows; on the 2-path z1 = 0
+        # encode -> filter -> extract through files rounds the moments, c0,
+        # c1 and the columns that run's exact readout does not, yet prints
+        # the same 25 digits of k0 and z1, and the same flags; run forms no
+        # c0 and c1, so its block has no residuals. Graphs with non-path
+        # walks have z1 != 0, so a wrong decay column shows; on the 2-path
+        # z1 = 0
         graph = GRAPHS / f"{name}.graph"
         enc, flt = tmp_path / "f.series", tmp_path / "o.series"
         assert run_cli(capsys, "encode", str(graph), "--out", str(enc))[0] == 0
         assert run_cli(capsys, "filter", str(enc), "--out", str(flt))[0] == 0
         code, stdout, _ = run_cli(capsys, "extract", str(flt))
         assert code == 0
+        lines = stdout.splitlines()
+        assert [line.split("=")[0] for line in lines[7:9]] == ["residual0", "residual1"]
         report = json.loads(run_cli(capsys, "run", str(graph), "--json", "--no-timings")[1])
-        assert stdout.splitlines() == [f"{k}={v}" for k, v in report["extraction"].items()]
+        assert lines[:7] + lines[9:] == [f"{k}={v}" for k, v in report["extraction"].items()]
 
     def test_dump_steps(self, files, capsys):
         tmp, g2, _, prof = files
@@ -773,17 +777,18 @@ class TestRun:
     def test_run_experiment_stage_timings(self, files):
         _, _, g4, _ = files
         report = run_experiment(str(g4), desk_profile(4))
-        stages = ("parse", "validate", "oracle", "encode", "filter", "extract")
+        stages = ("parse", "validate", "oracle", "encode", "extract")
         assert list(report.timings_ms) == [f"{stage}_ms" for stage in stages]
 
     def test_profile_file_is_read_on_every_call(self, files, capsys):
-        # the parsed profile is memoized on the file's text, not its path
+        # the parsed profile is memoized on the file's text, not its path;
+        # the edit, c = 2^40 to 2^41, moves k0 and with it the extraction
         _, _, g4, prof = files
         argv = ("run", str(g4), "--profile", str(prof), "--json", "--no-timings")
         first = json.loads(run_cli(capsys, *argv)[1])
-        prof.write_text(prof.read_text().replace("p_2=256", "p_2=320"))
+        prof.write_text(prof.read_text().replace(f"c={2**40}", f"c={2**41}"))
         second = json.loads(run_cli(capsys, *argv)[1])
-        assert (first["profile"]["p_2"], second["profile"]["p_2"]) == (256, 320)
+        assert (first["profile"]["c"], second["profile"]["c"]) == (2**40, 2**41)
         assert first["extraction"] != second["extraction"]
 
     def test_out_writes_the_report_it_prints(self, files, capsys):
@@ -958,7 +963,7 @@ class TestSameBytes:
     bytes (say, by making them more exact) updates the digest and says so
     in CHANGES.md."""
 
-    DIGEST = "a425574ad23a7c3d38e16819b383610a6329e41b4de11b4695becc21a1519375"
+    DIGEST = "27f9d749299b2cf62b6ee84ed45639f79f0a23ba660e2cd15fefdad5eb988c45"
 
     def test_run_reports_keep_their_bytes(self, tmp_path, capsys):
         h = hashlib.sha256()
@@ -995,7 +1000,7 @@ class TestCommandBytes:
     in CHANGES.md."""
 
     DIGESTS = {
-        "run": "5a32c7b81dc3ef2d79433285d5ac8aca5b698b4f5db6a2605fcb140ffc1ab5a8",
+        "run": "170006c2e800b5c879da19ec822282b0a29d35ea857c17c95109caac8bbaff0c",
         "encode": "4f2c5a58b1e23b0fc659ad7abe8972fe2be5aedcebe4100736ebf6a0f3a3677a",
         "filter": "398ccb7a1d16aa9a5e72d1ef4ddfc047cd0f028fb03c982b9b2333c3198768c5",
         "extract": "bfa48370f0b0e30f68df9d9e7f4d8a9246932e5474b93869dafd304d36f84fc4",

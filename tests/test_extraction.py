@@ -14,8 +14,16 @@ from hamspec.extraction import (
     _nearest_integer,
     extract_nh,
 )
-from hamspec.filter_pipeline import run_filter, run_pipeline, run_pseudo_steps, system_columns
-from hamspec.graph import load_graph
+from hamspec.cli import _extraction_block, run_experiment
+from hamspec.filter_pipeline import (
+    _decay,
+    _rows,
+    run_filter,
+    run_pipeline,
+    run_pseudo_steps,
+    system_columns,
+)
+from hamspec.graph import hamiltonian_frequency, load_graph
 from hamspec.grid import grid_series
 from hamspec.numerics import (
     C_ZERO,
@@ -27,13 +35,19 @@ from hamspec.numerics import (
     cmul,
     from_fraction,
     from_int,
+    rabs,
 )
 from hamspec.schedule import build_schedule, desk_profile
+from hamspec.walk_oracle import walk_spectrum
 from conftest import (
+    complete_graph,
+    cycle_graph,
     nearest_integer,
     path_graph,
     reference_extract,
     reference_flags,
+    reference_readout,
+    star_graph,
     trunc_exp_fraction,
 )
 
@@ -217,7 +231,7 @@ class TestReferenceParity:
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in GRAPHS.glob("*.graph")))
     def test_graph_files(self, name):
-        # through run_filter (run's path) and run_pipeline (the pinned reference)
+        # through run_filter (the files path) and run_pipeline (the pinned reference)
         g = load_graph(str(GRAPHS / f"{name}.graph"))
         prof = desk_profile(g.n)
         sched = build_schedule(prof)
@@ -338,3 +352,53 @@ class TestReferenceParity:
         constant_column(PrecisionComplex(from_int(1, p), from_int(1, p)), cfrom_int(0, 0, p))
         with pytest.raises(ValueError, match="not real"):
             extract_nh(o, phi01, phi11, sched, p)
+
+
+class TestReadout:
+    """run's k0 and z1: _functional's covectors on the exact moments, each
+    part rounded once."""
+
+    @pytest.mark.parametrize("key", [{}, dict(n_d=12, n_d1=140, r_1=28, p_1=768, p_2=384)])
+    def test_lambda_0_is_1_and_mu_0_is_0(self, key):
+        # a unit constant is the constant column: l_0 / den = 1, m_0 = 0;
+        # and the scale _functional divides out divides every 2x2 minor
+        prof = desk_profile(4, **key)
+        sched = build_schedule(prof)
+        l, m, den = extraction._functional(sched, prof.p_2, prof.c)
+        assert len(l) == len(m) == prof.n_d - 1
+        assert (l[0], m[0]) == (den, 0)
+        (r0, r1, *_), rows_den, exp = _rows(sched, prof.p_2)
+        (d0,), (d1,), *_ = _decay(sched, prof.p_2)[0]
+        minors = [a * d1 - d0 * b for a, b in zip(r0, r1)]
+        minors += [r0[0] * b - r1[0] * a for a, b in zip(r0, r1)]
+        assert all(x % (rows_den << -exp) == 0 for x in minors)
+
+    @pytest.mark.parametrize("p_2", [128, 256])
+    def test_run_reads_the_exact_readout_rounded_once(self, tmp_path, p_2):
+        # the graphs/ files and P_n, C_n, K_n and the star for n = 2..6, on
+        # moments from the enumerated walk spectrum: k0 and z1 equal the
+        # Fraction replay's bits, and run prints that replay's block
+        graphs = {path.stem: load_graph(str(path)) for path in sorted(GRAPHS.glob("*.graph"))}
+        for n in range(2, 7):
+            for family in (path_graph, cycle_graph, complete_graph, star_graph):
+                graphs[f"{family.__name__}{n}"] = family(n)
+        for name, g in graphs.items():
+            prof = desk_profile(g.n, p_2=p_2)
+            sched = build_schedule(prof)
+            a_h, spectrum = hamiltonian_frequency(g), walk_spectrum(g)
+            moments = [
+                sum(mult * (w - a_h) ** k for w, mult in spectrum.items())
+                for k in range(prof.n_d - 1)
+            ]
+            k0, z1 = reference_readout(moments, prof.c, sched, p_2)
+            got = extraction.readout(moments, prof.c, sched, p_2)
+            assert (got.k0.bits(), got.z1.bits()) == (k0.bits(), z1.bits()), name
+            n_h, dist = nearest_integer(k0.re)
+            want = ExtractionResult(
+                k0=k0, z1=z1, n_h_rounded=n_h, imag_magnitude=rabs(k0.im),
+                round_distance=from_fraction(dist, p_2) if dist else R_ZERO, p=p_2,
+            )
+            path = tmp_path / f"{name}.graph"
+            path.write_text(f"n {g.n}\n" + "".join(f"e {a} {b}\n" for a, b in g.edges))
+            report = run_experiment(str(path), prof)
+            assert report.extraction == _extraction_block(want), name

@@ -46,6 +46,7 @@ from conftest import (
     reference_pipeline,
     reference_step,
     rounded_fraction,
+    rounded_inputs,
     rounded_series,
     star_graph,
     trunc_exp_fraction,
@@ -536,7 +537,7 @@ class TestProductionPath:
         once: the expected --dump-steps series, the last the output."""
         p, n_d = prof.p_2, prof.n_d
         plan = (_compile(None, n_d - 1, p),) + _plan(sched, p)
-        return [rounded_series(s, p) for s in plan_replay(f.truncate(n_d - 2), plan, p)]
+        return [rounded_series(s, p) for s in plan_replay(rounded_inputs(f.truncate(n_d - 2), p), plan)]
 
     @pytest.mark.parametrize("p_2", [53, 256])
     def test_matches_reference(self, p_2):
@@ -554,8 +555,7 @@ class TestProductionPath:
     def test_every_output_is_the_exact_plan_rounded_once(self, p_2):
         # the graphs/ files, P_n, C_n, K_n and the star for n = 2..7, and
         # seeded inputs with zero parts and exponents hundreds of bits
-        # apart: run's two coefficients, filter's output and each of its
-        # --dump-steps series
+        # apart: filter's output and each of its --dump-steps series
         rng = random.Random(5 * p_2)
         graphs = [load_graph(str(path)) for path in sorted(GRAPHS.glob("*.graph"))]
         graphs += [
@@ -574,23 +574,8 @@ class TestProductionPath:
                 got = {}
                 out = run_filter(f, sched, prof, dump=got.__setitem__)
                 assert out.bits() == want[-1].bits()
-                assert run_filter(f, sched, prof, reads=2).bits() == want[-1].bits()[:2]
                 assert sorted(got) == list(range(1, len(want) + 1))
                 assert all(got[sp].bits() == s.bits() for sp, s in enumerate(want, 1))
-
-    @pytest.mark.parametrize("p_2", [53, 256])
-    def test_two_coefficient_output_has_the_full_outputs_bits(self, p_2):
-        # run's path: only c0 and c1 are rounded and returned
-        rng = random.Random(7 * p_2)
-        prof = desk_profile(4, p_2=p_2)
-        sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
-        inputs = [edge_series(rng, prof.n_d - 2, q) for q in (prof.p_1, p_2) for _ in range(4)]
-        inputs += [random_series(rng, prof.n_d - 2, p_2) for _ in range(4)]
-        for f in inputs:
-            full = run_filter(f, sched, prof)
-            two = run_filter(f, sched, prof, reads=2)
-            assert two.degree_bound == 1
-            assert two.bits() == full.bits()[:2]
 
     def test_rejects_a_series_below_n_d_minus_2(self):
         prof = desk_profile(4)
@@ -644,7 +629,7 @@ class TestPseudoSteps:
         doubled = NormalizedSeries([double(c, p) for c in base.coeffs], p)
         phi01, phi11 = run_pseudo_steps(sched, prof)
         for f, column in ((base, (phi01, phi11)), (doubled, (double(phi01, p), double(phi11, p)))):
-            exact = plan_replay(f, _plan(sched, p), p)[-1]
+            exact = plan_replay(rounded_inputs(f, p), _plan(sched, p))[-1]
             assert rounded_series(exact[:2], p).coeffs == column
         chains = []
         for j in (base, doubled):

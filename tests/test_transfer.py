@@ -1,8 +1,10 @@
-"""The production path's k0 and z1 against the exact truncated functional.
+"""run's and the files path's k0 and z1 against the exact truncated functional.
 
 hamspec.transfer replays the filter in exact rationals on the enumerated
 walk spectrum and shares no code with filter_pipeline or grid, so the
-difference is the package's rounding error alone.
+difference is the package's rounding error alone: for run's readout, the
+plan's p_2-bit constants and one rounding; for encode | filter | extract,
+also the p_1-bit moments, the p_2-bit c0, c1 and columns.
 """
 
 import math
@@ -14,10 +16,10 @@ import pytest
 
 from hamspec import transfer
 from hamspec.cli import run_experiment
-from hamspec.extraction import extract_nh
+from hamspec.extraction import extract_nh, readout
 from hamspec.filter_pipeline import run_filter, run_pseudo_steps
 from hamspec.graph import load_graph
-from hamspec.grid import grid_series
+from hamspec.grid import exact_moments, grid_series
 from hamspec.schedule import build_schedule, desk_profile, solve_schedule
 
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
@@ -111,8 +113,9 @@ def test_other_schedule_keys(key):
 
 @pytest.mark.parametrize("p_2", (128, 160, 192, 256))
 def test_k0_error_bar(p_2):
-    # k0's error at p_1 = 2 p_2, in units of |Re k0| 2^-p_2, with each
-    # filter output rounded once from the exact cascade. The arithmetic's,
+    # the files path's k0 (encode | filter | extract) at p_1 = 2 p_2, in
+    # units of |Re k0| 2^-p_2, each filter output rounded once from the
+    # exact cascade. The arithmetic's error,
     # against the exact functional on the same schedule, is at most 2^7.0,
     # 2^7.5, 2^6.8 and 2^6.3 at p_2 = 128, 160, 192 and 256; with the
     # schedule's rounding too, against a 512-bit schedule, 2^6.9, 2^7.5,
@@ -145,6 +148,47 @@ def test_k0_error_bar_at_a_second_key():
         k0 = res.k0.re.to_fraction()
         (want, _), _ = transfer.exact_k0_z1(g, prof, sched)
         assert abs(k0 - want) <= abs(k0) * Fraction(2) ** (11 - prof.p_2), name
+        assert "precision" not in res.flags, name
+        assert name != "p2" or k0 == 2
+
+
+def run_k0(g, prof, sched):
+    """run's extraction result: the readout of the exact moments."""
+    return readout(exact_moments(g, prof.n_d - 2), prof.c, sched, prof.p_2)
+
+
+@pytest.mark.parametrize("p_2", (128, 160, 192, 256))
+def test_run_k0_error_bar(p_2):
+    # run's k0 is the exact functional of the plan's p_2-bit constants,
+    # rounded once. Against the exact functional on the same schedule, in
+    # units of |Re k0| 2^-p_2, its worst error over the six graphs is
+    # 2^2.38, 2^2.02, 2^2.40 and 2^2.43 at p_2 = 128, 160, 192 and 256
+    # (the files path's, test_k0_error_bar, up to 2^7.5); with the
+    # schedule's rounding too, against a 512-bit schedule, 2^4.07, 2^2.14,
+    # 2^1.63 and 2^3.40
+    fine = solve_schedule(512, 8, 64, 16, 2)
+    for name in NAMES:
+        g = load_graph(str(GRAPHS / f"{name}.graph"))
+        prof = desk_profile(g.n, p_1=2 * p_2, p_2=p_2)
+        sched = build_schedule(prof)
+        k0 = run_k0(g, prof, sched).k0.re.to_fraction()
+        for schedule, bits in ((sched, 3), (fine, 5)):
+            (want, _), _ = transfer.exact_k0_z1(g, prof, schedule)
+            assert abs(k0 - want) <= abs(k0) * Fraction(2) ** (bits - p_2), (name, bits)
+        assert name != "p2" or k0 == 2
+
+
+def test_run_k0_error_bar_at_a_second_key():
+    # at (n_d, n_d1, r_1) = (12, 140, 28), p_2 = 384, on the same
+    # schedule: the worst error over the six graphs is 2^2.24 (p3)
+    for name in NAMES:
+        g = load_graph(str(GRAPHS / f"{name}.graph"))
+        prof = desk_profile(g.n, n_d=12, n_d1=140, r_1=28, p_1=768, p_2=384)
+        sched = build_schedule(prof)
+        res = run_k0(g, prof, sched)
+        k0 = res.k0.re.to_fraction()
+        (want, _), _ = transfer.exact_k0_z1(g, prof, sched)
+        assert abs(k0 - want) <= abs(k0) * Fraction(2) ** (3 - prof.p_2), name
         assert "precision" not in res.flags, name
         assert name != "p2" or k0 == 2
 
