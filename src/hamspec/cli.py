@@ -184,7 +184,7 @@ def _printable(result: extraction.ExtractionResult) -> extraction.ExtractionResu
 
 
 def _extract(o_series, sched: schedule.StepSchedule, profile: PipelineProfile):
-    """The pseudo-steps' columns (a per-profile memo hit), then the solve."""
+    """The pseudo-steps' columns, off the memoized exact rows, then the solve."""
     phi01, phi11 = filter_pipeline.run_pseudo_steps(sched, profile)
     return _printable(extraction.extract_nh(o_series, phi01, phi11, sched, profile.p_2))
 

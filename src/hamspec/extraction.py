@@ -27,7 +27,8 @@ That is extract_nh, the solve `hamspec extract` runs on filter's file.
 
 `hamspec run` takes none of those roundings. The filter and the solve
 are linear, so with R0, R1 the first two of filter_pipeline._rows'
-integer rows and (D0, D1) _decay's, over the same den and power of two,
+integer rows, each without its last entry, and (D0, D1) those last
+entries, the decay column, over one den and power of two,
 k0 = sum_j l_j a_j and z1 = sum_j m_j a_j on the encoded coefficients
 a_j = (i c)^j S_j, with l_j = (R0[j] D1 - D0 R1[j]) / DEN,
 m_j = (R0[0] R1[j] - R1[0] R0[j]) / DEN and DEN = R0[0] D1 - R1[0] D0:
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .filter_pipeline import _decay, _rows, system_columns
+from .filter_pipeline import _rows, system_columns
 from .numerics import (
     NormalizedSeries,
     PrecisionComplex,
@@ -191,9 +192,10 @@ def _functional(sched: StepSchedule, p: int, c: int) -> tuple:
     """(l, m, den): k0 = sum_j l_j S_j / den and z1 = sum_j m_j S_j / den,
     even j giving the real parts and odd j the imaginary ones, with c^j
     and the sign of i^j folded in, so l_0 = den and m_0 = 0. Once per
-    process per (schedule, p, c), from the memoized _rows and _decay."""
-    (r0, r1, *_), den, exp = _rows(sched, p)
-    (d0,), (d1,), *_ = _decay(sched, p)[0]
+    process per (schedule, p, c), from the memoized _rows, whose last
+    column is the decay column."""
+    rows, den, exp = _rows(sched, p)
+    (*r0, d0), (*r1, d1) = rows[:2]
     scale = den << -exp  # divides every 2x2 minor of the rows (_compose)
     l = [(a * d1 - d0 * b) // scale for a, b in zip(r0, r1)]
     m = [(r0[0] * b - r1[0] * a) // scale for a, b in zip(r0, r1)]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hamspec.extraction import ExtractionResult, SingularSystemError
-from hamspec.filter_pipeline import DegenerateScheduleError, _compile, _plan, _run, system_columns
+from hamspec.filter_pipeline import DegenerateScheduleError, _plan, system_columns
 from hamspec.graph import Graph
 from hamspec.numerics import (
     R_ZERO,
@@ -277,35 +277,28 @@ def plan_replay(u, plan):
     reading its predecessor's. The constants are read off the plan,
     f_k = ints[k-1] * 2^low and q = qm * 2^qe, and nothing is rounded."""
     states = []
-    for m, factors, q in plan:
-        if factors is None:
-            u = exact_step(u, m)
-        else:
-            (ints, low), (qm, qe) = factors, q
-            scale = Fraction(2) ** low
-            u = exact_step(u, m, [v * scale for v in ints], qm * Fraction(2) ** qe)
+    for m, (ints, low), (qm, qe) in plan:
+        scale = Fraction(2) ** low
+        u = exact_step(u, m, [v * scale for v in ints], qm * Fraction(2) ** qe)
         states.append(u)
     return states
 
 
 def reference_readout(moments, c, sched, p):
-    """run's (k0, z1) in exact Fractions from plan_replay, each part
-    rounded once: run_filter's plan on the exact a_k = (i c)^k S_k for
-    (c0, c1) and on a unit constant for the constant column, _plan on
-    e^{-t}'s coefficients (-1)^k, k < n_d, for the decay column, then
-    Cramer's rule."""
+    """run's (k0, z1) in exact Fractions, each part rounded once: step 1's
+    bare cascade at degree n_d - 1 (exact_step) on the exact
+    a_k = (i c)^k S_k for (c0, c1) and on a unit constant for the
+    constant column, e^{-t}'s coefficients (-1)^k, k < n_d, for the decay
+    column, then plan_replay of _plan on each, then Cramer's rule."""
     n_d = sched.n_d
-    plan = (_compile(None, n_d - 1, p),) + _plan(sched, p)
     unit = (1, 0, -1, 0), (0, 1, 0, -1)  # the parts of i^k, by k mod 4
     coeffs = [(s * c**k * unit[0][k % 4], s * c**k * unit[1][k % 4]) for k, s in enumerate(moments)]
-    state, const, decay = (
-        plan_replay(u, steps)[-1]
-        for u, steps in (
-            (coeffs, plan),
-            ([(Fraction(1), Fraction(0))], plan),
-            ([(Fraction((-1) ** k), Fraction(0)) for k in range(n_d)], _plan(sched, p)),
-        )
+    step_one = (
+        exact_step(coeffs, n_d - 1),
+        exact_step([(Fraction(1), Fraction(0))], n_d - 1),
+        [(Fraction((-1) ** k), Fraction(0)) for k in range(n_d)],
     )
+    state, const, decay = (plan_replay(u, _plan(sched, p))[-1] for u in step_one)
     (f00, _), (f10, _), (f01, _), (f11, _) = const[0], const[1], decay[0], decay[1]
     det = f00 * f11 - f10 * f01
     x0, x1 = state[0], state[1]  # (re, im) each
@@ -315,11 +308,11 @@ def reference_readout(moments, c, sched, p):
 
 
 def integrator_cascade(series, m: int):
-    """filter_pipeline's bare cascade (a step compiled with r None) on a
-    series: the zero-state response of y' + y = u truncated to degree m,
-    out_k = sum_{d<k} (-1)^(k-1-d) u_d, each part rounded once."""
-    p = series.precision
-    return _run(series, [_compile(None, m, p)], p)
+    """The bare cascade on a series at its precision: the zero-state
+    response of y' + y = u truncated to degree m,
+    out_k = sum_{d<k} (-1)^(k-1-d) u_d, exact and each part rounded once
+    (reference_step with r None)."""
+    return reference_step(series, None, m, series.precision)
 
 
 def reference_pipeline(f_series, sched, prof, dump=None):

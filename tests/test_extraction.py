@@ -16,7 +16,6 @@ from hamspec.extraction import (
 )
 from hamspec.cli import _extraction_block, run_experiment
 from hamspec.filter_pipeline import (
-    _decay,
     _rows,
     run_filter,
     run_pipeline,
@@ -367,8 +366,8 @@ class TestReadout:
         l, m, den = extraction._functional(sched, prof.p_2, prof.c)
         assert len(l) == len(m) == prof.n_d - 1
         assert (l[0], m[0]) == (den, 0)
-        (r0, r1, *_), rows_den, exp = _rows(sched, prof.p_2)
-        (d0,), (d1,), *_ = _decay(sched, prof.p_2)[0]
+        rows, rows_den, exp = _rows(sched, prof.p_2)
+        (*r0, d0), (*r1, d1) = rows[:2]
         minors = [a * d1 - d0 * b for a, b in zip(r0, r1)]
         minors += [r0[0] * b - r1[0] * a for a, b in zip(r0, r1)]
         assert all(x % (rows_den << -exp) == 0 for x in minors)

@@ -1,6 +1,7 @@
 """Step semantics: cascade ODE identity, zero pinning, linearity, pipelines;
 the raw step kernel bit for bit against the exact step, rounded once."""
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,8 @@ from hamspec.filter_pipeline import (
     DegenerateScheduleError,
     _compile,
     _plan,
+    _prefixes,
+    _rows,
     _step,
     filter_step,
     run_filter,
@@ -40,6 +43,7 @@ from hamspec.schedule import build_schedule, desk_profile, solve_schedule
 from conftest import (
     complete_graph,
     cycle_graph,
+    exact_step,
     integrator_cascade,
     path_graph,
     plan_replay,
@@ -139,10 +143,18 @@ def parts(quads):
     return [c[:2] for c in quads], [c[2:] for c in quads]
 
 
-def kernel(quads, step, p, keep):
+def kernel(quads, step, p):
     """_step on both parts of raw coefficients, joined."""
     re, im = parts(quads)
-    return [a + b for a, b in zip(_step(re, step, p, keep), _step(im, step, p, keep))]
+    return [a + b for a, b in zip(_step(re, step, p), _step(im, step, p))]
+
+
+def step_one(series, prof):
+    """run_filter's step-1 --dump-steps series, the package's bare cascade
+    of u_0..u_{n_d-2} at degree n_d - 1."""
+    got = {}
+    run_filter(series, build_schedule(prof), prof, dump=got.__setitem__)
+    return got[1]
 
 
 def sup_fractions(series):
@@ -294,16 +306,6 @@ class TestKernelBits:
             assert filter_step(u, r, m, p).bits() == want.bits()
 
     @pytest.mark.parametrize("p", [24, 53, 256])
-    def test_kernel_pins_only_kept_coefficients(self, p):
-        rng = random.Random(p)
-        m = 16
-        for keep in (0, 1, 7, m):
-            u = edge_series(rng, m, p)
-            r = step_time(rng, p)
-            got = kernel(_quads(u, p), _compile(r, m, p), p, keep)
-            assert got == _quads(reference_step(u, r, m, p), p)[: keep + 1]
-
-    @pytest.mark.parametrize("p", [24, 53, 256])
     def test_quads_equals_per_part_rounding(self, p):
         # parts at p bits pass through; wider and narrower ones, and zeros
         # with a nonzero exponent, are rounded as _round rounds them
@@ -321,9 +323,8 @@ class TestKernelBits:
         # m=1, r=1: the truncated decay 1 - r vanishes; compiling the step refuses it
         p = 53
         u = _quads(NormalizedSeries([cfrom_int(3, -1, p), cfrom_int(2, 5, p)], p), p)
-        for keep in (0, 1):
-            with pytest.raises(DegenerateScheduleError):
-                kernel(u, _compile(from_int(1, p), 1, p), p, keep)
+        with pytest.raises(DegenerateScheduleError):
+            kernel(u, _compile(from_int(1, p), 1, p), p)
 
     @pytest.mark.parametrize("p_2", [53, 256])
     def test_run_pipeline_matches_reference(self, p_2):
@@ -349,10 +350,9 @@ class TestKernelBits:
 
 
 class TestExactStep:
-    """Every output _step keeps is round_nearest_even_fraction of the exact
-    step in Fractions (conftest.reference_step), part by part: bare and
-    pinned steps, every keep, zero parts and exponents hundreds of bits
-    apart."""
+    """Every output _step returns is round_nearest_even_fraction of the
+    exact step in Fractions (conftest.reference_step), part by part: zero
+    parts and exponents hundreds of bits apart."""
 
     @pytest.mark.parametrize("p", [8, 24, 53, 256])
     def test_every_kept_output_is_the_rounded_exact_step(self, p):
@@ -361,21 +361,18 @@ class TestExactStep:
             u = edge_series(rng, m + 1, p)
             inputs = [edge_series(rng, rng.choice((m, m + 2, max(m - 2, 0))), p) for _ in range(3)]
             for u in inputs + channel_cases(u):
-                for r in (None, step_time(rng, p)):
-                    try:
-                        step = _compile(r, m, p)
-                    except DegenerateScheduleError:
-                        continue
-                    want = _quads(reference_step(u, r, m, p), p)
-                    for keep in range(m + 1):
-                        assert kernel(_quads(u, p), step, p, keep) == want[: keep + 1]
+                r = step_time(rng, p)
+                try:
+                    step = _compile(r, m, p)
+                except DegenerateScheduleError:
+                    continue
+                assert kernel(_quads(u, p), step, p) == _quads(reference_step(u, r, m, p), p)
 
     def test_a_zero_part_gives_zeros(self):
         p, m = 53, 8
         step = _compile(from_fraction(Fraction(1, 3), p), m, p)
-        for keep in (0, 3, m):
-            assert _step([(0, 0)] * m, step, p, keep) == [(0, 0)] * (keep + 1)
-            assert _step([], _compile(None, m, p), p, keep) == [(0, 0)] * (keep + 1)
+        assert _step([(0, 0)] * m, step, p) == [(0, 0)] * (m + 1)
+        assert _step([], step, p) == [(0, 0)] * (m + 1)
 
     @pytest.mark.parametrize("p", [8, 24, 53, 256])
     def test_a_cancelled_output_is_rounded_from_the_exact_quotient(self, p):
@@ -387,7 +384,7 @@ class TestExactStep:
         f1, f2, q = (x.to_fraction() for x in (factors[1], factors[2], q))
         u1 = rounded_fraction(1 - (q + f1) / f2, p)
         u = NormalizedSeries([cfrom_int(1, 0, p), PrecisionComplex(u1, R_ZERO)], p)
-        got = kernel(_quads(u, p), _compile(r, m, p), p, m)
+        got = kernel(_quads(u, p), _compile(r, m, p), p)
         assert got == _quads(reference_step(u, r, m, p), p)
         one = got[1]
         assert one[0] and one[0].bit_length() + one[1] < -p + 8  # cancelled, not zero
@@ -426,42 +423,49 @@ class TestStepCaches:
 
 
 class TestCascade:
+    """The package's one bare cascade, run_filter's step 1 (step_one): the
+    zero-state response of u_0..u_{n_d-2} at degree n_d - 1, each output
+    rounded once."""
+
+    KEYS = [{}, dict(n_d=12, n_d1=140, r_1=28, p_1=768, p_2=384)]
+
     def test_exact_over_small_integers(self):
         # with integer inputs every partial sum is exact: compare against a
         # pure-rational mirror of the cascade
         rng = random.Random(3)
-        p = 256
-        m = 16
-        ints = [rng.randrange(-50, 50) for _ in range(m + 1)]
-        series = NormalizedSeries([cfrom_int(v, 0, p) for v in ints], p)
-        out = integrator_cascade(series, m)
-        for k in range(m + 1):
-            want = sum((-1) ** (k - 1 - d) * ints[d] for d in range(k))
-            assert out.coeffs[k].re.to_fraction() == want
+        for key in self.KEYS:
+            prof = desk_profile(4, **key)
+            p, n_d = prof.p_2, prof.n_d
+            ints = [rng.randrange(-50, 50) for _ in range(n_d - 1)]
+            out = step_one(NormalizedSeries([cfrom_int(v, 0, p) for v in ints], p), prof)
+            assert out.degree_bound == n_d - 1
+            for k in range(n_d):
+                want = sum((-1) ** (k - 1 - d) * ints[d] for d in range(k))
+                assert out.coeffs[k].re.to_fraction() == want
 
     def test_bit_identical_to_exact_sum(self):
         # real 256-bit inputs would round at nearly every addition of a
         # running sum, so only they tell one rounding of the exact sum from
-        # many: C5's encoded series at step 1's degree, the input to step 6
-        # at n_d, and that input cut to degree 4 (zero inputs beyond it)
+        # many: C5's encoded series, the input to the reference's step 6,
+        # and that input with zeros past coefficient 4
         prof = desk_profile(5)
         p, n_d = prof.p_2, prof.n_d
         f = grid_series(cycle_graph(5), prof).reround(p)
         steps = {}
         run_pipeline(f, build_schedule(prof), prof, dump=steps.__setitem__)
-        cases = [(f, prof.n_d1), (steps[5], n_d), (steps[5].truncate(4), n_d)]
-        for series, m in cases:
-            assert any(c.re.mantissa.bit_length() == p for c in series.coeffs)
-            want = reference_step(series, None, m, p)
-            assert integrator_cascade(series, m).bits() == want.bits()
+        cut = NormalizedSeries(steps[5].coeffs[:5] + (C_ZERO,) * (n_d - 6), p)
+        for series in (f, steps[5], cut):
+            assert any(c.re.mantissa.bit_length() == p for c in series.coeffs[: n_d - 1])
+            want = integrator_cascade(series.truncate(n_d - 2), n_d - 1)
+            assert step_one(series, prof).bits() == want.bits()
 
     def test_telescoping_identity(self):
         # out_{k+1} + out_k = u_k exactly for integer inputs
-        p = 192
-        vals = [3, -7, 11, 2, -9]
-        series = NormalizedSeries([cfrom_int(v, 0, p) for v in vals], p)
-        out = integrator_cascade(series, 4)
-        for k in range(4):
+        prof = desk_profile(4, p_2=192)
+        p, n_d = prof.p_2, prof.n_d
+        vals = [3, -7, 11, 2, -9, 5, -4][: n_d - 1]
+        out = step_one(NormalizedSeries([cfrom_int(v, 0, p) for v in vals], p), prof)
+        for k in range(n_d - 1):
             assert (
                 out.coeffs[k + 1].re.to_fraction() + out.coeffs[k].re.to_fraction()
                 == vals[k]
@@ -533,11 +537,12 @@ class TestProductionPath:
 
     @staticmethod
     def reference(f, sched, prof):
-        """plan_replay of run_filter's plan, each step's outputs rounded
-        once: the expected --dump-steps series, the last the output."""
+        """Step 1's bare cascade (exact_step) and then plan_replay of
+        _plan, each step's outputs rounded once: the expected --dump-steps
+        series, the last the output."""
         p, n_d = prof.p_2, prof.n_d
-        plan = (_compile(None, n_d - 1, p),) + _plan(sched, p)
-        return [rounded_series(s, p) for s in plan_replay(rounded_inputs(f.truncate(n_d - 2), p), plan)]
+        u = exact_step(rounded_inputs(f.truncate(n_d - 2), p), n_d - 1)
+        return [rounded_series(s, p) for s in [u] + plan_replay(u, _plan(sched, p))]
 
     @pytest.mark.parametrize("p_2", [53, 256])
     def test_matches_reference(self, p_2):
@@ -595,6 +600,48 @@ class TestProductionPath:
         assert got[1].bits() == integrator_cascade(f.reround(prof.p_2), prof.n_d - 1).bits()
         assert all(got[sp].degree_bound == prof.n_d for sp in range(2, prof.n_d + 4))
         assert got[prof.n_d + 3].bits() == out.bits()
+
+    def test_vanished_decay_raises_before_the_first_dump(self):
+        # no step file is written for a schedule that cannot run, and
+        # _prefixes compiles _plan when called, before it hands out step 1
+        prof = desk_profile(4, n_d=1, r_mu=1)
+        sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
+        calls = []
+        with pytest.raises(DegenerateScheduleError):
+            run_filter(NormalizedSeries([C_ZERO], prof.p_2), sched, prof, dump=lambda *a: calls.append(a))
+        assert calls == []
+        with pytest.raises(DegenerateScheduleError):
+            _prefixes(sched, prof.p_2)
+
+    @pytest.mark.parametrize("key", TestCascade.KEYS)
+    def test_every_2x2_minor_of_the_rows_divides_evenly(self, key):
+        # _compose's Cauchy-Binet claim on every pair of rows and every
+        # pair of columns, the decay column included; _functional divides
+        # only 2(n_d - 1) of these minors
+        prof = desk_profile(4, **key)
+        rows, den, exp = _rows(build_schedule(prof), prof.p_2)
+        scale = den << -exp
+        assert scale > 1 and (len(rows), len(rows[0])) == (prof.n_d + 1, prof.n_d)
+        for a, b in itertools.combinations(rows, 2):
+            for i, j in itertools.combinations(range(prof.n_d), 2):
+                assert (a[i] * b[j] - a[j] * b[i]) % scale == 0
+
+    @pytest.mark.parametrize("key", TestCascade.KEYS)
+    def test_rows_are_the_exact_plan(self, key):
+        # each entry N_ij / den * 2^exp, not just its rounding: input
+        # column j is step 1's bare cascade of a unit u_j and then _plan,
+        # the last column _plan on e^{-t}'s coefficients (-1)^k
+        prof = desk_profile(4, **key)
+        sched = build_schedule(prof)
+        n_d, p = prof.n_d, prof.p_2
+        rows, den, exp = _rows(sched, p)
+        one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+        inputs = [exact_step([zero] * j + [one], n_d - 1) for j in range(n_d - 1)]
+        inputs.append([(Fraction((-1) ** k), Fraction(0)) for k in range(n_d)])
+        for j, u in enumerate(inputs):
+            want = plan_replay(u, _plan(sched, p))[-1]
+            got = [(Fraction(row[j], den) * Fraction(2) ** exp, 0) for row in rows]
+            assert got == want, j
 
     def test_constant_column_is_the_response_to_a_unit_constant(self):
         prof = desk_profile(4)
