@@ -175,13 +175,16 @@ def _prefixes(sched: StepSchedule, p: int):
     u_j at degree n_d - 1, (-1)^(k-1-j) at k > j, and whose last column is
     e^{-t}'s coefficients (-1)^k; then _compose of _plan on it. _plan
     compiles before step 1 is handed out, so a vanished decay raises
-    first."""
+    first; then n_d < 2, which leaves no input column, raises ValueError."""
+    plan = _plan(sched, p)
     n_d = sched.n_d
+    if n_d < 2:
+        raise ValueError(f"n_d={n_d} < 2: run_filter's rows need at least the input u_0")
     start = [
         [(-1) ** (k - 1 - j) if k > j else 0 for j in range(n_d - 1)] + [(-1) ** k]
         for k in range(n_d)
     ]
-    return chain([(start, 1, 0)], _compose(start, _plan(sched, p)))
+    return chain([(start, 1, 0)], _compose(start, plan))
 
 
 @functools.lru_cache(maxsize=8)

@@ -23,19 +23,46 @@ middle; Horowitz and Sahni, JACM 1974): an n-walk splits in one way into
 two h-walks ending at the same l, so with A_l the moments of
 Y = 2W - n^l - a_h over those, S_k = 2^-k sum_l sum_j C(k,j) A_l,j A_l,k-j.
 
-The route (d0, fold) minimizes one operation count, keyed on (n, m, |E|):
+The packed route (PACKED, d0 = 0) runs the wavefront on exponential
+generating functions packed into integers (Kronecker substitution, the
+lane trick of walk_oracle.walk_and_path_counts). With F = m!, wire l is
+one integer whose lane k, w bits wide, holds M_k F/k!, M_k the moments
+of its walk-numbers. Adding v to every walk-number multiplies the EGF by
+e^{vt}, so a Taylor shift is one EGF product (von zur Gathen and
+Gerhard, ISSAC 1997), and each depth takes one integer product per wire:
+wire_l <- ((sum_{j in N(l)} wire_j) Q_{n^l} mod 2^(w(m+1))) // F, with
+Q_v = sum_i (F/i!) v^i 2^(wi), also wire l at depth 1. Lane k of the
+product is sum_i (M_{k-i} F/(k-i)!) (F v^i/i!) = F (out_k F/k!), so every
+lane is nonnegative and, once the lanes above m are masked off, every
+kept one is divisible by F: the floor division is exact, lane by lane.
+No lane carries: each is at most F^2 n (n-1)^(n-1) (n n^n)^m (F^2, times
+at most n (n-1)^(n-1) walks, times W^m <= (n n^n)^m), and w is one bit
+above that bound, a function of (n, m) alone. The walk-numbers stay
+positive, n^l at the last depth too; S_k are the lanes of the summed
+wires times k!/F, after one shift by -a_h.
+
+The route minimizes one operation count, keyed on (n, m, |E|):
 min(C(2n-1, n), n (2|E|/n)^(n-1)) m for d0 = n, else n C(n+d0-2, d0-1) m
-plus m^2 / 2 + 40 per shift and m^2 per square. The second term of the
-min estimates a sparse graph's smaller spectrum without counting its
-walks. The 40 prices a shift's fixed cost per call (its passes, slices
-and divisions), which dominates at small m: a shift took 5.3 us at
-m = 6 and 392 us at m = 64, and a square 0.56x and ~2x a shift (timeit,
-2-vCPU x86). At the desk degree m = 64: d0 = n for n <= 6, and for
-n = 7, 8 up to |E| = n (the cycle); with more edges d0 = 3 folded for
-n = 7 (7 shifts, 7 squares), d0 = 3 for n = 8 (40 shifts). At m = 6,
-the degree `hamspec run` reads (n_d - 2): d0 = n for n <= 4, for
-n = 5, 6 up to |E| = n and for n = 7, 8 up to |E| = n - 1 (a tree);
-with more edges d0 = 2 folded for n = 5 and 7, d0 = 2 for n = 6 and 8.
+plus m^2 / 2 + 40 per shift and m^2 per square, and for PACKED (n-1) (n
+((L/350)^2 + 6) + 2|E|) + m^2 / 2 + 40 with L = w(m+1). The second term
+of the first min estimates a sparse graph's smaller spectrum without
+counting its walks (the n = 7 star has 1512 walks but 182 walk-numbers,
+near its estimate 178). The 40 prices a shift's fixed cost per call (its
+passes, slices and divisions), which dominates at small m: a shift took
+5.3 us at m = 6 and 392 us at m = 64, and a square 0.56x and ~2x a
+shift. A product of two L-bit integers is priced as schoolbook on 30-bit
+digits, ~1 ns per digit product (1.6 us at L = 1218, K7 at m = 6), plus
+6 for its mask, its division and its loop, and 1 per neighbor summed
+(timeit, 2-vCPU x86). The packed route wins at small m and loses fast as
+m grows, w growing about as m (n+1) log2 n and L as m w: K7 took 125 us
+packed against 204 us on the fold at m = 6, 245 against 279 at m = 8 and
+428 against 333 at m = 10; at m = 14 every K_n and C_n timed (n = 3..8)
+lost, K7 1194 against 504 us. At the desk degree m = 64: d0 = n for n <=
+6, and for n = 7, 8 up to |E| = n (the cycle); with more edges d0 = 3
+folded for n = 7 (7 shifts, 7 squares), d0 = 3 for n = 8 (40 shifts). At
+m = 6, the degree `hamspec run` reads (n_d - 2): d0 = n for n <= 3, for
+n = 4 below |E| = 4, for n = 5, 6 below |E| = n and for n = 7, 8 below
+|E| = n - 1; PACKED otherwise.
 Every route gives the same integers, and none enumerates walks.
 """
 
@@ -43,7 +70,7 @@ from __future__ import annotations
 
 import functools
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 from operator import mul
 
 from .graph import Graph, hamiltonian_frequency, vertex_numbers
@@ -113,23 +140,74 @@ def _fold(wires: list, m: int) -> list:
     ]
 
 
+PACKED = (0, False)  # _route's packed route: no spectra, packed wires from depth 1
+
+
+def _width(n: int, m: int) -> int:
+    """The packed route's lane width at (n, m): one bit above
+    F^2 n (n-1)^(n-1) (n n^n)^m, F = m!, which bounds every lane."""
+    f = factorial(m)
+    return (f * f * n * (n - 1) ** (n - 1) * n ** ((n + 1) * m)).bit_length() + 1
+
+
+@functools.lru_cache(maxsize=16)
+def _egf(n: int, m: int) -> tuple:
+    """The packed route's tables at (n, m), built on first use: the lane
+    width w, F = m!, the lane scales F/k! and, for each vertex-number
+    v = n^l, Q_v = sum_i (F/i!) v^i 2^(wi), the packed moments of {v: 1}."""
+    w, f = _width(n, m), factorial(m)
+    scales = [f // factorial(k) for k in range(m + 1)]
+    qs = []
+    for v in vertex_numbers(n):
+        q = 0
+        for x in reversed(list(map(mul, scales, _powers(v, m)))):
+            q = q << w | x
+        qs.append(q)
+    return w, f, scales, tuple(qs)
+
+
+def _packed_wires(g: Graph, m: int, depth: int) -> list:
+    """The n packed wires at `depth`, unshifted: lane k of wire l holds
+    M_k F/k!, M_k the k-th moment of the walk-numbers of the depth-walks
+    ending at l. Each depth multiplies the summed neighbor wires by
+    Q_{n^l}, keeps lanes 0..m and divides by F, exactly."""
+    w, f, _, qs = _egf(g.n, m)
+    mask = (1 << w * (m + 1)) - 1
+    ins = [[j - 1 for j in g.neighbors(l)] for l in range(1, g.n + 1)]
+    wires = list(qs)
+    for _ in range(depth - 1):
+        get = wires.__getitem__
+        wires = [(sum(map(get, js)) * q & mask) // f for js, q in zip(ins, qs)]
+    return wires
+
+
+def _unpack(x: int, w: int, scales: list) -> list:
+    """The moments M_0..M_m off a packed wire: lane k over F/k!, exactly."""
+    lane = (1 << w) - 1
+    return [(x >> w * k & lane) // s for k, s in enumerate(scales)]
+
+
 @functools.lru_cache(maxsize=64)
 def _route(n: int, m: int, edges: int) -> tuple:
-    """The (d0, fold) with the fewest operations, the first listed on a tie:
-    unfolded for d0 = 1..n, then folded (odd n) for d0 = 1..h-1. d0 = n
-    is priced by its keys: at most C(2n-1, n), and about n (2|E|/n)^(n-1),
-    the n-walks were every degree the average (exact on regular graphs)."""
+    """The route with the fewest operations, the first listed on a tie:
+    (d0, False) for d0 = 1..n, (d0, True) (odd n) for d0 = 1..h-1, then
+    PACKED. d0 = n is priced by its keys: at most C(2n-1, n), and about
+    n (2|E|/n)^(n-1), the n-walks were every degree the average (exact on
+    regular graphs)."""
     h = (n + 1) // 2
 
     def cost(route):
         d0, fold = route
+        if d0 == 0:
+            bits = _width(n, m) * (m + 1)
+            return (n - 1) * (n * ((bits / 350) ** 2 + 6) + 2 * edges) + m * m / 2 + 40
         if d0 == n:
             return min(comb(2 * n - 1, n), n * (2 * edges / n) ** (n - 1)) * m
         shifts = (h if fold else n) - d0
         return n * comb(n + d0 - 2, d0 - 1) * m + n * (shifts * (m * m / 2 + 40) + fold * m * m)
 
     routes = [(d0, False) for d0 in range(1, n + 1)] + [(d0, True) for d0 in range(1, h) if n % 2]
-    return min(routes, key=cost)
+    return min(routes + [PACKED], key=cost)
 
 
 def _wires(g: Graph, m: int, depth: int, d0: int, a_h: int = 0, fold: bool = False) -> list:
@@ -157,11 +235,19 @@ def _wires(g: Graph, m: int, depth: int, d0: int, a_h: int = 0, fold: bool = Fal
     return wires
 
 
-def _moments(g: Graph, m: int, d0: int, fold: bool = False) -> list:
-    """S_0..S_m by the wavefront switching at d0: with d0 = n, one power
-    sum over the merged spectrum of offsets W - a_h; with `fold` (odd n,
-    d0 < h), _fold of the wires at depth h."""
+def _moments(g: Graph, m: int, d0: int | None = None, fold: bool = False) -> list:
+    """S_0..S_m on the route (d0, fold), by default _route's: with d0 = n,
+    one power sum over the merged spectrum of offsets W - a_h; with `fold`
+    (odd n, d0 < h), _fold of the wires at depth h; on PACKED, the
+    unpacked sum of the packed wires at depth n, shifted by -a_h."""
+    if m < 0:
+        raise ValueError(f"moment degree m={m} is negative")
+    if d0 is None:
+        d0, fold = _route(g.n, m, g.edge_count())
     a_h = hamiltonian_frequency(g)
+    if d0 == 0:
+        w, _, scales, _ = _egf(g.n, m)
+        return _shift(_unpack(sum(_packed_wires(g, m, g.n)), w, scales), -a_h)
     if fold:
         return _fold(_wires(g, m, (g.n + 1) // 2, d0, a_h, fold=True), m)
     wires = _wires(g, m, g.n, d0, a_h)
@@ -191,17 +277,21 @@ def grid_intermediate(g: Graph, profile: PipelineProfile, depth: int) -> list:
         raise ValueError(f"depth {depth} outside 1..{g.n}")
     m = profile.n_d1
     d0, _ = _route(g.n, m, g.edge_count())
-    wires = _wires(g, m, depth, d0)
-    if depth <= d0:
-        wires = [_power_sums(w, m) for w in wires]
+    if d0 == 0:
+        w, _, scales, _ = _egf(g.n, m)
+        wires = [_unpack(x, w, scales) for x in _packed_wires(g, m, depth)]
+    else:
+        wires = _wires(g, m, depth, d0)
+        if depth <= d0:
+            wires = [_power_sums(w, m) for w in wires]
     return [_round_moments(w, 1, profile.p_1) for w in wires]
 
 
 def exact_moments(g: Graph, m: int) -> list:
-    """The exact S_0..S_m, switching from spectra to shifts at the cheapest
-    depth for (n, m). `hamspec run` reads k0 off them at m = n_d - 2, all
-    that run_filter reads of the encoded series."""
-    return _moments(g, m, *_route(g.n, m, g.edge_count()))
+    """The exact S_0..S_m on the cheapest route for the graph and m >= 0.
+    `hamspec run` reads k0 off them at m = n_d - 2, all that run_filter
+    reads of the encoded series."""
+    return _moments(g, m)
 
 
 def grid_series(g: Graph, profile: PipelineProfile, m: int | None = None) -> NormalizedSeries:

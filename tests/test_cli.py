@@ -351,6 +351,19 @@ class TestProfileRefusals:
         # alpha = 21.77 is exact here: the method fails, not the rounding
         assert "rounding" not in lines[-2] and "rounding" not in err
 
+    def test_check_profile_fails_n_d_below_two_before_any_solve(self, files, capsys):
+        # n_d = 1 with r_mu = 2: validation names r_mu_lt_n_d and stops, so
+        # the filter's refusal of n_d < 2 never shows here
+        tmp, g2, _, prof = files
+        bad = tmp / "nd1.profile"
+        bad.write_text(prof.read_text().replace("n_d=8", "n_d=1"))
+        code, stdout, _ = run_cli(capsys, "check-profile", str(bad), "--n", "4")
+        lines = stdout.splitlines()
+        assert code == 0 and lines[-1] == "profile INVALID"
+        assert [line.split()[1] for line in lines if line.startswith("FAIL")] == ["r_mu_lt_n_d"]
+        assert "FAIL r_mu_lt_n_d slack=-1 (2 < 1)" in lines
+        assert not any("schedule_solved" in line for line in lines)
+
     def test_check_profile_says_when_p_2_cannot_hold_alpha(self, files, capsys):
         # alpha is 1/q rounded once from the correctly rounded decay q, so
         # every step solves down to p_2 = 8; below p_2 = 68 the two-channel

@@ -613,6 +613,23 @@ class TestProductionPath:
         with pytest.raises(DegenerateScheduleError):
             _prefixes(sched, prof.p_2)
 
+    def test_n_d_below_two_is_refused(self):
+        # validate_profile refuses this key (r_mu_lt_n_d) but it solves, and
+        # its decay does not vanish: with no input column the rows would
+        # hand the decay column out as the constant one
+        prof = desk_profile(4, n_d=1, r_mu=2)
+        sched = solve_schedule(prof.p_2, prof.n_d, prof.n_d1, prof.r_1, prof.r_mu)
+        calls = []
+        for call in (
+            lambda: _prefixes(sched, prof.p_2),
+            lambda: _rows(sched, prof.p_2),
+            lambda: system_columns(sched, prof.p_2),
+            lambda: run_filter(NormalizedSeries([C_ZERO], prof.p_2), sched, prof, dump=calls.append),
+        ):
+            with pytest.raises(ValueError, match="n_d=1 < 2"):
+                call()
+        assert calls == []
+
     @pytest.mark.parametrize("key", TestCascade.KEYS)
     def test_every_2x2_minor_of_the_rows_divides_evenly(self, key):
         # _compose's Cauchy-Binet claim on every pair of rows and every

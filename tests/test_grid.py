@@ -125,16 +125,12 @@ DISPATCH = [(n, 64, (n, False)) for n in range(2, 7)] + [
     (7, 32, (2, True)),
     (8, 64, (3, False)),
     (6, 32, (3, False)),
-    (5, 8, (2, True)),
+    (5, 8, grid.PACKED),
 ]
-# m = n_d - 2 = 6, the degree `hamspec run` encodes at, where a shift's
-# fixed cost per call outweighs its m^2 / 2 additions
-DISPATCH += [(n, 6, (n, False)) for n in range(2, 5)] + [
-    (5, 6, (2, True)),
-    (6, 6, (2, False)),
-    (7, 6, (2, True)),
-    (8, 6, (2, False)),
-]
+# m = n_d - 2 = 6, the degree `hamspec run` encodes at, where the packed
+# products' few digits beat a shift's fixed cost per call; only K2's and
+# K3's spectra are smaller
+DISPATCH += [(n, 6, (n, False)) for n in range(2, 4)] + [(n, 6, grid.PACKED) for n in range(4, 9)]
 
 
 class TestRoutes:
@@ -144,14 +140,15 @@ class TestRoutes:
     @pytest.mark.parametrize("g", ROUTE_GRAPHS.values(), ids=ROUTE_GRAPHS.keys())
     def test_routes_agree_exactly(self, g):
         # graphs with few walks (every n <= 6 one, and the sparse n = 7
-        # ones, where the fold runs) are also checked against enumeration
+        # ones, where the fold runs) are also checked against enumeration;
+        # the packed route, whose lanes widen with m, only up to m = 10
         enumerable = walk_and_path_counts(g)[0] <= 20_000
         if enumerable:
             a_h = hamiltonian_frequency(g)
             spectrum = walk_spectrum(g)
-        for m in (8, 32, 64):
+        for m in (*range(11), 32, 64):
             got = grid._moments(g, m, g.n)
-            for d0, fold in routes(g.n):
+            for d0, fold in routes(g.n) + ([grid.PACKED] if m <= 10 else []):
                 assert grid._moments(g, m, d0, fold) == got, (m, d0, fold)
             if enumerable:
                 want = [sum(c * (w - a_h) ** k for w, c in spectrum.items()) for k in range(m + 1)]
@@ -165,7 +162,8 @@ class TestRoutes:
     def test_dispatch(self, monkeypatch, n, m, route):
         # the op-count model's choice, one shift per wire per depth after
         # d0 and one square per wire at the fold: 7 shifts and 7 squares
-        # on K7, none on K6 and 40 shifts on K8 at the desk profile
+        # on K7, none on K6 and 40 shifts on K8 at the desk profile; the
+        # packed route shifts once, the unpacked sum
         assert grid._route(n, m, n * (n - 1) // 2) == route
         d0, fold = route
         shifts, squares = [], []
@@ -173,22 +171,29 @@ class TestRoutes:
         monkeypatch.setattr(grid, "_shift", lambda x, v: shifts.append(v) or shift(x, v))
         monkeypatch.setattr(grid, "_fold", lambda w, m: squares.extend(w) or fold_wires(w, m))
         grid_series(complete_graph(n), desk_profile(n, n_d1=m))
-        assert len(shifts) == (((n + 1) // 2 if fold else n) - d0) * n
+        if route == grid.PACKED:
+            assert len(shifts) == 1
+        else:
+            assert len(shifts) == (((n + 1) // 2 if fold else n) - d0) * n
         assert len(squares) == (n if fold else 0)
 
     @pytest.mark.parametrize(
         "g, m, route",
         [
-            (cycle_graph(5), 6, (5, False)),
-            (complete_graph(5), 6, (2, True)),
+            (cycle_graph(5), 6, grid.PACKED),
+            (complete_graph(5), 6, grid.PACKED),
             (cycle_graph(7), 64, (7, False)),
             (complete_graph(7), 64, (3, True)),
+            (star_graph(7), 64, (7, False)),
         ],
-        ids=["C5-6", "K5-6", "C7-64", "K7-64"],
+        ids=["C5-6", "K5-6", "C7-64", "K7-64", "star7-64"],
     )
     def test_sparse_graphs_skip_the_fold(self, monkeypatch, g, m, route):
         # d0 = n is priced by n (2|E|/n)^(n-1) where that is below
-        # C(2n-1, n): the cycles' 2-regular walks beat the fold, K_n's do not
+        # C(2n-1, n): the cycles' 2-regular walks beat the fold, K_n's do
+        # not. The star has 1512 7-walks but 182 walk-numbers, near the
+        # estimate's 178, and its spectrum beats the fold 3x at m = 64. At
+        # m = 6 both n = 5 graphs take the packed route
         assert grid._route(g.n, m, g.edge_count()) == route
         squares = []
         fold_wires = grid._fold
@@ -197,14 +202,67 @@ class TestRoutes:
         assert len(squares) == (g.n if route[1] else 0)
 
 
+class TestPacked:
+    """The packed route: lane k of wire l holds M_k m!/k!, each depth one
+    integer product per wire."""
+
+    def test_k8_at_run_degree(self):
+        g = complete_graph(8)
+        got = grid._moments(g, 6, *grid.PACKED)
+        assert all(grid._moments(g, 6, d0, fold) == got for d0, fold in routes(8))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lanes_stay_below_the_width(self, n):
+        # every lane the route forms on K_n, the product's lanes 0..m before
+        # the division by F included, is below 2^w: from the exact moments
+        # of each wire's walks, and the packed wires are those lanes packed
+        g = complete_graph(n)
+        for m in range(11):
+            w, f, scales, _ = grid._egf(n, m)
+            for depth in range(1, n + 1):
+                spectra = grid._wires(g, m, depth, depth)
+                moments = [grid._power_sums(s, m) for s in spectra]
+                total = [sum(col) for col in zip(*moments)]
+                largest = max(f * s * x for s, x in zip(scales, total))
+                assert largest.bit_length() < w, (m, depth)
+                packed = grid._packed_wires(g, m, depth)
+                for x, ms in zip(packed, moments):
+                    assert grid._unpack(x, w, scales) == ms
+                    assert x == sum(s * y << w * k for k, (s, y) in enumerate(zip(scales, ms)))
+
+    def test_run_takes_it_and_the_desk_degree_never_does(self, monkeypatch):
+        calls = []
+        packed = grid._packed_wires
+        monkeypatch.setattr(
+            grid, "_packed_wires", lambda g, m, depth: calls.append(m) or packed(g, m, depth)
+        )
+        k7 = complete_graph(7)
+        prof = desk_profile(7)
+        grid.exact_moments(k7, prof.n_d - 2)
+        assert calls == [prof.n_d - 2]
+        calls.clear()
+        for g in HEAD_GRAPHS.values():
+            assert grid._route(g.n, 64, g.edge_count()) != grid.PACKED
+            grid_series(g, desk_profile(g.n))
+        assert calls == []
+
+    @pytest.mark.parametrize("g", [path_graph(3), complete_graph(5)], ids=["P3", "K5"])
+    def test_negative_degree_refused_on_every_route(self, g):
+        for route in routes(g.n) + [grid.PACKED]:
+            with pytest.raises(ValueError, match="m=-1"):
+                grid._moments(g, -1, *route)
+        with pytest.raises(ValueError, match="m=-1"):
+            grid.exact_moments(g, -1)
+
+
 HEAD_GRAPHS = dict(ROUTE_GRAPHS, C8=cycle_graph(8))
 
 
 class TestHead:
     @pytest.mark.parametrize("g", HEAD_GRAPHS.values(), ids=HEAD_GRAPHS.keys())
     def test_low_degree_is_the_head_of_the_full_series(self, g):
-        # run encodes at n_d - 2 = 6, on another route than at n_d1 = 64
-        # for n >= 5 (K7 folds at both, from d0 = 2 and d0 = 3)
+        # run encodes at n_d - 2 = 6, on the packed route for the connected
+        # n >= 4 graphs here, and n_d1 = 64 never takes it
         prof = desk_profile(g.n)
         head = grid_series(g, prof, prof.n_d - 2)
         assert head.precision == prof.p_1
@@ -257,11 +315,11 @@ class TestIntermediates:
         nums = vertex_numbers(g.n)
         # at n_d1 = 16 the wavefront stays on spectra; forced to switch at
         # depth 1 at n_d1 = 4, depths 2..4 come from moment shifts instead
-        assert grid._route(4, 16, g.edge_count()) == (4, False)
-        monkeypatch.setattr(
-            grid, "_route", lambda n, m, edges: (1, False) if m == 4 else (n, False)
-        )
-        for m, depth in ((16, 2), (16, 3), (16, 4), (4, 2), (4, 3), (4, 4)):
+        # and at n_d1 = 8, forced to the packed route, from packed products
+        assert grid._route(g.n, 16, g.edge_count()) == (4, False)
+        forced = {4: (1, False), 8: grid.PACKED, 16: (4, False)}
+        monkeypatch.setattr(grid, "_route", lambda n, m, edges: forced[m])
+        for m, depth in ((16, 2), (16, 3), (16, 4), (4, 2), (4, 3), (4, 4), (8, 2), (8, 4)):
             prof = encode_profile(4, n_d1=m)
             p = prof.p_1
             walks = [[v] for v in range(1, g.n + 1)]
@@ -340,6 +398,7 @@ class TestRounding:
 
 def clear_step_caches():
     grid._powers.cache_clear()
+    grid._egf.cache_clear()
 
 
 class TestDeterminism:
@@ -373,7 +432,7 @@ def moment_readout(g):
     per offset o in O_n leaves S_0 = sum_W mult(W) prod_o (o - (W - a_h)),
     which only the paths (W = a_h) survive, each as prod_o o."""
     os = offsets(g.n)
-    s = grid._moments(g, len(os), *grid._route(g.n, len(os), g.edge_count()))
+    s = grid._moments(g, len(os))
     for o in os:
         s = [o * a - b for a, b in zip(s, s[1:])]
     n_h, rem = divmod(s[0], prod(os))
